@@ -30,14 +30,13 @@ from .core import (
 from .errors import PreconditionFailed
 from .learn import coverage_instance, gbs_policy, modified_prior
 from .metrics import (
-    DEFAULT_ENUM_BUDGET,
     alpha,
     beta,
     covering_params,
     frontier_gains,
     gamma,
 )
-from .oracle import optimal_coverage
+from .oracle import DEFAULT_ENUM_BUDGET, optimal_coverage
 from .policy import (
     IMMEDIATE,
     Policy,

@@ -19,7 +19,7 @@ import click
 
 from . import bounds as bounds_mod
 from . import fileio, gen, learn, metrics, oracle
-from .core import Instance, c_avg, f_avg
+from .core import TOL, Instance, c_avg, f_avg
 from .errors import AdaptselError, EnumerationBudgetExceeded, InvalidParams
 from .policy import Policy, build_greedy, policy_height
 
@@ -37,15 +37,22 @@ def _table(rows: list[tuple[str, object]]) -> str:
     return "\n".join(f"{name:<{width}}  {_fmt(value)}" for name, value in rows)
 
 
+def _echo(message: str, nl: bool = True) -> None:
+    """click.echo to the current stdout.  Naming the stream skips click's
+    per-stream wrapper cache, which keeps every redirected stdout alive."""
+    click.echo(message, nl=nl, file=sys.stdout)
+
+
 def _echo_json(data) -> None:
-    click.echo(fileio.dumps(data), nl=False)
+    _echo(fileio.dumps(data), nl=False)
 
 
 @click.group()
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON output.")
-@click.option("--tolerance", type=float, default=1e-9, show_default=True,
+@click.option("--tolerance", type=float, default=TOL, show_default=True,
               help="Absolute comparison tolerance.")
-@click.option("--enum-budget", type=int, default=10**7, show_default=True,
+@click.option("--enum-budget", type=int, default=oracle.DEFAULT_ENUM_BUDGET,
+              show_default=True,
               help="Refuse exact enumerations beyond this many states.")
 @click.pass_context
 def main(ctx, as_json, tolerance, enum_budget):
@@ -114,15 +121,15 @@ def generate(ctx, family_arg, family, k, epsilon, elements, states, seed,
             hc = demo_hypotheses()
             path = out or "hypotheses-demo.json"
             fileio.save(path, fileio.hypotheses_to_dict(hc))
-            click.echo(f"wrote {path}")
+            _echo(f"wrote {path}")
             return
         path = out or f"{chosen}.json"
         fileio.save_instance(path, instance)
-        click.echo(f"wrote {path}")
+        _echo(f"wrote {path}")
         if policy is not None:
             ppath = policy_out or f"{chosen}-policy.json"
             fileio.save_policy(ppath, instance, policy)
-            click.echo(f"wrote {ppath}")
+            _echo(f"wrote {ppath}")
 
     _run(ctx, work)
 
@@ -177,10 +184,10 @@ def params(ctx, instance_path, policy_path, greedy, n, k, gamma_mode):
                 ("height", report.height),
             ]
         )
-        click.echo(_table(rows))
+        _echo(_table(rows))
         for name, witness in sorted(report.witnesses.items()):
             if witness is not None:
-                click.echo(f"witness {name}: {witness}")
+                _echo(f"witness {name}: {witness}")
 
     _run(ctx, work)
 
@@ -223,7 +230,7 @@ def solve(ctx, instance_path, objective, k, out):
                  **{name: value for name, value in rows}}
             )
         else:
-            click.echo(_table(rows))
+            _echo(_table(rows))
 
     _run(ctx, work)
 
@@ -283,7 +290,7 @@ def _render_reports(ctx, label, reports):
         return
     for report in reports:
         status = "holds" if report.holds else "VIOLATED"
-        click.echo(
+        _echo(
             f"{label}  {report.bound_id:<7} {status:<8} "
             f"lhs={_fmt(report.lhs)} rhs={_fmt(report.rhs)} "
             f"slack={_fmt(report.slack)}"
@@ -385,7 +392,7 @@ def active_learning(ctx, hypotheses_path, out):
                  **{name: value for name, value in rows}}
             )
         else:
-            click.echo(_table(rows))
+            _echo(_table(rows))
 
     _run(ctx, work)
 

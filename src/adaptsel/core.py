@@ -14,6 +14,7 @@ per-call only, so concurrent use of the same ``Instance`` is safe.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -128,6 +129,8 @@ class Instance:
             raise ValueError("duplicate realization maps")
         if len(self.prior) != len(self.realizations):
             raise ValueError("prior length does not match realization list")
+        if not all(math.isfinite(p) for p in self.prior):
+            raise ValueError("non-finite prior probability")
         if any(p < -TOL for p in self.prior):
             raise ValueError("negative prior probability")
         if abs(sum(self.prior) - 1.0) > TOL:
@@ -147,6 +150,8 @@ class Instance:
                 raise ValueError(f"non-canonical subset key {key!r}")
             if len(values) != m:
                 raise ValueError("utility row length does not match realizations")
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"non-finite utility value at {key!r}")
             if any(v < -TOL for v in values):
                 raise ValueError(f"negative utility value at {key!r}")
 
@@ -253,6 +258,24 @@ def marginal_gain(
     return sum(w * (row_after[i] - row_before[i]) for i, w in vs.items())
 
 
+def _expectation(instance: Instance, policy, weights, value) -> float:
+    """Sum over the positive ``(phi_index, weight)`` pairs and the run
+    traces of ``policy`` of weight x branch weight x ``value(selected,
+    phi_index)``.  The policy is split into its deterministic component
+    trees once per call, not once per realization."""
+    from . import policy as policy_mod
+
+    trees = policy_mod.components(instance, policy)
+    total = 0.0
+    for phi_index, w in weights:
+        if w <= 0.0:
+            continue
+        for branch, tree in trees:
+            (trace,) = policy_mod.run(instance, tree, phi_index)
+            total += w * branch * value(trace.selected, phi_index)
+    return total
+
+
 def policy_gain(instance: Instance, policy, psi: PartialRealization) -> float:
     """Expected gain of running ``policy`` from scratch after observing psi.
 
@@ -260,44 +283,27 @@ def policy_gain(instance: Instance, policy, psi: PartialRealization) -> float:
     policy's randomness, computed exactly by tree traversal with branch
     weights.
     """
-    from . import policy as policy_mod
-
-    vs = version_space(instance, psi)
     dom = psi.dom
-    base = subset_key(dom)
-    total = 0.0
-    for phi_index, w in vs.items():
-        for trace in policy_mod.run(instance, policy, phi_index):
-            combined = subset_key(dom + trace.selected)
-            gain = instance.value(combined, phi_index) - instance.value(base, phi_index)
-            total += w * trace.weight * gain
-    return total
+    return _expectation(
+        instance,
+        policy,
+        version_space(instance, psi).items(),
+        lambda selected, phi_index: instance.value(dom + selected, phi_index)
+        - instance.value(dom, phi_index),
+    )
 
 
 def f_avg(instance: Instance, policy) -> float:
     """Expected final utility of a policy under the instance prior."""
-    from . import policy as policy_mod
-
-    total = 0.0
-    for phi_index, p in enumerate(instance.prior):
-        if p <= 0.0:
-            continue
-        for trace in policy_mod.run(instance, policy, phi_index):
-            total += p * trace.weight * instance.value(trace.selected, phi_index)
-    return total
+    return _expectation(instance, policy, enumerate(instance.prior), instance.value)
 
 
 def c_avg(instance: Instance, policy) -> float:
     """Expected number of elements a policy selects under the prior."""
-    from . import policy as policy_mod
-
-    total = 0.0
-    for phi_index, p in enumerate(instance.prior):
-        if p <= 0.0:
-            continue
-        for trace in policy_mod.run(instance, policy, phi_index):
-            total += p * trace.weight * len(trace.selected)
-    return total
+    return _expectation(
+        instance, policy, enumerate(instance.prior),
+        lambda selected, _phi_index: len(selected),
+    )
 
 
 # -- positive-mass partial realizations -----------------------------------

@@ -91,20 +91,25 @@ def _parse_utility(instance: Instance, spec) -> UtilityTable:
     entries = _expect(spec, "entries", list, "utility")
     table: UtilityTable = {}
     rows: dict[tuple[int, ...], dict[int, float]] = {}
+    m = instance.num_realizations
     for entry in entries:
         members = _expect(entry, "set", list, "utility entry")
         indices = []
         for member in members:
             if isinstance(member, str):
                 indices.append(instance.element_index(member))
-            elif isinstance(member, int):
+            elif (isinstance(member, int) and not isinstance(member, bool)
+                  and 0 <= member < instance.num_elements):
                 indices.append(member)
             else:
-                _fail("utility entry: set members must be element names")
+                _fail(f"utility entry {entry!r}: set member {member!r} is not "
+                      f"an element name or index")
         phi_index = _expect(entry, "realization", int, "utility entry")
+        if isinstance(phi_index, bool) or not 0 <= phi_index < m:
+            _fail(f"utility entry {entry!r}: realization {phi_index!r} is not "
+                  f"an index below {m}")
         value = _expect(entry, "value", (int, float), "utility entry")
         rows.setdefault(subset_key(indices), {})[phi_index] = float(value)
-    m = instance.num_realizations
     for size in range(instance.num_elements + 1):
         for subset in itertools.combinations(range(instance.num_elements), size):
             key = subset_key(subset)

@@ -13,6 +13,7 @@ the coverage utility built on the modified prior.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,6 +39,8 @@ class HypothesisClass:
             raise DuplicateHypothesis("two hypotheses assign identical labels")
         if len(self.prior) != len(self.labels):
             raise ValueError("prior length does not match hypotheses")
+        if not all(math.isfinite(p) for p in self.prior):
+            raise ValueError("non-finite prior probability")
         if abs(sum(self.prior) - 1.0) > TOL:
             raise ValueError(f"prior sums to {sum(self.prior)}, not 1")
 

@@ -27,22 +27,20 @@ from .core import (
     version_space,
 )
 from .errors import BudgetExceedsCost, EnumerationBudgetExceeded
+from .oracle import DEFAULT_ENUM_BUDGET
 from .policy import (
     Policy,
     Terminal,
     ThresholdSubPolicy,
-    _gain_classes,
     _gains,
-    annotate_tree,
     components,
     cut_stats,
     policy_height,
     reachable_nodes,
     run,
     sub_policy_at_cost,
+    threshold_ladder,
 )
-
-DEFAULT_ENUM_BUDGET = 10**7
 
 
 def _ratio(numerator: float, denominator: float, tol: float) -> float:
@@ -137,65 +135,30 @@ def beta(instance: Instance, policy: Policy, tol: float = TOL) -> BetaResult:
     A policy with average cost below 1 has an empty budget range; the result
     is 0 with ``empty_range`` flagged (the definition is silent there).
 
-    Evaluated on an annotated base tree so the many threshold cuts share one
-    gain computation; ``frontier_gains`` recomputes any per-budget pair from
-    first principles for cross-checking and witnesses.
+    Every budget's (tau_i, rho_i) and threshold cuts are read off one
+    :func:`~adaptsel.policy.threshold_ladder` of the base tree;
+    ``frontier_gains`` recomputes any per-budget pair from first principles
+    for cross-checking and witnesses.
     """
     cost = c_avg(instance, policy)
     top = int(math.floor(cost + tol))
     if top < 1:
         return BetaResult(0.0, (), None, empty_range=True)
     base = policy.base if isinstance(policy, ThresholdSubPolicy) else policy
-    annot = annotate_tree(instance, base)
-
-    values: list[float] = []
-
-    def collect(node):
-        values.extend(node.gains.values())
-        for child in node.children:
-            collect(child)
-
-    collect(annot)
-    reps = _gain_classes(values, tol)
-    sentinel = (max(values) if values else 0.0) + 1.0
-    taus = [sentinel]
-    mus = [0.0]
-    for rep in reps:
-        mu = cut_stats(annot, rep, True, tol)[0]
-        if mu > mus[-1] + tol:
-            taus.append(rep)
-            mus.append(mu)
+    ladder = threshold_ladder(instance, base, tol)
 
     best = -math.inf
     best_i = None
     per = []
-    stats_cache: dict[tuple[float, bool], tuple[float, float, float]] = {}
-
-    def stats(tau, strict):
-        key = (tau, strict)
-        if key not in stats_cache:
-            stats_cache[key] = cut_stats(annot, tau, strict, tol)
-        return stats_cache[key]
-
     for i in range(1, top + 1):
-        j = next(idx for idx in range(1, len(taus)) if i <= mus[idx] + tol)
-        # Same boundary snap as find_threshold_pair: a budget on the class
-        # boundary uses the pure strict rule.
-        if mus[j] - i <= tol:
-            rho = 1.0
-        else:
-            rho = (i - mus[j - 1]) / (mus[j] - mus[j - 1])
-            rho = min(1.0, max(0.0, rho))
+        tau, rho = ladder.pair(i)
         delta_u = 0.0
         delta_l = math.inf
-        if rho > 0.0:
-            _mu, du, dl = stats(taus[j], True)
-            delta_u = max(delta_u, du)
-            delta_l = min(delta_l, dl)
-        if rho < 1.0:
-            _mu, du, dl = stats(taus[j], False)
-            delta_u = max(delta_u, du)
-            delta_l = min(delta_l, dl)
+        for strict, weight in ((True, rho), (False, 1.0 - rho)):
+            if weight > 0.0:
+                _mu, du, dl = cut_stats(ladder.annot, tau, strict, tol)
+                delta_u = max(delta_u, du)
+                delta_l = min(delta_l, dl)
         if delta_l == math.inf:
             delta_l = 0.0
         fg = FrontierGains(i, delta_u, delta_l)

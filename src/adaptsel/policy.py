@@ -437,22 +437,68 @@ def build_greedy(instance: Instance, tol: float = TOL) -> Node:
 # -- threshold pairs (existence/uniqueness construction) -------------------
 
 
-def achievable_gains(instance: Instance, tree: Node) -> list[float]:
-    """All expected marginal gains of remaining elements at reachable
-    positive-mass nodes of a deterministic tree."""
-    values = []
-    for psi, support, _node in reachable_nodes(instance, tree):
-        values.extend(_gains(instance, psi, support).values())
-    return values
+@dataclass(frozen=True)
+class ThresholdLadder:
+    """The threshold classes of one base tree, in order of increasing cost.
+
+    ``steps`` starts at ``(sentinel, 0.0)``, a threshold above every
+    achievable gain; each later ``(tau, mu)`` is a threshold class whose
+    strict-rule cut of ``annot`` costs ``mu``, strictly more than the step
+    before it.
+    """
+
+    annot: AnnotatedNode
+    sentinel: float
+    steps: tuple[tuple[float, float], ...]
+    tol: float
+
+    def pair(self, i: int) -> tuple[float, float]:
+        """The canonical (tau_i, rho_i) whose sub-policy has average cost i:
+        the first class costing at least i, with the coin interpolating from
+        the class below.  Budget 0 stops at once, on the sentinel."""
+        if i == 0:
+            return self.sentinel, 0.0
+        for (_, mu_low), (tau, mu) in zip(self.steps, self.steps[1:]):
+            if i <= mu + self.tol:
+                # Snap to the pure strict rule when the budget sits on the
+                # class boundary, so float noise cannot leave a
+                # vanishing-weight non-strict component behind.
+                if mu - i <= self.tol:
+                    return tau, 1.0
+                rho = (i - mu_low) / (mu - mu_low)
+                return tau, min(1.0, max(0.0, rho))
+        raise BudgetExceedsCost(
+            f"budget {i} exceeds the policy's average cost {self.steps[-1][1]}"
+        )
 
 
-def _gain_classes(values: list[float], tol: float) -> list[float]:
-    """Distinct gain values grouped at tolerance; class maxima, descending."""
-    reps: list[float] = []
+def threshold_ladder(
+    instance: Instance, base: Node, tol: float = TOL
+) -> ThresholdLadder:
+    """The threshold ladder of a deterministic tree.
+
+    Candidate thresholds are the gains of remaining elements at every
+    positive-mass node, grouped at tolerance with each class represented by
+    its maximum, and priced by ``cut_stats`` on one annotated tree.
+    """
+    annot = annotate_tree(instance, base)
+    values: list[float] = []
+    stack = [annot]
+    while stack:
+        node = stack.pop()
+        values.extend(node.gains.values())
+        stack.extend(node.children)
+    sentinel = max(values, default=0.0) + 1.0
+    steps = [(sentinel, 0.0)]
+    rep = math.inf
     for value in sorted(values, reverse=True):
-        if not reps or value < reps[-1] - tol:
-            reps.append(value)
-    return reps
+        if value >= rep - tol:
+            continue
+        rep = value
+        mu = cut_stats(annot, rep, True, tol)[0]
+        if mu > steps[-1][1] + tol:
+            steps.append((rep, mu))
+    return ThresholdLadder(annot, sentinel, tuple(steps), tol)
 
 
 def find_threshold_pair(
@@ -460,12 +506,9 @@ def find_threshold_pair(
 ) -> tuple[float, float, ThresholdSubPolicy]:
     """The canonical (tau_i, rho_i) whose sub-policy has average cost i.
 
-    Follows the constructive existence proof: candidate thresholds are the
-    achievable gain values (grouped at tolerance) plus a sentinel above the
-    maximum; mu(tau) is the cost of the strict-rule cut; the pair
-    interpolates between the two adjacent threshold classes.  Any other
-    valid pair induces the same policy, which the test suite checks
-    directly on run traces.
+    Follows the constructive existence proof, read off the base tree's
+    :func:`threshold_ladder`.  Any other valid pair induces the same
+    policy, which the test suite checks directly on run traces.
     """
     if i != int(i) or i < 0:
         raise ValueError(f"budget must be a non-negative integer, got {i!r}")
@@ -477,35 +520,8 @@ def find_threshold_pair(
         raise BudgetExceedsCost(
             f"budget {i} exceeds the policy's average cost {total_cost}"
         )
-    values = achievable_gains(instance, base)
-    sentinel = (max(values) if values else 0.0) + 1.0
-    if i == 0:
-        return sentinel, 0.0, ThresholdSubPolicy(base, sentinel, 0.0)
-
-    reps = _gain_classes(values, tol)
-    # Deduplicate threshold classes by their mu value; mu is non-decreasing
-    # as the threshold decreases.
-    taus = [sentinel]
-    mus = [0.0]
-    for rep in reps:
-        mu = c_avg(instance, ThresholdSubPolicy(base, rep, 1.0))
-        if mu > mus[-1] + tol:
-            taus.append(rep)
-            mus.append(mu)
-    for j in range(1, len(taus)):
-        if i <= mus[j] + tol:
-            # Snap to the pure strict rule when the budget sits on the class
-            # boundary, so float noise cannot leave a vanishing-weight
-            # non-strict component behind.
-            if mus[j] - i <= tol:
-                rho = 1.0
-            else:
-                rho = (i - mus[j - 1]) / (mus[j] - mus[j - 1])
-                rho = min(1.0, max(0.0, rho))
-            return taus[j], rho, ThresholdSubPolicy(base, taus[j], rho)
-    raise BudgetExceedsCost(
-        f"budget {i} exceeds the policy's average cost {mus[-1]}"
-    )
+    tau, rho = threshold_ladder(instance, base, tol).pair(i)
+    return tau, rho, ThresholdSubPolicy(base, tau, rho)
 
 
 def sub_policy_at_cost(

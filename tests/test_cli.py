@@ -1,7 +1,11 @@
 """Command-line surface: generation, parameter reports, solving, bound
 verification, and the active-learning pipeline."""
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 from click.testing import CliRunner
 
@@ -171,6 +175,23 @@ def test_active_learning_pipeline(tmp_path):
     bare = a.instance_from_hypotheses(hc)
     policy = fileio.load_policy(ppath, bare)
     assert bare.elements[policy.element] == "x1"
+
+
+def test_in_process_calls_release_the_redirected_stdout(tmp_path):
+    instance, chain = a.gen_theorem5(3, 0.5)
+    path = tmp_path / "t5.json"
+    fileio.save_instance(path, instance)
+    for args in (["--json", "params", "--instance", str(path),
+                  "--gamma-mode", "skip"],
+                 ["params", "--instance", str(path), "--gamma-mode", "skip"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(args, standalone_mode=False)
+        assert out.getvalue()
+        released = weakref.ref(out)
+        del out
+        gc.collect()
+        assert released() is None
 
 
 def test_twelve_significant_digit_rendering(tmp_path):

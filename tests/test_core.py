@@ -160,6 +160,23 @@ def test_instance_validation_rejects_bad_utility():
         base.with_utility(negative)
 
 
+def test_instance_validation_rejects_non_finite_numbers():
+    base = corpus_instance(0)
+    nan_prior = (float("nan"),) + base.prior[1:]
+    with pytest.raises(ValueError):
+        base.with_prior(nan_prior)
+    infinite = dict(base.utility)
+    infinite[()] = (float("inf"),) * base.num_realizations
+    with pytest.raises(ValueError):
+        base.with_utility(infinite)
+    with pytest.raises(ValueError):
+        a.HypothesisClass(
+            examples=("x1",),
+            labels=(("0",), ("1",)),
+            prior=(float("nan"), 1.0),
+        )
+
+
 def test_positive_partial_realizations_cover_all_observable_patterns():
     instance = corpus_instance(1)
     nodes = list(a.positive_partial_realizations(instance, max_size=2))

@@ -114,6 +114,45 @@ def test_incomplete_utility_table_rejected():
         fileio.instance_from_dict(data)
 
 
+def test_non_finite_numbers_rejected(tmp_path):
+    instance = corpus_instance(0)
+    path = tmp_path / "instance.json"
+    data = fileio.instance_to_dict(instance)
+    data["prior"][0] = float("nan")
+    path.write_text(json.dumps(data))
+    with pytest.raises(a.ParseError, match="non-finite prior"):
+        fileio.load_instance(path)
+    data = fileio.instance_to_dict(instance)
+    data["utility"]["entries"][-1]["value"] = float("inf")
+    path.write_text(json.dumps(data))
+    with pytest.raises(a.ParseError, match="non-finite utility"):
+        fileio.load_instance(path)
+    hypotheses = {"examples": ["x1"], "labels": [["0"], ["1"]],
+                  "prior": [float("nan"), 1.0]}
+    with pytest.raises(a.ParseError, match="non-finite prior"):
+        fileio.hypotheses_from_dict(hypotheses)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("realization", 99),
+        ("realization", -1),
+        ("realization", True),
+        ("set", [True]),
+        ("set", [7]),
+    ],
+)
+def test_bad_utility_entry_is_named(field, bad):
+    data = fileio.instance_to_dict(corpus_instance(0))
+    entry = data["utility"]["entries"][-1]
+    entry[field] = bad
+    with pytest.raises(a.ParseError, match="utility entry") as info:
+        fileio.instance_from_dict(data)
+    assert repr(bad if field == "realization" else bad[0]) in str(info.value)
+    assert "missing entries" not in str(info.value)
+
+
 def test_jsonable_handles_non_finite_floats():
     out = fileio.jsonable({"x": float("inf")})
     json.dumps(out)

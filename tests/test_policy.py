@@ -13,7 +13,15 @@ def alternative_threshold_pairs(instance, base, i, tol=TOL):
     """Independent oracle for threshold-pair uniqueness: scan many candidate
     thresholds (achievable gains, class midpoints, and the sentinel) and
     solve for every tie-break probability that yields average cost i."""
-    values = sorted(set(a.policy.achievable_gains(instance, base)), reverse=True)
+    values = sorted(
+        {
+            a.marginal_gain(instance, v, psi)
+            for psi, _support, _node in a.policy.reachable_nodes(instance, base)
+            for v in range(instance.num_elements)
+            if v not in psi
+        },
+        reverse=True,
+    )
     candidates = list(values) + [(max(values) if values else 0.0) + 1.0]
     for low, high in zip(values[1:], values):
         candidates.append((low + high) / 2.0)
@@ -170,6 +178,22 @@ def test_threshold_pair_cost_and_uniqueness_on_corpus():
                 alt = a.threshold_subpolicy(greedy, alt_tau, alt_rho)
                 assert abs(a.c_avg(instance, alt) - i) <= 1e-6
                 assert a.canonical_traces(instance, alt) == canonical
+
+
+def test_threshold_ladder_costs_match_reference_cuts(thm4):
+    """Every (tau, mu) step of the ladder prices the strict-rule cut exactly
+    as the reference cut_tree + run evaluator does."""
+    cases = [
+        (instance, a.build_greedy(instance))
+        for instance in map(corpus_instance, range(25))
+    ]
+    cases += [thm4, a.gen_theorem5(3, 0.5), a.gen_theorem5(4, 0.25)]
+    for instance, base in cases:
+        ladder = a.policy.threshold_ladder(instance, base)
+        assert ladder.steps[0] == (ladder.sentinel, 0.0)
+        for tau, mu in ladder.steps:
+            sp = a.threshold_subpolicy(base, tau, 1.0)
+            assert abs(mu - a.c_avg(instance, sp)) <= 1e-9
 
 
 def test_sub_policies_are_nested_by_budget():
