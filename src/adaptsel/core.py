@@ -7,6 +7,11 @@ tabular utility defined for every (subset, realization) pair.  Everything
 downstream (policies, parameters, oracles, bound checks) is an exact
 computation over this table; no sampling is used anywhere.
 
+Conditioning lives here and nowhere else: :class:`ConditionalPrior` is the
+only form of p(phi | psi), built by :func:`version_space` or, one observation
+at a time, by :func:`split`; :func:`gains` is the only computation of the
+expected marginal gains Delta(v | psi).
+
 All operations are pure functions of immutable inputs.  Internal caches are
 per-call only, so concurrent use of the same ``Instance`` is safe.
 """
@@ -74,7 +79,7 @@ class PartialRealization:
 EMPTY = PartialRealization()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionalPrior:
     """Renormalized prior over the realizations consistent with some psi."""
 
@@ -232,6 +237,51 @@ def version_space(instance: Instance, psi: PartialRealization) -> ConditionalPri
     return ConditionalPrior(tuple(support), tuple(m / total for m in masses))
 
 
+def split(
+    instance: Instance, vs: ConditionalPrior, element: int
+) -> dict[int, tuple[float, ConditionalPrior]]:
+    """Condition ``vs`` on each observable state of ``element``.
+
+    Maps every state with positive mass, in order of first appearance in
+    the support, to ``(p(state | vs), vs conditioned on it)``.  The mass sums
+    the state's weights in support order, as the renormalization does.
+    """
+    buckets: dict[int, tuple[list[int], list[float]]] = {}
+    realizations = instance.realizations
+    for phi_index, w in vs.items():
+        y = realizations[phi_index][element]
+        bucket = buckets.get(y)
+        if bucket is None:
+            bucket = buckets[y] = ([], [])
+        bucket[0].append(phi_index)
+        bucket[1].append(w)
+    out = {}
+    for y, (support, weights) in buckets.items():
+        mass = sum(weights)
+        part = ConditionalPrior(tuple(support), tuple([w / mass for w in weights]))
+        out[y] = (mass, part)
+    return out
+
+
+def gains(
+    instance: Instance, psi: PartialRealization, vs: ConditionalPrior
+) -> dict[int, float]:
+    """Expected marginal gain Delta(v | psi) of every unobserved element,
+    under ``vs``, the conditional prior of psi."""
+    table = instance.utility
+    if table is None:
+        raise ValueError("instance has no utility table attached")
+    dom = psi.dom
+    before = table[subset_key(dom)]
+    out = {}
+    for v in range(instance.num_elements):
+        if v in dom:
+            continue
+        after = table[subset_key(dom + (v,))]
+        out[v] = sum([w * (after[i] - before[i]) for i, w in vs.items()])
+    return out
+
+
 def marginal_gain(
     instance: Instance,
     element: int,
@@ -247,15 +297,7 @@ def marginal_gain(
         return 0.0
     if vs is None:
         vs = version_space(instance, psi)
-    dom = psi.dom
-    before = subset_key(dom)
-    after = subset_key(dom + (element,))
-    table = instance.utility
-    if table is None:
-        raise ValueError("instance has no utility table attached")
-    row_after = table[after]
-    row_before = table[before]
-    return sum(w * (row_after[i] - row_before[i]) for i, w in vs.items())
+    return gains(instance, psi, vs)[element]
 
 
 def _expectation(instance: Instance, policy, weights, value) -> float:
@@ -348,11 +390,7 @@ class CheckResult:
 def check_adaptive_monotone(instance: Instance, tol: float = TOL) -> CheckResult:
     """True iff every expected marginal gain is non-negative (within tol)."""
     for psi in positive_partial_realizations(instance):
-        vs = version_space(instance, psi)
-        for v in range(instance.num_elements):
-            if v in psi:
-                continue
-            gain = marginal_gain(instance, v, psi, vs)
+        for v, gain in gains(instance, psi, version_space(instance, psi)).items():
             if gain < -tol:
                 return CheckResult(
                     False,
@@ -372,23 +410,19 @@ def check_adaptive_submodular(instance: Instance, tol: float = TOL) -> CheckResu
     single-step extensions.
     """
     nodes = list(positive_partial_realizations(instance))
-    gains: dict[frozenset, dict[int, float]] = {}
-    for psi in nodes:
-        vs = version_space(instance, psi)
-        gains[psi.key()] = {
-            v: marginal_gain(instance, v, psi, vs)
-            for v in range(instance.num_elements)
-            if v not in psi
-        }
+    gains_at: dict[frozenset, dict[int, float]] = {
+        psi.key(): gains(instance, psi, version_space(instance, psi))
+        for psi in nodes
+    }
     for psi_big in nodes:
         big_key = psi_big.key()
-        big_gains = gains[big_key]
+        big_gains = gains_at[big_key]
         for r in range(len(psi_big.pairs) + 1):
             for sub in itertools.combinations(psi_big.pairs, r):
                 sub_key = frozenset(sub)
                 if sub_key == big_key:
                     continue
-                small_gains = gains[sub_key]
+                small_gains = gains_at[sub_key]
                 for v, late in big_gains.items():
                     if small_gains[v] < late - tol:
                         small = PartialRealization(sub)

@@ -47,6 +47,13 @@ def _expect(obj, key, kind, where):
     return value
 
 
+def _number(value, where) -> float:
+    """A JSON number as a float; booleans and non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(f"{where}: {value!r} is not a number")
+    return float(value)
+
+
 # -- instances -------------------------------------------------------------
 
 
@@ -62,19 +69,11 @@ def _builtin_utility(instance: Instance, name: str, params: dict) -> UtilityTabl
         epsilon = params.get("epsilon")
         if not isinstance(epsilon, (int, float)) or not 0.0 < epsilon < 1.0:
             _fail("builtin theorem5 needs params.epsilon in (0, 1)")
-        k = instance.num_elements
-        return gen._tabulate_set_function(
-            k,
-            instance.num_realizations,
-            lambda subset: sum(epsilon**i for i in range(len(subset) + 1)),
+        return gen.theorem5_utility(
+            instance.num_elements, instance.num_realizations, epsilon
         )
     if name == "theorem4":
-        k = instance.num_elements
-        return gen._tabulate_set_function(
-            k,
-            instance.num_realizations,
-            lambda subset: gen._staircase_value(subset, k),
-        )
+        return gen.theorem4_utility(instance.num_elements, instance.num_realizations)
     _fail(f"unknown builtin utility {name!r}")
 
 
@@ -108,8 +107,14 @@ def _parse_utility(instance: Instance, spec) -> UtilityTable:
         if isinstance(phi_index, bool) or not 0 <= phi_index < m:
             _fail(f"utility entry {entry!r}: realization {phi_index!r} is not "
                   f"an index below {m}")
-        value = _expect(entry, "value", (int, float), "utility entry")
-        rows.setdefault(subset_key(indices), {})[phi_index] = float(value)
+        value = _number(entry.get("value"), "utility entry value")
+        key = subset_key(indices)
+        row = rows.setdefault(key, {})
+        if phi_index in row:
+            _fail(f"utility entry {entry!r}: duplicate entry for set "
+                  f"{[instance.elements[e] for e in key]!r} and realization "
+                  f"{phi_index!r}")
+        row[phi_index] = value
     for size in range(instance.num_elements + 1):
         for subset in itertools.combinations(range(instance.num_elements), size):
             key = subset_key(subset)
@@ -134,15 +139,16 @@ def instance_from_dict(data: dict) -> Instance:
             realizations.append(tuple(state_of[row[e]] for e in elements))
         except KeyError as exc:
             _fail(f"instance: realization uses unknown state {exc.args[0]!r}")
-    prior = _expect(data, "prior", list, "instance")
-    if not all(isinstance(p, (int, float)) for p in prior):
-        _fail("instance: prior must be numeric")
+    prior = tuple(
+        _number(p, "instance: prior entry")
+        for p in _expect(data, "prior", list, "instance")
+    )
     try:
         instance = Instance(
             elements=elements,
             states=states,
             realizations=tuple(realizations),
-            prior=tuple(float(p) for p in prior),
+            prior=prior,
             name=str(data.get("name", "")),
         )
         if "utility" in data and data["utility"] is not None:
@@ -241,12 +247,18 @@ def hypotheses_from_dict(data: dict):
 
     examples = _expect(data, "examples", list, "hypotheses")
     labels = _expect(data, "labels", list, "hypotheses")
-    prior = _expect(data, "prior", list, "hypotheses")
+    for row in labels:
+        if not isinstance(row, list) or not all(isinstance(y, str) for y in row):
+            _fail(f"hypotheses: label row {row!r} is not a list of strings")
+    prior = tuple(
+        _number(p, "hypotheses: prior entry")
+        for p in _expect(data, "prior", list, "hypotheses")
+    )
     try:
         return HypothesisClass(
             examples=tuple(str(x) for x in examples),
-            labels=tuple(tuple(str(y) for y in row) for row in labels),
-            prior=tuple(float(p) for p in prior),
+            labels=tuple(tuple(row) for row in labels),
+            prior=prior,
         )
     except (ValueError, TypeError) as exc:
         _fail(f"hypotheses: {exc}")

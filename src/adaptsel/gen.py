@@ -35,6 +35,31 @@ def _tabulate_set_function(num_elements: int, num_realizations: int, fn) -> Util
     return table
 
 
+def _chain_witness(k: int, utility, name: str) -> tuple[Instance, Node]:
+    """The chain v1..vk on a uniform prior over every binary realization,
+    with the table ``utility(k, number of realizations)``."""
+    realizations = _all_realizations(k, 2)
+    m = len(realizations)
+    instance = Instance(
+        elements=tuple(f"v{i + 1}" for i in range(k)),
+        states=("0", "1"),
+        realizations=realizations,
+        prior=(1.0 / m,) * m,
+        utility=utility(k, m),
+        name=name,
+    )
+    return instance, chain_policy(instance, list(range(k)))
+
+
+def theorem5_utility(k: int, num_realizations: int, epsilon: float) -> UtilityTable:
+    """The theorem-5 witness utility f(A) = sum_{i=0..|A|} epsilon^i over
+    ``k`` elements, the same under every realization."""
+    return _tabulate_set_function(
+        k, num_realizations,
+        lambda subset: sum(epsilon**i for i in range(len(subset) + 1)),
+    )
+
+
 def gen_theorem5(k: int, epsilon: float) -> tuple[Instance, Node]:
     """Greedy chain with maximal gain ratio epsilon.
 
@@ -47,20 +72,10 @@ def gen_theorem5(k: int, epsilon: float) -> tuple[Instance, Node]:
         raise InvalidParams("k must be at least 1")
     if not 0.0 < epsilon < 1.0:
         raise InvalidParams("epsilon must lie strictly inside (0, 1)")
-    realizations = _all_realizations(k, 2)
-    m = len(realizations)
-    table = _tabulate_set_function(
-        k, m, lambda subset: sum(epsilon**i for i in range(len(subset) + 1))
+    return _chain_witness(
+        k, lambda n, m: theorem5_utility(n, m, epsilon),
+        f"arbitrarily-small-gain-ratio(k={k}, eps={epsilon})",
     )
-    instance = Instance(
-        elements=tuple(f"v{i + 1}" for i in range(k)),
-        states=("0", "1"),
-        realizations=realizations,
-        prior=(1.0 / m,) * m,
-        utility=table,
-        name=f"arbitrarily-small-gain-ratio(k={k}, eps={epsilon})",
-    )
-    return instance, chain_policy(instance, list(range(k)))
 
 
 def _staircase_value(subset: tuple[int, ...], k: int) -> float:
@@ -81,6 +96,14 @@ def _staircase_value(subset: tuple[int, ...], k: int) -> float:
     return total
 
 
+def theorem4_utility(k: int, num_realizations: int) -> UtilityTable:
+    """The theorem-4 witness utility, :func:`_staircase_value` over ``k``
+    elements, the same under every realization."""
+    return _tabulate_set_function(
+        k, num_realizations, lambda subset: _staircase_value(subset, k)
+    )
+
+
 def gen_theorem4(k: int) -> tuple[Instance, Node]:
     """Non-greedy chain (approximation ratio 2) with maximal gain ratio 1.
 
@@ -92,18 +115,7 @@ def gen_theorem4(k: int) -> tuple[Instance, Node]:
     """
     if k < 3:
         raise InvalidParams("the construction needs k >= 3")
-    realizations = _all_realizations(k, 2)
-    m = len(realizations)
-    table = _tabulate_set_function(k, m, lambda subset: _staircase_value(subset, k))
-    instance = Instance(
-        elements=tuple(f"v{i + 1}" for i in range(k)),
-        states=("0", "1"),
-        realizations=realizations,
-        prior=(1.0 / m,) * m,
-        utility=table,
-        name=f"non-greedy-gain-ratio-1(k={k})",
-    )
-    return instance, chain_policy(instance, list(range(k)))
+    return _chain_witness(k, theorem4_utility, f"non-greedy-gain-ratio-1(k={k})")
 
 
 def gen_random(

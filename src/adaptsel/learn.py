@@ -72,22 +72,19 @@ def coverage_utility(
     simply never includes them.
     """
     p = tuple(instance.prior if prior is None else prior)
-    realizations = instance.realizations
-    m = len(realizations)
     table: UtilityTable = {}
     for size in range(instance.num_elements + 1):
         for subset in itertools.combinations(range(instance.num_elements), size):
-            key = subset_key(subset)
-            row = []
-            for i in range(m):
-                phi = realizations[i]
-                mass = sum(
-                    p[j]
-                    for j in range(m)
-                    if all(realizations[j][e] == phi[e] for e in subset)
-                )
-                row.append(1.0 - mass + p[i])
-            table[key] = tuple(row)
+            # Realizations that agree on the subset share a version space;
+            # each one's mass sums p over its members in index order.
+            patterns = [tuple(phi[e] for e in subset) for phi in instance.realizations]
+            members: dict[tuple[int, ...], list[float]] = {}
+            for j, pattern in enumerate(patterns):
+                members.setdefault(pattern, []).append(p[j])
+            mass = {pattern: sum(ps) for pattern, ps in members.items()}
+            table[subset_key(subset)] = tuple(
+                1.0 - mass[pattern] + p[i] for i, pattern in enumerate(patterns)
+            )
     return table
 
 

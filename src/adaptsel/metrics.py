@@ -22,6 +22,7 @@ from .core import (
     Instance,
     c_avg,
     f_avg,
+    gains,
     policy_gain,
     positive_partial_realizations,
     version_space,
@@ -32,7 +33,6 @@ from .policy import (
     Policy,
     Terminal,
     ThresholdSubPolicy,
-    _gains,
     components,
     cut_stats,
     policy_height,
@@ -56,13 +56,13 @@ def alpha(instance: Instance, policy: Policy, tol: float = TOL) -> float:
     nodes (both coin outcomes for a threshold sub-policy)."""
     worst = 1.0
     for _weight, tree in components(instance, policy):
-        for psi, support, node in reachable_nodes(instance, tree):
+        for psi, vs, node in reachable_nodes(instance, tree):
             if isinstance(node, Terminal):
                 continue
-            gains = _gains(instance, psi, support)
-            best = max(gains.values(), default=0.0)
+            node_gains = gains(instance, psi, vs)
+            best = max(node_gains.values(), default=0.0)
             best = max(best, 0.0)  # observed elements gain exactly 0
-            worst = max(worst, _ratio(best, gains[node.element], tol))
+            worst = max(worst, _ratio(best, node_gains[node.element], tol))
     return worst
 
 
@@ -92,18 +92,18 @@ def frontier_gains(
     l_witness = None
     seen: set[frozenset] = set()
     for _weight, tree in components(instance, sub):
-        for psi, support, node in reachable_nodes(instance, tree):
+        for psi, vs, node in reachable_nodes(instance, tree):
             key = psi.key()
-            gains = _gains(instance, psi, support)
+            node_gains = gains(instance, psi, vs)
             if isinstance(node, Terminal):
-                top = max(gains.values(), default=0.0)
+                top = max(node_gains.values(), default=0.0)
                 top = max(top, 0.0)
                 if (key, True) not in seen and top > delta_u:
                     delta_u = top
                     u_witness = instance.describe_psi(psi)
                 seen.add((key, True))
             else:
-                low = gains[node.element]
+                low = node_gains[node.element]
                 if low < delta_l:
                     delta_l = low
                     l_witness = {
@@ -190,7 +190,7 @@ class GammaResult:
         return self.value
 
 
-def _gamma_terms(instance, psi, vs, gains, tree):
+def _gamma_terms(instance, psi, vs, psi_gains, tree):
     """Numerator and denominator of the submodularity-ratio objective for
     one (psi', policy) pair."""
     selection_prob: dict[int, float] = {}
@@ -198,7 +198,7 @@ def _gamma_terms(instance, psi, vs, gains, tree):
         trace = run(instance, tree, phi_index)[0]
         for v in trace.selected:
             selection_prob[v] = selection_prob.get(v, 0.0) + w
-    numerator = sum(p * gains[v] for v, p in selection_prob.items())
+    numerator = sum(p * psi_gains[v] for v, p in selection_prob.items())
     denominator = policy_gain(instance, tree, psi)
     return numerator, denominator
 
@@ -253,9 +253,7 @@ def gamma(
     witness = None
     for psi in nodes:
         vs = version_space(instance, psi)
-        gains = _gains(
-            instance, psi, list(vs.items())
-        )
+        psi_gains = gains(instance, psi, vs)
         if mode == "exact":
             trees = enumerate_policies(instance, k, psi, enum_budget)
         else:
@@ -265,7 +263,7 @@ def gamma(
                 for _ in range(samples)
             )
         for tree in trees:
-            numerator, denominator = _gamma_terms(instance, psi, vs, gains, tree)
+            numerator, denominator = _gamma_terms(instance, psi, vs, psi_gains, tree)
             if abs(denominator) <= 1e-12:
                 continue
             ratio = numerator / denominator

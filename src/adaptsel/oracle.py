@@ -17,19 +17,15 @@ from typing import Iterator, Optional
 from .core import (
     TOL,
     EMPTY,
+    ConditionalPrior,
     Instance,
     PartialRealization,
+    split,
     subset_key,
+    version_space,
 )
 from .errors import CoverageUnreachable, EnumerationBudgetExceeded
-from .policy import (
-    Node,
-    Select,
-    TERMINAL,
-    _full_support,
-    _split_support,
-    Support,
-)
+from .policy import Node, Select, TERMINAL
 
 DEFAULT_ENUM_BUDGET = 10**7
 
@@ -139,30 +135,26 @@ def optimal_budget(
     memo: dict[tuple[frozenset, int], tuple[float, Node]] = {}
 
     def solve(
-        psi: PartialRealization, support: Support, budget: int
+        psi: PartialRealization, vs: ConditionalPrior, budget: int
     ) -> tuple[float, Node]:
         key = (psi.key(), budget)
         if key in memo:
             return memo[key]
-        row = table[subset_key(psi.dom)]
-        best_value = sum(w * row[i] for i, w in support)
+        dom = psi.dom
+        row = table[subset_key(dom)]
+        best_value = sum(w * row[i] for i, w in vs.items())
         best_node: Node = TERMINAL
         if budget > 0:
             for v in range(instance.num_elements):
-                if v in psi:
+                if v in dom:
                     continue
-                outcome_mass = {}
-                for phi_index, w in support:
-                    y = instance.realizations[phi_index][v]
-                    outcome_mass[y] = outcome_mass.get(y, 0.0) + w
-                parts = _split_support(instance, support, v)
                 value = 0.0
                 children: list[Node] = [TERMINAL] * instance.num_states
-                for y, part in parts.items():
+                for y, (p_y, part) in split(instance, vs, v).items():
                     sub_value, sub_node = solve(
                         psi.extended(v, y), part, budget - 1
                     )
-                    value += outcome_mass[y] * sub_value
+                    value += p_y * sub_value
                     children[y] = sub_node
                 if value > best_value:
                     best_value = value
@@ -170,7 +162,7 @@ def optimal_budget(
         memo[key] = (best_value, best_node)
         return memo[key]
 
-    value, tree = solve(EMPTY, _full_support(instance), k)
+    value, tree = solve(EMPTY, version_space(instance, EMPTY), k)
     return tree, value
 
 
@@ -219,49 +211,44 @@ def optimal_coverage(
         )
     memo: dict[frozenset, tuple[float, Node]] = {}
 
-    def covered(psi: PartialRealization, support: Support) -> bool:
+    def covered(psi: PartialRealization, vs: ConditionalPrior) -> bool:
         row = table[subset_key(psi.dom)]
-        return all(abs(row[i] - q) <= tol for i, _ in support)
+        return all(abs(row[i] - q) <= tol for i in vs.support)
 
-    def candidates(psi: PartialRealization, support: Support) -> list[int]:
+    def candidates(psi: PartialRealization, vs: ConditionalPrior) -> list[int]:
         unobserved = [v for v in range(instance.num_elements) if v not in psi]
         if not pruned:
             return unobserved
         row = table[subset_key(psi.dom)]
-        current_min = min(row[i] for i, _ in support)
+        current_min = min(row[i] for i in vs.support)
         keep = []
         for v in unobserved:
-            states = {instance.realizations[i][v] for i, _ in support}
+            states = {instance.realizations[i][v] for i in vs.support}
             if len(states) > 1:
                 keep.append(v)
                 continue
             after = table[subset_key(psi.dom + (v,))]
-            if min(after[i] for i, _ in support) > current_min + tol:
+            if min(after[i] for i in vs.support) > current_min + tol:
                 keep.append(v)
         # Coverage is reachable, so some element must eventually help; fall
         # back to everything if the heuristic filters them all out.
         return keep or unobserved
 
-    def solve(psi: PartialRealization, support: Support) -> tuple[float, Node]:
+    def solve(psi: PartialRealization, vs: ConditionalPrior) -> tuple[float, Node]:
         key = psi.key()
         if key in memo:
             return memo[key]
-        if covered(psi, support):
+        if covered(psi, vs):
             memo[key] = (0.0, TERMINAL)
             return memo[key]
         best_cost = math.inf
         best_node: Node = TERMINAL
-        for v in candidates(psi, support):
-            outcome_mass = {}
-            for phi_index, w in support:
-                y = instance.realizations[phi_index][v]
-                outcome_mass[y] = outcome_mass.get(y, 0.0) + w
-            parts = _split_support(instance, support, v)
+        for v in candidates(psi, vs):
             cost = 1.0
             children: list[Node] = [TERMINAL] * instance.num_states
-            for y, part in parts.items():
+            for y, (p_y, part) in split(instance, vs, v).items():
                 sub_cost, sub_node = solve(psi.extended(v, y), part)
-                cost += outcome_mass[y] * sub_cost
+                cost += p_y * sub_cost
                 children[y] = sub_node
             if cost < best_cost - tol:
                 best_cost = cost
@@ -269,5 +256,5 @@ def optimal_coverage(
         memo[key] = (best_cost, best_node)
         return memo[key]
 
-    cost, tree = solve(EMPTY, _full_support(instance))
+    cost, tree = solve(EMPTY, version_space(instance, EMPTY))
     return tree, cost

@@ -9,6 +9,9 @@ has expected marginal gain strictly below tau, and with probability 1 - rho
 as soon as every remaining gain is at most tau.  Run-level (not
 per-decision) randomization is what makes the average cost of the mixture
 exactly the two-point interpolation used by the threshold-pair construction.
+
+Conditioning lives in ``core``: tree walks take each node's conditional prior
+from ``core.split`` and its gains from ``core.gains``.
 """
 
 from __future__ import annotations
@@ -20,10 +23,13 @@ from typing import Iterator, Optional, Union
 from .core import (
     EMPTY,
     TOL,
+    ConditionalPrior,
     Instance,
     PartialRealization,
     c_avg,
-    subset_key,
+    gains,
+    split,
+    version_space,
 )
 from .errors import BudgetExceedsCost, MalformedPolicy
 
@@ -128,67 +134,25 @@ def chain_policy(instance: Instance, element_indices: list[int]) -> Node:
 
 # -- reachability ----------------------------------------------------------
 
-Support = list[tuple[int, float]]
-
-
-def _full_support(instance: Instance) -> Support:
-    total = sum(p for p in instance.prior if p > 0.0)
-    return [(i, p / total) for i, p in enumerate(instance.prior) if p > 0.0]
-
-
-def _split_support(
-    instance: Instance, support: Support, element: int
-) -> dict[int, Support]:
-    """Partition a support by the observed state of ``element`` and
-    renormalize each part."""
-    parts: dict[int, list[tuple[int, float]]] = {}
-    for phi_index, w in support:
-        y = instance.realizations[phi_index][element]
-        parts.setdefault(y, []).append((phi_index, w))
-    out = {}
-    for y, entries in parts.items():
-        total = sum(w for _, w in entries)
-        out[y] = [(i, w / total) for i, w in entries]
-    return out
-
-
-def _gains(
-    instance: Instance, psi: PartialRealization, support: Support
-) -> dict[int, float]:
-    """Expected marginal gain of every unobserved element given a support."""
-    table = instance.utility
-    if table is None:
-        raise ValueError("instance has no utility table attached")
-    dom = psi.dom
-    before = table[subset_key(dom)]
-    gains = {}
-    for v in range(instance.num_elements):
-        if v in psi:
-            continue
-        after = table[subset_key(dom + (v,))]
-        gains[v] = sum(w * (after[i] - before[i]) for i, w in support)
-    return gains
-
-
 def reachable_nodes(
     instance: Instance, tree: Node
-) -> Iterator[tuple[PartialRealization, Support, Node]]:
+) -> Iterator[tuple[PartialRealization, ConditionalPrior, Node]]:
     """Positive-mass nodes of a deterministic tree, root first.
 
-    Yields (observations so far, renormalized consistent support, node);
-    includes terminal nodes.
+    Yields (observations so far, their conditional prior, node); includes
+    terminal nodes.
     """
-    stack = [(EMPTY, _full_support(instance), tree)]
+    stack = [(EMPTY, version_space(instance, EMPTY), tree)]
     while stack:
-        psi, support, node = stack.pop()
-        yield psi, support, node
+        psi, vs, node = stack.pop()
+        yield psi, vs, node
         if isinstance(node, Terminal):
             continue
         if node.element in psi:
             raise MalformedPolicy(
                 f"element {instance.elements[node.element]!r} re-selected"
             )
-        for y, part in _split_support(instance, support, node.element).items():
+        for y, (_mass, part) in split(instance, vs, node.element).items():
             stack.append((psi.extended(node.element, y), part, node.children[y]))
 
 
@@ -224,24 +188,23 @@ def cut_tree(
     no gain is defined there and no expectation ever reaches them.
     """
 
-    def build(node: Node, psi: PartialRealization, support: Support) -> Node:
+    def build(node: Node, psi: PartialRealization, vs: ConditionalPrior) -> Node:
         if isinstance(node, Terminal):
             return TERMINAL
-        gains = _gains(instance, psi, support)
-        gmax = max(gains.values()) if gains else 0.0
+        gmax = max(gains(instance, psi, vs).values(), default=0.0)
         stop = gmax < tau - tol if strict else gmax <= tau + tol
         if stop:
             return TERMINAL
-        parts = _split_support(instance, support, node.element)
+        parts = split(instance, vs, node.element)
         children = tuple(
-            build(node.children[y], psi.extended(node.element, y), parts[y])
+            build(node.children[y], psi.extended(node.element, y), parts[y][1])
             if y in parts
             else TERMINAL
             for y in range(instance.num_states)
         )
         return Select(node.element, children)
 
-    return build(base, EMPTY, _full_support(instance))
+    return build(base, EMPTY, version_space(instance, EMPTY))
 
 
 def components(
@@ -348,31 +311,27 @@ def annotate_tree(instance: Instance, tree: Node) -> AnnotatedNode:
     """Precompute reach probabilities and gain tables for every
     positive-mass node of a deterministic tree."""
 
-    def build(node: Node, psi: PartialRealization, support: Support,
+    def build(node: Node, psi: PartialRealization, vs: ConditionalPrior,
               mass: float) -> AnnotatedNode:
-        gains = _gains(instance, psi, support)
-        gmax = max(gains.values(), default=0.0)
+        node_gains = gains(instance, psi, vs)
+        gmax = max(node_gains.values(), default=0.0)
         if isinstance(node, Terminal):
-            return AnnotatedNode(psi, mass, gains, gmax, None, ())
-        outcome_mass: dict[int, float] = {}
-        for phi_index, w in support:
-            y = instance.realizations[phi_index][node.element]
-            outcome_mass[y] = outcome_mass.get(y, 0.0) + w
-        parts = _split_support(instance, support, node.element)
+            return AnnotatedNode(psi, mass, node_gains, gmax, None, ())
+        parts = split(instance, vs, node.element)
         children = tuple(
             build(
                 node.children[y],
                 psi.extended(node.element, y),
                 part,
-                mass * outcome_mass[y],
+                mass * p_y,
             )
-            for y, part in sorted(parts.items())
+            for y, (p_y, part) in sorted(parts.items())
         )
         return AnnotatedNode(
-            psi, mass, gains, gmax, node.element, children
+            psi, mass, node_gains, gmax, node.element, children
         )
 
-    return build(tree, EMPTY, _full_support(instance), 1.0)
+    return build(tree, EMPTY, version_space(instance, EMPTY), 1.0)
 
 
 def cut_stats(
@@ -416,22 +375,22 @@ def build_greedy(instance: Instance, tol: float = TOL) -> Node:
     once no remaining element has positive gain.
     """
 
-    def build(psi: PartialRealization, support: Support) -> Node:
-        gains = _gains(instance, psi, support)
-        if not gains:
+    def build(psi: PartialRealization, vs: ConditionalPrior) -> Node:
+        node_gains = gains(instance, psi, vs)
+        if not node_gains:
             return TERMINAL
-        gmax = max(gains.values())
+        gmax = max(node_gains.values())
         if gmax <= GREEDY_STOP:
             return TERMINAL
-        element = min(v for v, g in gains.items() if g >= gmax - tol)
-        parts = _split_support(instance, support, element)
+        element = min(v for v, g in node_gains.items() if g >= gmax - tol)
+        parts = split(instance, vs, element)
         children = tuple(
-            build(psi.extended(element, y), parts[y]) if y in parts else TERMINAL
+            build(psi.extended(element, y), parts[y][1]) if y in parts else TERMINAL
             for y in range(instance.num_states)
         )
         return Select(element, children)
 
-    return build(EMPTY, _full_support(instance))
+    return build(EMPTY, version_space(instance, EMPTY))
 
 
 # -- threshold pairs (existence/uniqueness construction) -------------------

@@ -55,6 +55,39 @@ def test_version_space_empty_raises():
         a.version_space(instance, a.PartialRealization(((0, 1),)))
 
 
+def test_split_matches_conditioning_from_scratch(thm4, thm5):
+    """Each part of core.split equals the version space of the extended
+    observation, and each mass the outcome probability taken from the raw
+    prior; the masses sum to 1."""
+    instances = [corpus_instance(seed) for seed in range(25)]
+    instances += [thm4[0], thm5[0], a.gen_theorem5(4, 0.25)[0]]
+    for instance in instances:
+        for psi in a.positive_partial_realizations(instance):
+            vs = a.version_space(instance, psi)
+            consistent = [
+                i for i, p in enumerate(instance.prior)
+                if p > 0.0 and instance.consistent(i, psi)
+            ]
+            psi_mass = sum(instance.prior[i] for i in consistent)
+            for v in range(instance.num_elements):
+                if v in psi:
+                    continue
+                parts = a.core.split(instance, vs, v)
+                assert abs(sum(mass for mass, _ in parts.values()) - 1.0) <= 1e-12
+                states = {instance.realizations[i][v] for i in consistent}
+                assert set(parts) == states
+                for y, (mass, part) in parts.items():
+                    raw = sum(
+                        instance.prior[i] for i in consistent
+                        if instance.realizations[i][v] == y
+                    )
+                    assert abs(mass - raw / psi_mass) <= 1e-12
+                    reference = a.version_space(instance, psi.extended(v, y))
+                    assert part.support == reference.support
+                    for w, w_ref in zip(part.weights, reference.weights):
+                        assert abs(w - w_ref) <= 1e-12
+
+
 def test_marginal_gain_matches_brute_force():
     for seed in range(15):
         instance = corpus_instance(seed)

@@ -115,6 +115,8 @@ def test_incomplete_utility_table_rejected():
 
 
 def test_non_finite_numbers_rejected(tmp_path):
+    """Non-finite or mistyped numbers, and label rows that are not lists of
+    strings, fail to load with a ParseError naming the field."""
     instance = corpus_instance(0)
     path = tmp_path / "instance.json"
     data = fileio.instance_to_dict(instance)
@@ -127,10 +129,22 @@ def test_non_finite_numbers_rejected(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(a.ParseError, match="non-finite utility"):
         fileio.load_instance(path)
+    data = fileio.instance_to_dict(instance)
+    data["prior"] = [True] + [False] * (len(data["prior"]) - 1)
+    path.write_text(json.dumps(data))
+    with pytest.raises(a.ParseError, match="instance: prior entry: True"):
+        fileio.load_instance(path)
     hypotheses = {"examples": ["x1"], "labels": [["0"], ["1"]],
-                  "prior": [float("nan"), 1.0]}
-    with pytest.raises(a.ParseError, match="non-finite prior"):
-        fileio.hypotheses_from_dict(hypotheses)
+                  "prior": [0.5, 0.5]}
+    for field, bad, message in (
+        ("prior", [float("nan"), 1.0], "non-finite prior"),
+        ("prior", ["0.5", 0.5], "hypotheses: prior entry: '0.5'"),
+        ("prior", [True, False], "hypotheses: prior entry: True"),
+        ("labels", ["0", "1"], "hypotheses: label row '0'"),
+        ("labels", [[0], [1]], "hypotheses: label row \\[0\\]"),
+    ):
+        with pytest.raises(a.ParseError, match=message):
+            fileio.hypotheses_from_dict({**hypotheses, field: bad})
 
 
 @pytest.mark.parametrize(
@@ -141,6 +155,11 @@ def test_non_finite_numbers_rejected(tmp_path):
         ("realization", True),
         ("set", [True]),
         ("set", [7]),
+        ("value", True),
+        ("value", "1.5"),
+        # The last entry is (every element, realization 3); moving it to
+        # realization 0 gives that set two entries for realization 0.
+        pytest.param("realization", 0, id="duplicate"),
     ],
 )
 def test_bad_utility_entry_is_named(field, bad):
@@ -149,8 +168,12 @@ def test_bad_utility_entry_is_named(field, bad):
     entry[field] = bad
     with pytest.raises(a.ParseError, match="utility entry") as info:
         fileio.instance_from_dict(data)
-    assert repr(bad if field == "realization" else bad[0]) in str(info.value)
+    assert repr(bad[0] if field == "set" else bad) in str(info.value)
     assert "missing entries" not in str(info.value)
+    if field == "realization" and bad == 0:
+        assert "duplicate entry for set ['v1', 'v2'] and realization 0" in str(
+            info.value
+        )
 
 
 def test_jsonable_handles_non_finite_floats():

@@ -1,11 +1,62 @@
 """Active learning: coverage utility, modified prior, GBS."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import adaptsel as a
 from conftest import coverage_demo
 
 TOL = 1e-9
+
+
+def pairwise_coverage_utility(instance, prior=None):
+    """Reference: every version-space mass by its own scan over all m
+    realizations, m^2 scans per subset."""
+    p = tuple(instance.prior if prior is None else prior)
+    realizations = instance.realizations
+    m = len(realizations)
+    table = {}
+    for size in range(instance.num_elements + 1):
+        for subset in itertools.combinations(range(instance.num_elements), size):
+            row = []
+            for i in range(m):
+                phi = realizations[i]
+                mass = sum(
+                    p[j]
+                    for j in range(m)
+                    if all(realizations[j][e] == phi[e] for e in subset)
+                )
+                row.append(1.0 - mass + p[i])
+            table[a.subset_key(subset)] = tuple(row)
+    return table
+
+
+@st.composite
+def hypothesis_classes(draw):
+    """Up to 4 examples, 2 or 3 labels, up to 8 distinct hypotheses, and a
+    prior that may put zero mass on some of them."""
+    n = draw(st.integers(1, 4))
+    labels = st.sampled_from(draw(st.sampled_from(["01", "012"])))
+    rows = draw(st.lists(st.tuples(*[labels] * n), min_size=1, max_size=8,
+                         unique=True))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=len(rows),
+                        max_size=len(rows)).filter(lambda ws: sum(ws) > 0.01))
+    total = sum(raw)
+    return a.HypothesisClass(tuple(f"x{i}" for i in range(n)), tuple(rows),
+                             tuple(w / total for w in raw))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hypothesis_classes())
+def test_coverage_utility_equals_pairwise_reference(hc):
+    bare = a.instance_from_hypotheses(hc)
+    assert a.coverage_utility(bare) == pairwise_coverage_utility(bare)
+    modified = a.modified_prior(bare.prior)
+    assert a.coverage_utility(bare, modified) == pairwise_coverage_utility(
+        bare, modified
+    )
 
 
 def test_coverage_utility_empty_set_is_prior_mass(demo_hypotheses):

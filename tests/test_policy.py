@@ -15,10 +15,9 @@ def alternative_threshold_pairs(instance, base, i, tol=TOL):
     solve for every tie-break probability that yields average cost i."""
     values = sorted(
         {
-            a.marginal_gain(instance, v, psi)
-            for psi, _support, _node in a.policy.reachable_nodes(instance, base)
-            for v in range(instance.num_elements)
-            if v not in psi
+            gain
+            for psi, vs, _node in a.policy.reachable_nodes(instance, base)
+            for gain in a.core.gains(instance, psi, vs).values()
         },
         reverse=True,
     )
