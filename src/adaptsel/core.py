@@ -48,8 +48,7 @@ class PartialRealization:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        seen = [e for e, _ in self.pairs]
-        if len(seen) != len(set(seen)):
+        if len({e for e, _ in self.pairs}) != len(self.pairs):
             raise MalformedPolicy(f"element observed twice in {self.pairs!r}")
 
     @property

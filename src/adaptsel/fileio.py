@@ -195,9 +195,9 @@ def instance_to_dict(instance: Instance) -> dict:
 def policy_from_dict(instance: Instance, data) -> Policy:
     if isinstance(data, dict) and "base" in data:
         base = _tree_from_dict(instance, data["base"])
-        tau = _expect(data, "tau", (int, float), "policy")
-        rho = _expect(data, "rho", (int, float), "policy")
-        return ThresholdSubPolicy(base, float(tau), float(rho))
+        tau = _number(data.get("tau"), "policy: field 'tau'")
+        rho = _number(data.get("rho"), "policy: field 'rho'")
+        return ThresholdSubPolicy(base, tau, rho)
     return _tree_from_dict(instance, data)
 
 
@@ -246,6 +246,9 @@ def hypotheses_from_dict(data: dict):
     from .learn import HypothesisClass
 
     examples = _expect(data, "examples", list, "hypotheses")
+    for x in examples:
+        if not isinstance(x, str):
+            _fail(f"hypotheses: example {x!r} is not a string")
     labels = _expect(data, "labels", list, "hypotheses")
     for row in labels:
         if not isinstance(row, list) or not all(isinstance(y, str) for y in row):
@@ -256,7 +259,7 @@ def hypotheses_from_dict(data: dict):
     )
     try:
         return HypothesisClass(
-            examples=tuple(str(x) for x in examples),
+            examples=tuple(examples),
             labels=tuple(tuple(row) for row in labels),
             prior=prior,
         )

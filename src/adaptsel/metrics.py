@@ -19,25 +19,28 @@ from typing import Optional
 
 from .core import (
     TOL,
+    ConditionalPrior,
     Instance,
+    PartialRealization,
     c_avg,
     f_avg,
     gains,
-    policy_gain,
     positive_partial_realizations,
+    split,
     version_space,
 )
 from .errors import BudgetExceedsCost, EnumerationBudgetExceeded
 from .oracle import DEFAULT_ENUM_BUDGET
 from .policy import (
+    Node,
     Policy,
+    Select,
     Terminal,
     ThresholdSubPolicy,
     components,
     cut_stats,
     policy_height,
     reachable_nodes,
-    run,
     sub_policy_at_cost,
     threshold_ladder,
 )
@@ -190,17 +193,71 @@ class GammaResult:
         return self.value
 
 
-def _gamma_terms(instance, psi, vs, psi_gains, tree):
-    """Numerator and denominator of the submodularity-ratio objective for
-    one (psi', policy) pair."""
-    selection_prob: dict[int, float] = {}
-    for phi_index, w in vs.items():
-        trace = run(instance, tree, phi_index)[0]
-        for v in trace.selected:
-            selection_prob[v] = selection_prob.get(v, 0.0) + w
-    numerator = sum(p * psi_gains[v] for v, p in selection_prob.items())
-    denominator = policy_gain(instance, tree, psi)
-    return numerator, denominator
+#: Candidate policies whose expected gain is within this of 0 are skipped by
+#: ``gamma`` in both modes: their ratio is undefined.
+GAMMA_DENOMINATOR_FLOOR = 1e-12
+
+
+@dataclass(slots=True)
+class _State:
+    """One conditioning state of a gamma call: observations, their
+    conditional prior and gains, and, per element split on so far, each
+    outcome's ``(state index, mass, next state)``."""
+
+    psi: PartialRealization
+    vs: ConditionalPrior
+    gains: dict[int, float]
+    after: dict[int, tuple[tuple[int, float, "_State"], ...]]
+
+
+class _GammaWalk:
+    """Scores candidate trees of one ``gamma`` call by walking their
+    positive-mass nodes, with every conditioning state split and priced
+    once per call, whichever psi' and tree reach it."""
+
+    def __init__(self, instance: Instance) -> None:
+        self.instance = instance
+        self.states: dict[frozenset, _State] = {}
+
+    def state(
+        self, psi: PartialRealization, vs: Optional[ConditionalPrior] = None
+    ) -> _State:
+        """The state of psi; ``vs``, its conditional prior, is computed
+        only if psi was not reached before."""
+        key = psi.key()
+        found = self.states.get(key)
+        if found is None:
+            if vs is None:
+                vs = version_space(self.instance, psi)
+            found = self.states[key] = _State(
+                psi, vs, gains(self.instance, psi, vs), {}
+            )
+        return found
+
+    def terms(self, root: _State, tree: Node) -> tuple[float, float]:
+        """(N, D) of ``tree`` run after ``root``'s psi': the reach-weighted
+        sums of Delta(v | psi') and of Delta(v | psi' and the path to v) over
+        the tree's selections.  D telescopes to the tree's expected gain."""
+        numerator = 0.0
+        denominator = 0.0
+        psi_gains = root.gains
+        stack = [(tree, root, 1.0)] if isinstance(tree, Select) else []
+        while stack:
+            node, at, reach = stack.pop()
+            v = node.element
+            numerator += reach * psi_gains[v]
+            denominator += reach * at.gains[v]
+            outcomes = at.after.get(v)
+            if outcomes is None:
+                outcomes = at.after[v] = tuple(
+                    (y, mass, self.state(at.psi.extended(v, y), part))
+                    for y, (mass, part) in split(self.instance, at.vs, v).items()
+                )
+            for y, mass, child in outcomes:
+                sub = node.children[y]
+                if isinstance(sub, Select):
+                    stack.append((sub, child, reach * mass))
+        return numerator, denominator
 
 
 def gamma(
@@ -218,12 +275,16 @@ def gamma(
     Minimizes, over positive-mass partial realizations psi' with at most n
     observations and deterministic height-<=k policies over the unobserved
     elements, the ratio of summed per-element gains (weighted by selection
-    probability) to the policy's expected gain.  Terms with a negligible
-    denominator are skipped, and the result is clamped to [0, 1]; a raw
-    minimum meaningfully below 0 is reported as an anomaly.
+    probability) to the policy's expected gain.  Terms whose denominator is
+    within ``GAMMA_DENOMINATOR_FLOOR`` of 0 are skipped, and the result is
+    clamped to [0, 1]; a raw minimum meaningfully below 0 is reported as an
+    anomaly.
 
-    ``mode="sampled"`` evaluates a random subset of policies per psi' and
-    therefore returns an upper bound on gamma, labeled as such.
+    Exact mode scores every policy of ``enumerate_policies`` by one walk
+    over its positive-mass nodes (no per-realization runs); the
+    conditioning states it walks are split and priced once per call.
+    ``mode="sampled"`` scores a random subset of policies per psi' the same
+    way and therefore returns an upper bound on gamma, labeled as such.
     """
     from .oracle import count_policies, enumerate_policies, random_policy_over
 
@@ -232,9 +293,7 @@ def gamma(
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown gamma mode {mode!r}")
 
-    nodes = [
-        psi for psi in positive_partial_realizations(instance, max_size=n)
-    ]
+    nodes = list(positive_partial_realizations(instance, max_size=n))
     if mode == "exact":
         total = sum(
             count_policies(
@@ -249,11 +308,11 @@ def gamma(
             )
 
     rng = random.Random(seed)
+    walk = _GammaWalk(instance)
     raw_min = math.inf
     witness = None
     for psi in nodes:
-        vs = version_space(instance, psi)
-        psi_gains = gains(instance, psi, vs)
+        root = walk.state(psi)
         if mode == "exact":
             trees = enumerate_policies(instance, k, psi, enum_budget)
         else:
@@ -263,19 +322,19 @@ def gamma(
                 for _ in range(samples)
             )
         for tree in trees:
-            numerator, denominator = _gamma_terms(instance, psi, vs, psi_gains, tree)
-            if abs(denominator) <= 1e-12:
+            numerator, denominator = walk.terms(root, tree)
+            if abs(denominator) <= GAMMA_DENOMINATOR_FLOOR:
                 continue
             ratio = numerator / denominator
             if ratio < raw_min:
                 raw_min = ratio
                 witness = {"psi": instance.describe_psi(psi)}
+    label = "exact" if mode == "exact" else "sampled-upper-bound"
     if raw_min == math.inf:
         # Every candidate policy had zero gain: the constraint set is empty
         # and the function is vacuously submodular.
-        return GammaResult(1.0, mode, 1.0, n, k)
+        return GammaResult(1.0, label, 1.0, n, k)
     value = min(1.0, max(0.0, raw_min))
-    label = "exact" if mode == "exact" else "sampled-upper-bound"
     return GammaResult(value, label, raw_min, n, k, witness, raw_min < -tol)
 
 

@@ -70,8 +70,8 @@ class ThresholdSubPolicy:
     rho: float
 
     def __post_init__(self) -> None:
-        if self.tau < -TOL:
-            raise MalformedPolicy(f"negative threshold {self.tau}")
+        if math.isnan(self.tau) or self.tau < -TOL:
+            raise MalformedPolicy(f"threshold {self.tau} is negative or NaN")
         if not -TOL <= self.rho <= 1.0 + TOL:
             raise MalformedPolicy(f"tie-break probability {self.rho} outside [0,1]")
 

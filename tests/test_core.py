@@ -33,6 +33,18 @@ def test_subset_key_canonicalizes():
     assert a.subset_key([]) == ()
 
 
+def test_extended_rejects_an_observed_element():
+    psi = a.EMPTY.extended(2, 1).extended(0, 0)
+    assert psi == a.PartialRealization(((2, 1), (0, 0)))
+    assert hash(psi) == hash(a.PartialRealization(((2, 1), (0, 0))))
+    assert psi.dom == (2, 0)
+    for state in (0, 1):
+        with pytest.raises(a.MalformedPolicy, match="observed twice"):
+            psi.extended(0, state)
+    with pytest.raises(a.MalformedPolicy):
+        a.PartialRealization(((2, 1), (2, 0)))
+
+
 def test_version_space_weights_sum_to_one():
     for seed in range(10):
         instance = corpus_instance(seed)

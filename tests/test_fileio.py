@@ -1,6 +1,7 @@
 """JSON round-trips for instances, policies, and hypothesis classes."""
 
 import json
+import re
 
 import pytest
 
@@ -104,6 +105,29 @@ def test_policy_parse_rejects_incomplete_children(thm5):
         )
     with pytest.raises(a.ParseError):
         fileio.policy_from_dict(instance, {"children": {}})
+
+
+@pytest.mark.parametrize("field", ["tau", "rho"])
+@pytest.mark.parametrize("bad", [True, False, "0.5", None])
+def test_threshold_policy_numbers_are_checked(thm5, field, bad):
+    instance, chain = thm5
+    data = fileio.policy_to_dict(instance, a.threshold_subpolicy(chain, 0.25, 0.5))
+    data[field] = bad
+    with pytest.raises(a.ParseError, match=f"policy: field '{field}': {bad!r}"):
+        fileio.policy_from_dict(instance, data)
+    data[field] = float("nan")
+    with pytest.raises(a.MalformedPolicy, match="NaN|outside"):
+        fileio.policy_from_dict(instance, data)
+
+
+@pytest.mark.parametrize("bad", [1, 2.5, True, None, ["x1"]])
+def test_non_string_example_rejected(bad):
+    data = {"examples": ["x1", bad], "labels": [["0", "0"], ["0", "1"]],
+            "prior": [0.5, 0.5]}
+    with pytest.raises(a.ParseError,
+                       match=rf"hypotheses: example {re.escape(repr(bad))} "
+                             r"is not a string"):
+        fileio.hypotheses_from_dict(data)
 
 
 def test_incomplete_utility_table_rejected():
