@@ -16,7 +16,7 @@ All logarithms and exponentials are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .core import (
@@ -32,18 +32,21 @@ from .learn import coverage_instance, gbs_policy, modified_prior
 from .metrics import (
     alpha,
     beta,
+    budget_frontier,
     covering_params,
-    frontier_gains,
     gamma,
 )
 from .oracle import DEFAULT_ENUM_BUDGET, optimal_coverage
 from .policy import (
     IMMEDIATE,
     Policy,
+    ThresholdSubPolicy,
+    base_tree,
     find_threshold_pair,
     policy_height,
     run,
-    sub_policy_at_cost,
+    threshold_ladder,
+    validate_policy,
 )
 
 BOUND_IDS = (
@@ -381,21 +384,26 @@ def _verify_eq5(instance, policy, opt_policy, l, gamma_mode,
 
 def _verify_lemma2(instance, policy, opt_policy, l, gamma_mode,
                    use_ground_set_size, enum_budget, tol):
-    """f_avg(pi_i) - f_avg(pi_{i-1}) >= delta_l at every budget i."""
+    """f_avg(pi_i) - f_avg(pi_{i-1}) >= delta_l at every budget i, with
+    every pi_i and delta_l read off one threshold ladder of the base tree;
+    f_avg stays on the reference evaluator."""
     _require(policy is not None, "a policy is required")
     total = c_avg(instance, policy)
     top = int(math.floor(total + tol))
     _require(top >= 1, "the policy must select at least one element on average")
+    base = base_tree(policy)
+    validate_policy(instance, base)
+    ladder = threshold_ladder(instance, base, tol)
     worst = math.inf
     per_budget = []
     previous = f_avg(instance, IMMEDIATE)
     for i in range(1, top + 1):
-        sub = sub_policy_at_cost(instance, policy, i, tol)
-        current = f_avg(instance, sub)
-        fg = frontier_gains(instance, policy, i, tol)
-        margin = (current - previous) - fg.delta_l
+        tau, rho = ladder.pair(i)
+        current = f_avg(instance, ThresholdSubPolicy(base, tau, rho))
+        delta_l = budget_frontier(instance, ladder, i).delta_l
+        margin = (current - previous) - delta_l
         per_budget.append(
-            {"i": i, "gain": current - previous, "delta_l": fg.delta_l}
+            {"i": i, "gain": current - previous, "delta_l": delta_l}
         )
         worst = min(worst, margin)
         previous = current
@@ -422,10 +430,6 @@ def _verify_lemma3(instance, policy, opt_policy, l, gamma_mode,
         {"pruned_cost_matches_unpruned": costs_agree}, tol=tol,
     )
     if not costs_agree:
-        report = BoundReport(
-            bound_id=report.bound_id, lhs=report.lhs, rhs=report.rhs,
-            slack=report.slack, holds=False, direction=report.direction,
-            inputs=report.inputs, preconditions=report.preconditions,
-            diagnostics=("pruned and unpruned optimal costs disagree",),
-        )
+        report = replace(report, holds=False, diagnostics=(
+            "pruned and unpruned optimal costs disagree",))
     return report

@@ -12,6 +12,7 @@ stable-ordered.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Optional
 
@@ -47,10 +48,29 @@ def _echo_json(data) -> None:
     _echo(fileio.dumps(data), nl=False)
 
 
+def _tolerance(ctx, param, value: float) -> float:
+    if not 0.0 <= value < math.inf:
+        raise click.BadParameter(f"must be a finite number >= 0, got {value}")
+    return value
+
+
+def _corpus(ctx, param, spec: Optional[str]) -> Optional[range]:
+    if spec is None:
+        return None
+    try:
+        first, last = spec.split("..")
+        seeds = range(int(first), int(last))
+    except ValueError:
+        raise click.BadParameter(f"must look like 0..200, got {spec!r}")
+    if not seeds:
+        raise click.BadParameter(f"{spec!r} is empty (the end seed is excluded)")
+    return seeds
+
+
 @click.group()
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON output.")
 @click.option("--tolerance", type=float, default=TOL, show_default=True,
-              help="Absolute comparison tolerance.")
+              callback=_tolerance, help="Absolute comparison tolerance.")
 @click.option("--enum-budget", type=int, default=oracle.DEFAULT_ENUM_BUDGET,
               show_default=True,
               help="Refuse exact enumerations beyond this many states.")
@@ -134,12 +154,11 @@ def generate(ctx, family_arg, family, k, epsilon, elements, states, seed,
     _run(ctx, work)
 
 
-def _load_pair(instance_path: str, policy_path: Optional[str],
-               greedy: bool) -> tuple[Instance, Policy]:
-    instance = fileio.load_instance(instance_path)
-    if greedy or policy_path is None:
-        return instance, build_greedy(instance)
-    return instance, fileio.load_policy(policy_path, instance)
+def _policy(instance: Instance, policy_path: Optional[str]) -> Policy:
+    """The policy in ``policy_path``, or the greedy tree without one."""
+    if policy_path is None:
+        return build_greedy(instance)
+    return fileio.load_policy(policy_path, instance)
 
 
 @main.command()
@@ -148,9 +167,9 @@ def _load_pair(instance_path: str, policy_path: Optional[str],
 @click.option("--policy", "policy_path", type=click.Path(dir_okay=False),
               default=None, help="Policy file; defaults to the greedy tree.")
 @click.option("--greedy", is_flag=True, help="Build the greedy tree.")
-@click.option("--n", type=int, default=None,
+@click.option("--n", type=click.IntRange(min=1), default=None,
               help="Observation bound for gamma (default: policy height).")
-@click.option("--k", type=int, default=None,
+@click.option("--k", type=click.IntRange(min=1), default=None,
               help="Policy-height bound for gamma (default: |V|).")
 @click.option("--gamma-mode", type=click.Choice(["exact", "sampled", "skip"]),
               default="exact", show_default=True)
@@ -159,7 +178,8 @@ def params(ctx, instance_path, policy_path, greedy, n, k, gamma_mode):
     """Compute alpha, beta, gamma, Q, eta for an instance/policy pair."""
 
     def work():
-        instance, policy = _load_pair(instance_path, policy_path, greedy)
+        instance = fileio.load_instance(instance_path)
+        policy = _policy(instance, None if greedy else policy_path)
         report = metrics.param_report(
             instance, policy, n=n, k=k, gamma_mode=gamma_mode,
             enum_budget=ctx.obj["budget"], tol=ctx.obj["tol"],
@@ -197,7 +217,7 @@ def params(ctx, instance_path, policy_path, greedy, n, k, gamma_mode):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--objective", type=click.Choice(["budget", "coverage"]),
               required=True)
-@click.option("--k", type=int, default=None,
+@click.option("--k", type=click.IntRange(min=0), default=None,
               help="Height bound (required for the budget objective).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the optimal policy tree here.")
@@ -235,17 +255,7 @@ def solve(ctx, instance_path, objective, k, out):
     _run(ctx, work)
 
 
-def _parse_corpus(spec: str) -> range:
-    try:
-        first, last = spec.split("..")
-        return range(int(first), int(last))
-    except ValueError:
-        raise click.ClickException(
-            f"--corpus must look like 0..200, got {spec!r}"
-        )
-
-
-def _verify_one(ctx, instance, bound_ids, policy_path, greedy, l, gamma_mode,
+def _verify_one(ctx, instance, bound_ids, policy_path, l, gamma_mode,
                 hypotheses=None):
     """Verify the requested bounds on one instance; returns the reports."""
     tol = ctx.obj["tol"]
@@ -262,10 +272,7 @@ def _verify_one(ctx, instance, bound_ids, policy_path, greedy, l, gamma_mode,
             )
             continue
         if bound_id != "lemma3":
-            if greedy or policy_path is None:
-                policy = build_greedy(instance)
-            else:
-                policy = fileio.load_policy(policy_path, instance)
+            policy = _policy(instance, policy_path)
         if bound_id in ("thm1", "eq1", "eq2", "eq3"):
             height = l if l is not None else policy_height(instance, policy)
             opt_policy, _value = oracle.optimal_budget(
@@ -309,8 +316,9 @@ def _render_reports(ctx, label, reports):
               help="Budget for the truncation bounds (thm1, eq3).")
 @click.option("--gamma-mode", type=click.Choice(["exact", "sampled"]),
               default="exact", show_default=True)
-@click.option("--corpus", default=None,
-              help="Seed range like 0..200: sweep random monotone instances.")
+@click.option("--corpus", default=None, callback=_corpus,
+              help="Seed range like 0..200, end seed excluded: sweep random "
+                   "monotone instances.")
 @click.option("--corpus-elements", type=int, default=3, show_default=True)
 @click.option("--hypotheses", "hypotheses_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
@@ -323,8 +331,7 @@ def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
     for bound_id in bound_ids:
         if bound_id not in bounds_mod.BOUND_IDS:
             raise click.ClickException(f"unknown bound id {bound_id!r}")
-    greedy = policy_path == "greedy"
-    if greedy:
+    if policy_path == "greedy":
         policy_path = None
     all_hold = True
 
@@ -332,7 +339,7 @@ def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
         nonlocal all_hold
         targets = []
         if corpus is not None:
-            for seed in _parse_corpus(corpus):
+            for seed in corpus:
                 targets.append(
                     (f"seed={seed}", gen.gen_random(corpus_elements, 2, seed))
                 )
@@ -350,7 +357,7 @@ def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
                 targets.append((hypotheses_path, hypo_instance))
         for label, instance in targets:
             reports = _verify_one(
-                ctx, instance, bound_ids, policy_path, greedy, l, gamma_mode,
+                ctx, instance, bound_ids, policy_path, l, gamma_mode,
                 hypotheses=hypo_instance,
             )
             all_hold = all_hold and all(r.holds for r in reports)

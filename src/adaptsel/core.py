@@ -56,10 +56,6 @@ class PartialRealization:
         """Observed element indices, in selection order."""
         return tuple(e for e, _ in self.pairs)
 
-    @property
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
-
     def key(self) -> frozenset[tuple[int, int]]:
         """Order-independent canonical key, suitable for memoization."""
         return frozenset(self.pairs)
@@ -178,12 +174,6 @@ class Instance:
             return self.elements.index(name)
         except ValueError:
             raise KeyError(f"unknown element {name!r}") from None
-
-    def state_index(self, name: str) -> int:
-        try:
-            return self.states.index(name)
-        except ValueError:
-            raise KeyError(f"unknown state {name!r}") from None
 
     def value(self, subset: Iterable[int], phi_index: int) -> float:
         """Utility f(A, phi) for a subset of element indices."""

@@ -32,47 +32,56 @@ from .core import (
 from .errors import BudgetExceedsCost, EnumerationBudgetExceeded
 from .oracle import DEFAULT_ENUM_BUDGET
 from .policy import (
+    AnnotatedNode,
     Node,
     Policy,
     Select,
-    Terminal,
+    ThresholdLadder,
     ThresholdSubPolicy,
-    components,
+    annotate_tree,
+    base_tree,
+    budget_ladder,
+    coin_outcomes,
+    cut_nodes,
     cut_stats,
     policy_height,
-    reachable_nodes,
-    sub_policy_at_cost,
     threshold_ladder,
 )
 
 
-def _ratio(numerator: float, denominator: float, tol: float) -> float:
-    """Ratio with the 0/0 := 1 and positive/0 := +inf conventions used by
-    the greedy approximation ratio."""
-    if abs(denominator) <= tol:
-        return 1.0 if abs(numerator) <= tol else math.inf
-    return numerator / denominator
-
-
 def alpha(instance: Instance, policy: Policy, tol: float = TOL) -> float:
-    """Greedy approximation ratio over reachable positive-mass selection
-    nodes (both coin outcomes for a threshold sub-policy)."""
+    """Greedy approximation ratio: the largest ratio of the best available
+    gain to the selected element's gain over the positive-mass selection
+    nodes of the policy's annotated base tree (for a threshold sub-policy,
+    the selection nodes of both coin outcomes' cuts)."""
+    return _alpha(annotate_tree(instance, base_tree(policy)), policy, tol)
+
+
+def _alpha(annot: AnnotatedNode, policy: Policy, tol: float) -> float:
+    if isinstance(policy, ThresholdSubPolicy):
+        tau, rho = policy.tau, policy.rho
+    else:
+        tau, rho = -math.inf, 1.0  # a tree is its own uncut strict-rule cut
     worst = 1.0
-    for _weight, tree in components(instance, policy):
-        for psi, vs, node in reachable_nodes(instance, tree):
-            if isinstance(node, Terminal):
+    for strict, _weight in coin_outcomes(rho):
+        for node, stop in cut_nodes(annot, tau, strict, tol):
+            if stop:
                 continue
-            node_gains = gains(instance, psi, vs)
-            best = max(node_gains.values(), default=0.0)
-            best = max(best, 0.0)  # observed elements gain exactly 0
-            worst = max(worst, _ratio(best, node_gains[node.element], tol))
+            # Observed elements gain exactly 0, so the best is >= 0; the
+            # ratio takes 0/0 := 1 and positive/0 := +inf.
+            best, chosen = max(node.gmax, 0.0), node.gains[node.element]
+            if abs(chosen) > tol:
+                worst = max(worst, best / chosen)
+            elif best > tol:
+                return math.inf
     return worst
 
 
 @dataclass(frozen=True)
 class FrontierGains:
     """Largest remaining gain at termination (delta_u) and smallest selected
-    gain (delta_l) of the cost-i sub-policy."""
+    gain (delta_l) of the cost-i sub-policy, with the first node attaining
+    each (its observations, plus the selected element for delta_l)."""
 
     i: int
     delta_u: float
@@ -81,43 +90,39 @@ class FrontierGains:
     selection_witness: Optional[dict] = None
 
 
+def budget_frontier(
+    instance: Instance, ladder: ThresholdLadder, i: int
+) -> FrontierGains:
+    """delta_u / delta_l of pi_i, read off ``ladder`` at its ``pair(i)``:
+    the extremes over the :func:`~adaptsel.policy.cut_stats` of both coin
+    outcomes' cuts, strict first, so each witness is the first attaining
+    node in cut order.  delta_l over an empty selection set is 0."""
+    delta_u, delta_l = -math.inf, math.inf
+    frontier = selection = None
+    tau, rho = ladder.pair(i)
+    for strict, _weight in coin_outcomes(rho):
+        _mu, du, dl, at_u, at_l = cut_stats(ladder.annot, tau, strict, ladder.tol)
+        if du > delta_u:
+            delta_u, frontier = du, at_u
+        if dl < delta_l:
+            delta_l, selection = dl, at_l
+    if selection is None:
+        return FrontierGains(i, delta_u, 0.0, instance.describe_psi(frontier.psi))
+    return FrontierGains(i, delta_u, delta_l, instance.describe_psi(frontier.psi), {
+        "psi": instance.describe_psi(selection.psi),
+        "element": instance.elements[selection.element],
+    })
+
+
 def frontier_gains(
     instance: Instance, policy: Policy, i: int, tol: float = TOL
 ) -> FrontierGains:
-    """delta_u / delta_l of pi_i, over both coin outcomes and all
-    positive-mass branches.  The maximum over an empty remaining set is 0."""
+    """delta_u / delta_l of pi_i over both coin outcomes and all
+    positive-mass branches, with witnesses: :func:`budget_frontier` on the
+    base tree's threshold ladder."""
     if i < 1:
         raise BudgetExceedsCost(f"frontier gains need a budget >= 1, got {i}")
-    sub = sub_policy_at_cost(instance, policy, i, tol)
-    delta_u = -math.inf
-    delta_l = math.inf
-    u_witness = None
-    l_witness = None
-    seen: set[frozenset] = set()
-    for _weight, tree in components(instance, sub):
-        for psi, vs, node in reachable_nodes(instance, tree):
-            key = psi.key()
-            node_gains = gains(instance, psi, vs)
-            if isinstance(node, Terminal):
-                top = max(node_gains.values(), default=0.0)
-                top = max(top, 0.0)
-                if (key, True) not in seen and top > delta_u:
-                    delta_u = top
-                    u_witness = instance.describe_psi(psi)
-                seen.add((key, True))
-            else:
-                low = node_gains[node.element]
-                if low < delta_l:
-                    delta_l = low
-                    l_witness = {
-                        "psi": instance.describe_psi(psi),
-                        "element": instance.elements[node.element],
-                    }
-    if delta_u == -math.inf:
-        delta_u = 0.0
-    if delta_l == math.inf:
-        delta_l = 0.0
-    return FrontierGains(i, delta_u, delta_l, u_witness, l_witness)
+    return budget_frontier(instance, budget_ladder(instance, policy, i, tol), int(i))
 
 
 @dataclass(frozen=True)
@@ -138,42 +143,26 @@ def beta(instance: Instance, policy: Policy, tol: float = TOL) -> BetaResult:
     A policy with average cost below 1 has an empty budget range; the result
     is 0 with ``empty_range`` flagged (the definition is silent there).
 
-    Every budget's (tau_i, rho_i) and threshold cuts are read off one
-    :func:`~adaptsel.policy.threshold_ladder` of the base tree;
-    ``frontier_gains`` recomputes any per-budget pair from first principles
-    for cross-checking and witnesses.
+    Every ``per_budget`` entry, witnesses included, is the
+    :func:`budget_frontier` of one threshold ladder of the base tree, the
+    same that :func:`frontier_gains` reads for a single budget.
     """
     cost = c_avg(instance, policy)
-    top = int(math.floor(cost + tol))
+    return _beta(instance, threshold_ladder(instance, base_tree(policy), tol), cost)
+
+
+def _beta(instance: Instance, ladder: ThresholdLadder, cost: float) -> BetaResult:
+    top = int(math.floor(cost + ladder.tol))
     if top < 1:
         return BetaResult(0.0, (), None, empty_range=True)
-    base = policy.base if isinstance(policy, ThresholdSubPolicy) else policy
-    ladder = threshold_ladder(instance, base, tol)
-
-    best = -math.inf
-    best_i = None
-    per = []
-    for i in range(1, top + 1):
-        tau, rho = ladder.pair(i)
-        delta_u = 0.0
-        delta_l = math.inf
-        for strict, weight in ((True, rho), (False, 1.0 - rho)):
-            if weight > 0.0:
-                _mu, du, dl = cut_stats(ladder.annot, tau, strict, tol)
-                delta_u = max(delta_u, du)
-                delta_l = min(delta_l, dl)
-        if delta_l == math.inf:
-            delta_l = 0.0
-        fg = FrontierGains(i, delta_u, delta_l)
-        per.append(fg)
-        if abs(fg.delta_l) <= tol:
-            ratio = 0.0 if abs(fg.delta_u) <= tol else math.inf
-        else:
-            ratio = fg.delta_u / fg.delta_l
-        if ratio > best:
-            best = ratio
-            best_i = i
-    return BetaResult(best, tuple(per), best_i)
+    per = tuple(budget_frontier(instance, ladder, i) for i in range(1, top + 1))
+    ratios = [
+        fg.delta_u / fg.delta_l if abs(fg.delta_l) > ladder.tol
+        else 0.0 if abs(fg.delta_u) <= ladder.tol else math.inf
+        for fg in per
+    ]
+    best = max(ratios)
+    return BetaResult(best, per, ratios.index(best) + 1)
 
 
 # -- adaptive submodularity ratio ------------------------------------------
@@ -394,11 +383,6 @@ class ParamReport:
     witnesses: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if math.isfinite(self.alpha) and self.beta > self.alpha + TOL:
-            raise AssertionError(
-                f"maximal gain ratio {self.beta} exceeds greedy approximation "
-                f"ratio {self.alpha}"
-            )
         if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
             raise AssertionError(f"gamma {self.gamma} outside [0, 1]")
 
@@ -416,19 +400,30 @@ def param_report(
 
     ``gamma_mode="skip"`` omits the submodularity ratio (it is by far the
     most expensive number).  ``n`` defaults to the policy height, ``k`` to
-    the number of elements.
+    the number of elements.  alpha, beta and its witnesses are read off one
+    threshold ladder of the base tree.
     """
     height = policy_height(instance, policy)
     if n is None:
         n = max(height, 1)
     if k is None:
         k = instance.num_elements
-    a = alpha(instance, policy, tol)
-    b = beta(instance, policy, tol)
+    ladder = threshold_ladder(instance, base_tree(policy), tol)
+    cost = c_avg(instance, policy)
+    a = _alpha(ladder.annot, policy, tol)
+    b = _beta(instance, ladder, cost)
+    # beta <= alpha holds where the base tree stops only once no gain above
+    # tol is left; a tree that stops early can leave any gain behind.
+    exhaustive = cut_stats(ladder.annot, -math.inf, True, tol)[1] <= tol
+    if exhaustive and math.isfinite(a) and b.value > a + TOL:
+        raise AssertionError(
+            f"maximal gain ratio {b.value} exceeds greedy approximation "
+            f"ratio {a}"
+        )
     q, eta = covering_params(instance, tol=tol)
     witnesses: dict = {"beta_budget": b.argmax_budget}
     if b.argmax_budget is not None:
-        fg = frontier_gains(instance, policy, b.argmax_budget, tol)
+        fg = b.per_budget[b.argmax_budget - 1]
         witnesses["beta_termination"] = fg.termination_witness
         witnesses["beta_selection"] = fg.selection_witness
     g_value = None
@@ -448,7 +443,7 @@ def param_report(
         q=q,
         eta=eta,
         f_avg=f_avg(instance, policy),
-        c_avg=c_avg(instance, policy),
+        c_avg=cost,
         height=height,
         witnesses=witnesses,
     )

@@ -80,6 +80,18 @@ def threshold_subpolicy(base: Node, tau: float, rho: float) -> ThresholdSubPolic
     return ThresholdSubPolicy(base, tau, rho)
 
 
+def coin_outcomes(rho: float) -> list[tuple[bool, float]]:
+    """(strict, weight) of each coin outcome of positive weight, strict rule
+    first: it has weight rho, the at-most rule 1 - rho."""
+    return [(s, w) for s, w in ((True, rho), (False, 1.0 - rho)) if w > 0.0]
+
+
+def base_tree(policy: Policy) -> Node:
+    """The deterministic tree a policy runs on: a threshold sub-policy's
+    base, or the tree itself."""
+    return policy.base if isinstance(policy, ThresholdSubPolicy) else policy
+
+
 @dataclass(frozen=True)
 class RunTrace:
     """One randomness branch of a policy run on a fixed realization."""
@@ -130,30 +142,6 @@ def chain_policy(instance: Instance, element_indices: list[int]) -> Node:
         node = Select(e, (node,) * instance.num_states)
     validate_policy(instance, node)
     return node
-
-
-# -- reachability ----------------------------------------------------------
-
-def reachable_nodes(
-    instance: Instance, tree: Node
-) -> Iterator[tuple[PartialRealization, ConditionalPrior, Node]]:
-    """Positive-mass nodes of a deterministic tree, root first.
-
-    Yields (observations so far, their conditional prior, node); includes
-    terminal nodes.
-    """
-    stack = [(EMPTY, version_space(instance, EMPTY), tree)]
-    while stack:
-        psi, vs, node = stack.pop()
-        yield psi, vs, node
-        if isinstance(node, Terminal):
-            continue
-        if node.element in psi:
-            raise MalformedPolicy(
-                f"element {instance.elements[node.element]!r} re-selected"
-            )
-        for y, (_mass, part) in split(instance, vs, node.element).items():
-            stack.append((psi.extended(node.element, y), part, node.children[y]))
 
 
 # -- running policies ------------------------------------------------------
@@ -217,14 +205,10 @@ def components(
     rule cut with weight 1 - rho (zero-weight components are dropped).
     """
     if isinstance(policy, ThresholdSubPolicy):
-        out = []
-        if policy.rho > 0.0:
-            out.append((policy.rho, cut_tree(instance, policy.base, policy.tau, True, tol)))
-        if policy.rho < 1.0:
-            out.append(
-                (1.0 - policy.rho, cut_tree(instance, policy.base, policy.tau, False, tol))
-            )
-        return out
+        return [
+            (weight, cut_tree(instance, policy.base, policy.tau, strict, tol))
+            for strict, weight in coin_outcomes(policy.rho)
+        ]
     return [(1.0, policy)]
 
 
@@ -297,7 +281,7 @@ def policy_height(instance: Instance, policy: Policy) -> int:
 class AnnotatedNode:
     """A positive-mass node of a deterministic tree with its expected
     marginal gains precomputed, so repeated threshold cuts of the same base
-    tree do not recompute expectations."""
+    tree do not recompute expectations.  ``children`` are in split order."""
 
     psi: PartialRealization
     mass: float  # probability of reaching this node under the prior
@@ -317,51 +301,61 @@ def annotate_tree(instance: Instance, tree: Node) -> AnnotatedNode:
         gmax = max(node_gains.values(), default=0.0)
         if isinstance(node, Terminal):
             return AnnotatedNode(psi, mass, node_gains, gmax, None, ())
-        parts = split(instance, vs, node.element)
         children = tuple(
-            build(
-                node.children[y],
-                psi.extended(node.element, y),
-                part,
-                mass * p_y,
-            )
-            for y, (p_y, part) in sorted(parts.items())
+            build(node.children[y], psi.extended(node.element, y), part,
+                  mass * p_y)
+            for y, (p_y, part) in split(instance, vs, node.element).items()
         )
-        return AnnotatedNode(
-            psi, mass, node_gains, gmax, node.element, children
-        )
+        return AnnotatedNode(psi, mass, node_gains, gmax, node.element, children)
 
     return build(tree, EMPTY, version_space(instance, EMPTY), 1.0)
 
 
-def cut_stats(
+def cut_nodes(
     annot: AnnotatedNode, tau: float, strict: bool, tol: float = TOL
-) -> tuple[float, float, float]:
-    """(average cost, max termination-frontier gain, min selected gain) of
-    the threshold-``tau`` cut of an annotated tree under one coin outcome.
+) -> Iterator[tuple[AnnotatedNode, bool]]:
+    """The nodes of the threshold-``tau`` cut of an annotated tree under one
+    coin outcome, each with whether the cut stops there, depth first from
+    the root with each node's children in reverse split order.
 
-    The frontier maximum over an empty remaining set is 0; the selection
-    minimum over an empty selection set is +inf (the caller converts).
+    Terminals always stop, so ``tau=-inf, strict=True`` walks the uncut tree.
     """
-    mu = 0.0
-    delta_u = 0.0
-    delta_l = math.inf
-
-    def walk(node: AnnotatedNode) -> None:
-        nonlocal mu, delta_u, delta_l
+    stack = [annot]
+    while stack:
+        node = stack.pop()
         stop = node.element is None or (
             node.gmax < tau - tol if strict else node.gmax <= tau + tol
         )
-        if stop:
-            delta_u = max(delta_u, node.gmax, 0.0)
-            return
-        mu += node.mass
-        delta_l = min(delta_l, node.gains[node.element])
-        for child in node.children:
-            walk(child)
+        yield node, stop
+        if not stop:
+            stack.extend(node.children)
 
-    walk(annot)
-    return mu, delta_u, delta_l
+
+def cut_stats(
+    annot: AnnotatedNode, tau: float, strict: bool, tol: float = TOL
+) -> tuple[float, float, float, AnnotatedNode, Optional[AnnotatedNode]]:
+    """(average cost mu, largest gain left at a stop delta_u, smallest
+    selected gain delta_l, first stop node leaving delta_u, first selection
+    node of delta_l) of the threshold-``tau`` cut of an annotated tree under
+    one coin outcome, in one pass in :func:`cut_nodes` order.
+
+    A stop node leaves its largest remaining gain, or 0 if none is positive
+    or none remains; over an empty selection set delta_l is +inf and its
+    node None (the caller converts).
+    """
+    mu, delta_u, delta_l = 0.0, -math.inf, math.inf
+    frontier = selection = None
+    for node, stop in cut_nodes(annot, tau, strict, tol):
+        if stop:
+            top = max(node.gmax, 0.0)
+            if top > delta_u:
+                delta_u, frontier = top, node
+        else:
+            mu += node.mass
+            low = node.gains[node.element]
+            if low < delta_l:
+                delta_l, selection = low, node
+    return mu, delta_u, delta_l, frontier, selection
 
 
 # -- greedy construction ---------------------------------------------------
@@ -438,15 +432,14 @@ def threshold_ladder(
 
     Candidate thresholds are the gains of remaining elements at every
     positive-mass node, grouped at tolerance with each class represented by
-    its maximum, and priced by ``cut_stats`` on one annotated tree.
+    its maximum, and priced by :func:`cut_stats` on one annotated tree.
     """
     annot = annotate_tree(instance, base)
-    values: list[float] = []
-    stack = [annot]
-    while stack:
-        node = stack.pop()
-        values.extend(node.gains.values())
-        stack.extend(node.children)
+    values = [
+        value
+        for node, _stop in cut_nodes(annot, -math.inf, True, tol)
+        for value in node.gains.values()
+    ]
     sentinel = max(values, default=0.0) + 1.0
     steps = [(sentinel, 0.0)]
     rep = math.inf
@@ -460,6 +453,24 @@ def threshold_ladder(
     return ThresholdLadder(annot, sentinel, tuple(steps), tol)
 
 
+def budget_ladder(
+    instance: Instance, policy: Policy, i: int, tol: float = TOL
+) -> ThresholdLadder:
+    """The :func:`threshold_ladder` of ``policy``'s base tree, once budget
+    ``i`` is checked to be a non-negative integer within the policy's
+    average cost."""
+    if i != int(i) or i < 0:
+        raise ValueError(f"budget must be a non-negative integer, got {i!r}")
+    base = base_tree(policy)
+    validate_policy(instance, base)
+    total_cost = c_avg(instance, policy)
+    if i > total_cost + tol:
+        raise BudgetExceedsCost(
+            f"budget {i} exceeds the policy's average cost {total_cost}"
+        )
+    return threshold_ladder(instance, base, tol)
+
+
 def find_threshold_pair(
     instance: Instance, policy: Policy, i: int, tol: float = TOL
 ) -> tuple[float, float, ThresholdSubPolicy]:
@@ -469,18 +480,8 @@ def find_threshold_pair(
     :func:`threshold_ladder`.  Any other valid pair induces the same
     policy, which the test suite checks directly on run traces.
     """
-    if i != int(i) or i < 0:
-        raise ValueError(f"budget must be a non-negative integer, got {i!r}")
-    i = int(i)
-    base = policy.base if isinstance(policy, ThresholdSubPolicy) else policy
-    validate_policy(instance, base)
-    total_cost = c_avg(instance, policy)
-    if i > total_cost + tol:
-        raise BudgetExceedsCost(
-            f"budget {i} exceeds the policy's average cost {total_cost}"
-        )
-    tau, rho = threshold_ladder(instance, base, tol).pair(i)
-    return tau, rho, ThresholdSubPolicy(base, tau, rho)
+    tau, rho = budget_ladder(instance, policy, i, tol).pair(int(i))
+    return tau, rho, ThresholdSubPolicy(base_tree(policy), tau, rho)
 
 
 def sub_policy_at_cost(

@@ -201,3 +201,58 @@ def test_twelve_significant_digit_rendering(tmp_path):
     result = invoke(["params", "--instance", str(out), "--greedy",
                      "--gamma-mode", "skip"])
     assert "1.875" in result.output
+
+
+def _random_instance(tmp_path):
+    path = tmp_path / "r.json"
+    fileio.save_instance(path, a.gen_random(2, 2, 0))
+    return str(path)
+
+
+def _usage_error(args, option):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_tolerance_must_be_finite_and_non_negative():
+    for value in ("nan", "inf", "-1"):
+        _usage_error(["--tolerance", value, "verify", "--bounds", "lemma2",
+                      "--corpus", "0..1"], "--tolerance")
+    assert invoke(["--tolerance", "0", "verify", "--bounds", "lemma2",
+                   "--corpus", "0..1"]).exit_code == 0
+
+
+def test_params_gamma_bounds_must_be_positive(tmp_path):
+    path = _random_instance(tmp_path)
+    _usage_error(["params", "--instance", path, "--n", "0"], "--n")
+    _usage_error(["params", "--instance", path, "--k", "0"], "--k")
+
+
+def test_solve_budget_height_must_be_non_negative(tmp_path):
+    path = _random_instance(tmp_path)
+    _usage_error(["solve", "--instance", path, "--objective", "budget",
+                  "--k", "-1"], "--k")
+
+
+def test_verify_rejects_an_empty_corpus_range():
+    for spec in ("5..2", "3..3"):
+        _usage_error(["verify", "--bounds", "lemma2", "--corpus", spec],
+                     "--corpus")
+    _usage_error(["verify", "--bounds", "lemma2", "--corpus", "0-5"],
+                 "--corpus")
+
+
+def test_params_reports_an_early_stopping_policy(tmp_path):
+    instance = a.gen_random(2, 2, 0)
+    path = tmp_path / "r.json"
+    ppath = tmp_path / "v1.json"
+    fileio.save_instance(path, instance)
+    fileio.save_policy(ppath, instance, a.chain_policy(instance, [0]))
+    result = invoke(["--json", "params", "--instance", str(path),
+                     "--policy", str(ppath), "--gamma-mode", "skip"])
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert report["alpha"] == 1.0
+    assert abs(report["beta"] - 1.7199405673933288) <= 1e-9

@@ -7,6 +7,7 @@ import pytest
 
 import adaptsel as a
 from conftest import corpus_instance, coverage_demo
+from reference_walks import reachable_nodes
 
 TOL = 1e-9
 
@@ -33,7 +34,7 @@ def test_enumerate_policies_respects_observed_elements():
     instance = corpus_instance(2, num_elements=3)
     psi = a.PartialRealization(((0, instance.realizations[0][0]),))
     for policy in a.enumerate_policies(instance, 2, psi):
-        for node_psi, _support, node in a.policy.reachable_nodes(instance, policy):
+        for node_psi, _support, node in reachable_nodes(instance, policy):
             if not isinstance(node, a.Terminal):
                 assert node.element != 0
             del node_psi

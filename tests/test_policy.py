@@ -5,6 +5,7 @@ import pytest
 
 import adaptsel as a
 from conftest import corpus_instance, coverage_demo
+from reference_walks import reachable_nodes
 
 TOL = 1e-9
 
@@ -16,7 +17,7 @@ def alternative_threshold_pairs(instance, base, i, tol=TOL):
     values = sorted(
         {
             gain
-            for psi, vs, _node in a.policy.reachable_nodes(instance, base)
+            for psi, vs, _node in reachable_nodes(instance, base)
             for gain in a.core.gains(instance, psi, vs).values()
         },
         reverse=True,
