@@ -172,13 +172,21 @@ def verify(
 # -- cardinality-constraint bounds -----------------------------------------
 
 
+#: How far the average cost of the canonical threshold truncation may miss
+#: the budget l.  The round trip is a sanity check of the threshold-pair
+#: construction, not a comparison at the user's tolerance: the ladder snaps
+#: to a class boundary within tol of l, so the cost can miss l by tol plus
+#: rounding, and 1e-6 leaves room for both while still catching a wrong pair.
+TRUNCATION_COST_TOL = 1e-6
+
+
 def _truncated(instance, policy, l, tol):
     _require(policy is not None, "a base policy is required")
     _require(l is not None and l == int(l) and l >= 1, "an integer budget l >= 1 is required")
     tau, rho, sub = find_threshold_pair(instance, policy, int(l), tol)
     # Round-trip check: the truncation really has average cost l.
     _require(
-        abs(c_avg(instance, sub) - l) <= 1e-6,
+        abs(c_avg(instance, sub) - l) <= TRUNCATION_COST_TOL,
         f"threshold truncation does not reach average cost {l}",
     )
     return tau, rho, sub

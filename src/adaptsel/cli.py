@@ -190,6 +190,7 @@ def params(ctx, instance_path, policy_path, greedy, n, k, gamma_mode):
         rows = [
             ("alpha", report.alpha),
             ("beta", report.beta),
+            ("beta_anomaly", report.beta_anomaly),
             ("gamma", "skipped" if report.gamma is None else report.gamma),
         ]
         if report.gamma_mode is not None:

@@ -10,7 +10,10 @@ computation over this table; no sampling is used anywhere.
 Conditioning lives here and nowhere else: :class:`ConditionalPrior` is the
 only form of p(phi | psi), built by :func:`version_space` or, one observation
 at a time, by :func:`split`; :func:`gains` is the only computation of the
-expected marginal gains Delta(v | psi).
+expected marginal gains Delta(v | psi).  Where only the support of a
+conditional prior matters, :func:`state_bitsets` conditions supports without
+weights: a support is a bitset of realization indices, and observing state y
+at element v intersects it with ``state_bitsets(instance)[v][y]``.
 
 All operations are pure functions of immutable inputs.  Internal caches are
 per-call only, so concurrent use of the same ``Instance`` is safe.
@@ -252,6 +255,23 @@ def split(
     return out
 
 
+def state_bitsets(instance: Instance) -> tuple[tuple[int, ...], ...]:
+    """``bits[v][y]`` is the set of positive-prior realizations that have
+    state y at element v, as a bitset over realization indices (bit i set
+    for realization i).
+
+    The support of psi is the AND of ``bits[e][y]`` over its pairs (the
+    positive-prior realizations when psi is empty): the weightless form of
+    :func:`version_space` and :func:`split`.
+    """
+    bits = [[0] * instance.num_states for _ in range(instance.num_elements)]
+    for i, (phi, p) in enumerate(zip(instance.realizations, instance.prior)):
+        if p > 0.0:
+            for e, y in enumerate(phi):
+                bits[e][y] |= 1 << i
+    return tuple(tuple(row) for row in bits)
+
+
 def gains(
     instance: Instance, psi: PartialRealization, vs: ConditionalPrior
 ) -> dict[int, float]:
@@ -376,10 +396,43 @@ class CheckResult:
         return self.ok
 
 
-def check_adaptive_monotone(instance: Instance, tol: float = TOL) -> CheckResult:
-    """True iff every expected marginal gain is non-negative (within tol)."""
+def _conditioned_states(
+    instance: Instance,
+) -> Iterator[tuple[PartialRealization, ConditionalPrior]]:
+    """Every positive-mass partial realization with its conditional prior,
+    in :func:`positive_partial_realizations` order.
+
+    Only the empty psi is conditioned from scratch; every other prior is one
+    part of :func:`split` of its parent's, the same psi without its last
+    pair, which is always yielded earlier.  Each (parent, element) is split
+    once.
+    """
+    priors: dict[frozenset, ConditionalPrior] = {}
+    splits: dict[tuple[frozenset, int], dict] = {}
     for psi in positive_partial_realizations(instance):
-        for v, gain in gains(instance, psi, version_space(instance, psi)).items():
+        if not psi.pairs:
+            vs = version_space(instance, psi)
+        else:
+            parent = frozenset(psi.pairs[:-1])
+            element, state = psi.pairs[-1]
+            outcomes = splits.get((parent, element))
+            if outcomes is None:
+                outcomes = splits[parent, element] = split(
+                    instance, priors[parent], element
+                )
+            vs = outcomes[state][1]
+        priors[psi.key()] = vs
+        yield psi, vs
+
+
+def check_adaptive_monotone(instance: Instance, tol: float = TOL) -> CheckResult:
+    """True iff every expected marginal gain is non-negative (within tol).
+
+    The witness is the first negative gain in
+    :func:`positive_partial_realizations` order, then element order.
+    """
+    for psi, vs in _conditioned_states(instance):
+        for v, gain in gains(instance, psi, vs).items():
             if gain < -tol:
                 return CheckResult(
                     False,
@@ -396,33 +449,56 @@ def check_adaptive_submodular(instance: Instance, tol: float = TOL) -> CheckResu
     """True iff gains never increase as observations accumulate.
 
     The full quantifier over pairs psi subseteq psi' is checked, not just
-    single-step extensions.
+    single-step extensions, through the running minimum
+    M(psi', v) = min(Delta(v | psi'), min over one-removed psi of M(psi, v)):
+    the least gain of v over every subset of psi'.  psi' fails when the
+    minimum over its proper subsets is below Delta(v | psi') - tol.  The
+    witness is the first failing psi' in
+    :func:`positive_partial_realizations` order, with the first failing
+    subset psi and element in (size, ``itertools.combinations``, element)
+    order.
     """
-    nodes = list(positive_partial_realizations(instance))
-    gains_at: dict[frozenset, dict[int, float]] = {
-        psi.key(): gains(instance, psi, version_space(instance, psi))
-        for psi in nodes
-    }
-    for psi_big in nodes:
+    gains_at: dict[frozenset, dict[int, float]] = {}
+    least: dict[frozenset, dict[int, float]] = {}
+    for psi_big, vs in _conditioned_states(instance):
         big_key = psi_big.key()
-        big_gains = gains_at[big_key]
-        for r in range(len(psi_big.pairs) + 1):
-            for sub in itertools.combinations(psi_big.pairs, r):
-                sub_key = frozenset(sub)
-                if sub_key == big_key:
-                    continue
-                small_gains = gains_at[sub_key]
-                for v, late in big_gains.items():
-                    if small_gains[v] < late - tol:
-                        small = PartialRealization(sub)
-                        return CheckResult(
-                            False,
-                            {
-                                "psi": instance.describe_psi(small),
-                                "psi_prime": instance.describe_psi(psi_big),
-                                "element": instance.elements[v],
-                                "gain_early": small_gains[v],
-                                "gain_late": late,
-                            },
-                        )
+        big_gains = gains_at[big_key] = gains(instance, psi_big, vs)
+        low = big_gains
+        if psi_big.pairs:
+            earlier = [least[big_key - {pair}] for pair in psi_big.pairs]
+            low = {}
+            for v, late in big_gains.items():
+                early = min([m[v] for m in earlier])
+                if early < late - tol:
+                    return _submodularity_witness(instance, psi_big, gains_at, tol)
+                low[v] = min(early, late)
+        least[big_key] = low
     return CheckResult(True)
+
+
+def _submodularity_witness(
+    instance: Instance,
+    psi_big: PartialRealization,
+    gains_at: dict[frozenset, dict[int, float]],
+    tol: float,
+) -> CheckResult:
+    """The first subset psi of a failing psi' and element whose gain rose
+    by more than tol, in (size, ``itertools.combinations``, element)
+    order."""
+    big_gains = gains_at[psi_big.key()]
+    for r in range(len(psi_big.pairs)):
+        for sub in itertools.combinations(psi_big.pairs, r):
+            small_gains = gains_at[frozenset(sub)]
+            for v, late in big_gains.items():
+                if small_gains[v] < late - tol:
+                    return CheckResult(
+                        False,
+                        {
+                            "psi": instance.describe_psi(PartialRealization(sub)),
+                            "psi_prime": instance.describe_psi(psi_big),
+                            "element": instance.elements[v],
+                            "gain_early": small_gains[v],
+                            "gain_late": late,
+                        },
+                    )
+    raise AssertionError("running minimum found a violation the rescan missed")

@@ -127,10 +127,15 @@ def frontier_gains(
 
 @dataclass(frozen=True)
 class BetaResult:
+    """``anomaly`` flags a budget whose ratio is negative: its selected gain
+    delta_l is below -tol, which only a non-monotone utility allows.  The
+    value stays the computed maximum."""
+
     value: float
     per_budget: tuple[FrontierGains, ...]
     argmax_budget: Optional[int]
     empty_range: bool = False
+    anomaly: bool = False
 
     def __float__(self) -> float:
         return self.value
@@ -162,7 +167,8 @@ def _beta(instance: Instance, ladder: ThresholdLadder, cost: float) -> BetaResul
         for fg in per
     ]
     best = max(ratios)
-    return BetaResult(best, per, ratios.index(best) + 1)
+    return BetaResult(best, per, ratios.index(best) + 1,
+                      anomaly=any(r < 0.0 for r in ratios))
 
 
 # -- adaptive submodularity ratio ------------------------------------------
@@ -381,6 +387,7 @@ class ParamReport:
     c_avg: float
     height: int
     witnesses: dict = field(default_factory=dict)
+    beta_anomaly: bool = False
 
     def __post_init__(self) -> None:
         if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
@@ -446,4 +453,5 @@ def param_report(
         c_avg=cost,
         height=height,
         witnesses=witnesses,
+        beta_anomaly=b.anomaly,
     )

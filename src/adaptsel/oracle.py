@@ -21,6 +21,7 @@ from .core import (
     Instance,
     PartialRealization,
     split,
+    state_bitsets,
     subset_key,
     version_space,
 )
@@ -118,8 +119,12 @@ def optimal_budget(
     """The exact best expected utility over policies of height <= k, via a
     memoized DP over (observations, remaining budget).
 
-    Stopping is preferred on ties, then the lexicographically smallest
-    element.
+    At each state, stopping is the incumbent and elements are tried in index
+    order; one replaces the incumbent only if its value is strictly greater,
+    with no tolerance.  Exact ties therefore keep stopping, then the smallest
+    element, but options whose values differ only by rounding are decided by
+    that rounding: the last bits of the sums pick among trees that are tied
+    mathematically.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
@@ -169,6 +174,16 @@ def optimal_budget(
 # -- minimum cost coverage -------------------------------------------------
 
 
+def _members(bits: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def optimal_coverage(
     instance: Instance,
     q: Optional[float] = None,
@@ -184,71 +199,115 @@ def optimal_coverage(
     argument that an optimal covering policy eliminates a realization per
     query; ``pruned=False`` considers every unobserved element and exists
     as a cross-check that both passes agree.
+
+    A DP state is (observed elements, support), both as bitsets; supports
+    are conditioned with :func:`~adaptsel.core.state_bitsets`.  A state is
+    covered when its support misses every realization whose utility there is
+    more than ``tol`` from Q.  An outcome's probability is the prior mass of
+    its support over its parent's, each summed in index order as
+    ``version_space`` sums it; outcomes are added in order of first
+    appearance in the support.  The first candidate whose cost is below the
+    best so far by more than ``tol`` wins.
     """
     if instance.utility is None:
         raise ValueError("instance has no utility table attached")
     table = instance.utility
+    prior = instance.prior
     if q is None:
         q = max(
             row[i]
             for row in table.values()
-            for i, p in enumerate(instance.prior)
+            for i, p in enumerate(prior)
             if p > 0.0
         )
-    full = subset_key(range(instance.num_elements))
-    for i, p in enumerate(instance.prior):
+    n = instance.num_elements
+    full = subset_key(range(n))
+    for i, p in enumerate(prior):
         if p > 0.0 and abs(table[full][i] - q) > tol:
             raise CoverageUnreachable(
                 f"realization {i} only reaches {table[full][i]} != {q} "
                 f"with every element selected"
             )
-    estimate = _budget_state_estimate(
-        instance.num_elements, instance.num_states, instance.num_elements
-    )
+    estimate = _budget_state_estimate(n, instance.num_states, n)
     if estimate > enum_budget:
         raise EnumerationBudgetExceeded(
             f"about {estimate} DP states exceed the enumeration budget"
         )
-    memo: dict[frozenset, tuple[float, Node]] = {}
+    bits = state_bitsets(instance)
+    rows: dict[int, tuple[float, ...]] = {}
+    uncovered: dict[int, int] = {}
+    masses: dict[int, float] = {}
+    memo: dict[tuple[int, int], tuple[float, Node]] = {}
 
-    def covered(psi: PartialRealization, vs: ConditionalPrior) -> bool:
-        row = table[subset_key(psi.dom)]
-        return all(abs(row[i] - q) <= tol for i in vs.support)
+    def row(dom: int) -> tuple[float, ...]:
+        found = rows.get(dom)
+        if found is None:
+            found = rows[dom] = table[tuple(v for v in range(n) if dom >> v & 1)]
+        return found
 
-    def candidates(psi: PartialRealization, vs: ConditionalPrior) -> list[int]:
-        unobserved = [v for v in range(instance.num_elements) if v not in psi]
-        if not pruned:
-            return unobserved
-        row = table[subset_key(psi.dom)]
-        current_min = min(row[i] for i in vs.support)
-        keep = []
-        for v in unobserved:
-            states = {instance.realizations[i][v] for i in vs.support}
-            if len(states) > 1:
-                keep.append(v)
+    def uncovered_at(dom: int) -> int:
+        found = uncovered.get(dom)
+        if found is None:
+            found = 0
+            for i, value in enumerate(row(dom)):
+                if abs(value - q) > tol:
+                    found |= 1 << i
+            uncovered[dom] = found
+        return found
+
+    def mass(support: int) -> float:
+        found = masses.get(support)
+        if found is None:
+            found = masses[support] = sum([prior[i] for i in _members(support)])
+        return found
+
+    def candidates(dom: int, support: int) -> list[tuple[int, list[tuple[int, int]]]]:
+        """(element, its outcomes as (state, child support)) per candidate."""
+        options = []
+        for v in range(n):
+            if dom >> v & 1:
                 continue
-            after = table[subset_key(psi.dom + (v,))]
-            if min(after[i] for i in vs.support) > current_min + tol:
-                keep.append(v)
+            outcomes = []
+            for y, observed in enumerate(bits[v]):
+                child = support & observed
+                if child:
+                    outcomes.append((y, child))
+            options.append((v, outcomes))
+        if not pruned:
+            return options
+        members = _members(support)
+        here = row(dom)
+        current_min = min([here[i] for i in members])
+        keep = []
+        for v, outcomes in options:
+            if len(outcomes) > 1:
+                keep.append((v, outcomes))
+                continue
+            after = row(dom | 1 << v)
+            if min([after[i] for i in members]) > current_min + tol:
+                keep.append((v, outcomes))
         # Coverage is reachable, so some element must eventually help; fall
         # back to everything if the heuristic filters them all out.
-        return keep or unobserved
+        return keep or options
 
-    def solve(psi: PartialRealization, vs: ConditionalPrior) -> tuple[float, Node]:
-        key = psi.key()
-        if key in memo:
-            return memo[key]
-        if covered(psi, vs):
+    def solve(dom: int, support: int) -> tuple[float, Node]:
+        key = (dom, support)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        if not support & uncovered_at(dom):
             memo[key] = (0.0, TERMINAL)
             return memo[key]
+        total = mass(support)
         best_cost = math.inf
         best_node: Node = TERMINAL
-        for v in candidates(psi, vs):
+        for v, outcomes in candidates(dom, support):
+            outcomes.sort(key=lambda outcome: outcome[1] & -outcome[1])
             cost = 1.0
             children: list[Node] = [TERMINAL] * instance.num_states
-            for y, (p_y, part) in split(instance, vs, v).items():
-                sub_cost, sub_node = solve(psi.extended(v, y), part)
-                cost += p_y * sub_cost
+            for y, child in outcomes:
+                sub_cost, sub_node = solve(dom | 1 << v, child)
+                cost += mass(child) / total * sub_cost
                 children[y] = sub_node
             if cost < best_cost - tol:
                 best_cost = cost
@@ -256,5 +315,9 @@ def optimal_coverage(
         memo[key] = (best_cost, best_node)
         return memo[key]
 
-    cost, tree = solve(EMPTY, version_space(instance, EMPTY))
+    root = 0
+    for i, p in enumerate(prior):
+        if p > 0.0:
+            root |= 1 << i
+    cost, tree = solve(0, root)
     return tree, cost

@@ -70,8 +70,10 @@ class ThresholdSubPolicy:
     rho: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.tau) or self.tau < -TOL:
-            raise MalformedPolicy(f"threshold {self.tau} is negative or NaN")
+        # Every threshold defines a cut, including the negative ones that
+        # the gains of non-monotone utilities give.
+        if math.isnan(self.tau):
+            raise MalformedPolicy(f"threshold {self.tau} is NaN")
         if not -TOL <= self.rho <= 1.0 + TOL:
             raise MalformedPolicy(f"tie-break probability {self.rho} outside [0,1]")
 
@@ -249,6 +251,13 @@ def run(instance: Instance, policy: Policy, phi_index: int) -> list[RunTrace]:
     return list(traces.values())
 
 
+#: Decimal places ``canonical_traces`` keeps of each trace weight.  Two
+#: threshold pairs that induce one policy give coin weights (rho, 1 - rho
+#: and their sums) that agree only up to rounding, and a weight that rounds
+#: to 0 is a coin outcome of vanishing probability; 9 places matches TOL.
+TRACE_WEIGHT_DIGITS = 9
+
+
 def canonical_traces(
     instance: Instance, policy: Policy
 ) -> dict[int, tuple[tuple[tuple[int, ...], float], ...]]:
@@ -259,9 +268,9 @@ def canonical_traces(
         if p <= 0.0:
             continue
         merged = sorted(
-            (t.selected, round(t.weight, 9))
+            (t.selected, round(t.weight, TRACE_WEIGHT_DIGITS))
             for t in run(instance, policy, phi_index)
-            if round(t.weight, 9) > 0.0
+            if round(t.weight, TRACE_WEIGHT_DIGITS) > 0.0
         )
         out[phi_index] = tuple(merged)
     return out

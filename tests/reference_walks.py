@@ -1,16 +1,33 @@
-"""First-principles reference walks for the threshold machinery.
+"""First-principles reference walks for the threshold machinery, the
+coverage oracle and the adaptive checks.
 
 Each positive-mass node of a deterministic tree is reached from scratch,
 its gains are recomputed with ``core.gains``, and a threshold sub-policy is
 cut with ``cut_tree`` into its coin components.  The differential tests
 require the library's annotated-tree results to equal these exactly,
 witnesses included.
+
+``reference_optimal_coverage`` is the coverage DP keyed by partial
+realizations and conditioned with ``core.split``; the two reference checks
+condition every partial realization from scratch with ``version_space`` and
+compare every pair psi subseteq psi' directly.  The library's bitset DP and
+running-minimum check must return the same trees and witnesses.
 """
 
+import itertools
 import math
 
 import adaptsel as a
-from adaptsel.core import EMPTY, gains, split, version_space
+from adaptsel.core import (
+    EMPTY,
+    CheckResult,
+    PartialRealization,
+    gains,
+    positive_partial_realizations,
+    split,
+    subset_key,
+    version_space,
+)
 
 
 def reachable_nodes(instance, tree):
@@ -92,3 +109,113 @@ def stops_exhausted(instance, tree, tol=a.TOL):
         for psi, vs, node in reachable_nodes(instance, tree)
         if isinstance(node, a.Terminal)
     )
+
+
+def reference_optimal_coverage(instance, q=None, pruned=True, tol=a.TOL):
+    """Cheapest covering tree by a DP over partial realizations, each
+    conditioned with ``core.split`` (no enumeration-budget gate)."""
+    if instance.utility is None:
+        raise ValueError("instance has no utility table attached")
+    table = instance.utility
+    if q is None:
+        q = max(
+            row[i]
+            for row in table.values()
+            for i, p in enumerate(instance.prior)
+            if p > 0.0
+        )
+    full = subset_key(range(instance.num_elements))
+    for i, p in enumerate(instance.prior):
+        if p > 0.0 and abs(table[full][i] - q) > tol:
+            raise a.CoverageUnreachable(
+                f"realization {i} only reaches {table[full][i]} != {q} "
+                f"with every element selected"
+            )
+    memo = {}
+
+    def covered(psi, vs):
+        row = table[subset_key(psi.dom)]
+        return all(abs(row[i] - q) <= tol for i in vs.support)
+
+    def candidates(psi, vs):
+        unobserved = [v for v in range(instance.num_elements) if v not in psi]
+        if not pruned:
+            return unobserved
+        row = table[subset_key(psi.dom)]
+        current_min = min(row[i] for i in vs.support)
+        keep = []
+        for v in unobserved:
+            states = {instance.realizations[i][v] for i in vs.support}
+            if len(states) > 1:
+                keep.append(v)
+                continue
+            after = table[subset_key(psi.dom + (v,))]
+            if min(after[i] for i in vs.support) > current_min + tol:
+                keep.append(v)
+        return keep or unobserved
+
+    def solve(psi, vs):
+        key = psi.key()
+        if key in memo:
+            return memo[key]
+        if covered(psi, vs):
+            memo[key] = (0.0, a.TERMINAL)
+            return memo[key]
+        best_cost = math.inf
+        best_node = a.TERMINAL
+        for v in candidates(psi, vs):
+            cost = 1.0
+            children = [a.TERMINAL] * instance.num_states
+            for y, (p_y, part) in split(instance, vs, v).items():
+                sub_cost, sub_node = solve(psi.extended(v, y), part)
+                cost += p_y * sub_cost
+                children[y] = sub_node
+            if cost < best_cost - tol:
+                best_cost = cost
+                best_node = a.Select(v, tuple(children))
+        memo[key] = (best_cost, best_node)
+        return memo[key]
+
+    cost, tree = solve(EMPTY, version_space(instance, EMPTY))
+    return tree, cost
+
+
+def reference_check_adaptive_monotone(instance, tol=a.TOL):
+    """Every gain of every positive-mass psi, conditioned from scratch."""
+    for psi in positive_partial_realizations(instance):
+        for v, gain in gains(instance, psi, version_space(instance, psi)).items():
+            if gain < -tol:
+                return CheckResult(False, {
+                    "psi": instance.describe_psi(psi),
+                    "element": instance.elements[v],
+                    "gain": gain,
+                })
+    return CheckResult(True)
+
+
+def reference_check_adaptive_submodular(instance, tol=a.TOL):
+    """Every pair psi subseteq psi', each conditioned from scratch."""
+    nodes = list(positive_partial_realizations(instance))
+    gains_at = {
+        psi.key(): gains(instance, psi, version_space(instance, psi))
+        for psi in nodes
+    }
+    for psi_big in nodes:
+        big_key = psi_big.key()
+        big_gains = gains_at[big_key]
+        for r in range(len(psi_big.pairs) + 1):
+            for sub in itertools.combinations(psi_big.pairs, r):
+                sub_key = frozenset(sub)
+                if sub_key == big_key:
+                    continue
+                small_gains = gains_at[sub_key]
+                for v, late in big_gains.items():
+                    if small_gains[v] < late - tol:
+                        return CheckResult(False, {
+                            "psi": instance.describe_psi(PartialRealization(sub)),
+                            "psi_prime": instance.describe_psi(psi_big),
+                            "element": instance.elements[v],
+                            "gain_early": small_gains[v],
+                            "gain_late": late,
+                        })
+    return CheckResult(True)

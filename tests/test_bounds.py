@@ -179,3 +179,14 @@ def test_slack_orientation_matches_direction(thm5, demo_hypotheses):
     copt, _ = a.optimal_coverage(cov_plain)
     upper = a.verify(cov_plain, "thm2", policy=gbs, opt_policy=copt)
     assert abs(upper.slack - (upper.rhs - upper.lhs)) <= TOL
+
+
+def test_lemma2_accepts_the_negative_thresholds_of_non_monotone_utilities():
+    instance = a.gen_random(3, 2, 0, monotone=False)
+    policy = a.random_policy(instance, 0, stop_probability=0.0)
+    tau, _rho, _sub = a.find_threshold_pair(instance, policy, 2)
+    assert tau < 0.0
+    report = a.verify(instance, "lemma2", policy=policy)
+    assert report.holds
+    with pytest.raises(a.MalformedPolicy, match="NaN"):
+        a.threshold_subpolicy(policy, math.nan, 0.5)

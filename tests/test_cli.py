@@ -66,6 +66,21 @@ def test_params_reports_witness_values(tmp_path):
     assert abs(report["beta"] - 1.0) <= 1e-9
 
 
+def test_params_prints_the_beta_anomaly_flag(tmp_path):
+    instance = a.gen_random(3, 2, 0, monotone=False)
+    path, ppath = tmp_path / "i.json", tmp_path / "p.json"
+    fileio.save_instance(str(path), instance)
+    fileio.save_policy(str(ppath), instance,
+                       a.random_policy(instance, 0, stop_probability=0.25))
+    args = ["params", "--instance", str(path), "--policy", str(ppath),
+            "--gamma-mode", "skip"]
+    report = json.loads(invoke(["--json", *args]).output)
+    assert report["beta_anomaly"] is True
+    assert abs(report["beta"] - -28.99117028157291) <= 1e-9
+    table = invoke(args).output.splitlines()
+    assert any(line.split() == ["beta_anomaly", "True"] for line in table)
+
+
 def test_params_greedy_flag(tmp_path):
     out = tmp_path / "t5.json"
     invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",

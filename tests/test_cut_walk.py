@@ -74,15 +74,7 @@ def _assert_matches_reference(instance, policy):
     )
     for fg in result.per_budget:
         assert a.frontier_gains(instance, policy, fg.i) == fg
-        try:
-            reference = reference_frontier_gains(instance, policy, fg.i)
-        except a.MalformedPolicy:
-            # The reference cuts a ThresholdSubPolicy, which rejects the
-            # negative canonical thresholds of non-monotone utilities.
-            ladder = a.policy.budget_ladder(instance, policy, fg.i)
-            assert ladder.pair(fg.i)[0] < 0.0
-            continue
-        assert fg == reference
+        assert fg == reference_frontier_gains(instance, policy, fg.i)
 
 
 def test_cut_walk_matches_reference_walks(demo_hypotheses, two_feature_hypotheses):

@@ -93,6 +93,21 @@ def test_beta_empty_budget_range_is_flagged(thm5):
     assert result.empty_range
 
 
+def test_beta_flags_a_negative_ratio_from_a_negative_selected_gain():
+    instance = a.gen_random(3, 2, 0, monotone=False)
+    result = a.beta(instance, a.random_policy(instance, 0, stop_probability=0.25))
+    assert result.anomaly
+    assert abs(result.value - -28.99117028157291) <= TOL
+    assert result.per_budget[0].delta_l < -TOL
+    # Every ratio here is negative or -0.0: the flag does not depend on the
+    # maximum's sign.
+    result = a.beta(instance, a.random_policy(instance, 0, stop_probability=0.0))
+    assert result.anomaly and result.value == 0.0
+    for seed in range(15):
+        instance = corpus_instance(seed)
+        assert not a.beta(instance, a.build_greedy(instance)).anomaly
+
+
 def test_beta_at_most_alpha_spot_checks():
     for seed in range(15):
         instance = corpus_instance(seed)

@@ -4,6 +4,8 @@ minimum-cost coverage."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptsel as a
 from conftest import corpus_instance, coverage_demo
@@ -75,6 +77,29 @@ def test_optimal_budget_dominates_exhaustive_enumeration():
         )
         assert value >= best_enumerated - TOL
         assert abs(value - best_enumerated) <= TOL
+
+
+@st.composite
+def budget_problems(draw):
+    """Random instances and budgets whose trees enumerate in a few hundred."""
+    states = draw(st.sampled_from([2, 3]))
+    elements = draw(st.integers(1, 3 if states == 2 else 2))
+    instance = a.gen_random(elements, states, draw(st.integers(0, 10_000)),
+                            monotone=draw(st.booleans()))
+    return instance, draw(st.integers(0, elements))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(budget_problems())
+def test_optimal_budget_dominates_every_enumerated_policy(problem):
+    instance, k = problem
+    tree, value = a.optimal_budget(instance, k)
+    best = max(a.f_avg(instance, policy)
+               for policy in a.enumerate_policies(instance, k))
+    assert value >= best - TOL
+    assert abs(value - best) <= TOL
+    assert abs(a.f_avg(instance, tree) - value) <= TOL
+    assert a.tree_height(tree) <= k
 
 
 def test_optimal_budget_monotone_in_budget():
