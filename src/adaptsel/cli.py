@@ -73,7 +73,8 @@ def _corpus(ctx, param, spec: Optional[str]) -> Optional[range]:
               callback=_tolerance, help="Absolute comparison tolerance.")
 @click.option("--enum-budget", type=int, default=oracle.DEFAULT_ENUM_BUDGET,
               show_default=True,
-              help="Refuse exact enumerations beyond this many states.")
+              help="Refuse an exact DP whose memo-key bound, or an "
+                   "enumeration whose policy count, exceeds this.")
 @click.pass_context
 def main(ctx, as_json, tolerance, enum_budget):
     """Adaptive selection policies: parameters, oracles, bound checks."""

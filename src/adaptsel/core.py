@@ -9,8 +9,9 @@ computation over this table; no sampling is used anywhere.
 
 Conditioning lives here and nowhere else: :class:`ConditionalPrior` is the
 only form of p(phi | psi), built by :func:`version_space` or, one observation
-at a time, by :func:`split`; :func:`gains` is the only computation of the
-expected marginal gains Delta(v | psi).  Where only the support of a
+at a time, by :func:`split`, which divides each :func:`partition` part by
+its mass with :func:`renormalize`; :func:`gains` is the only computation of
+the expected marginal gains Delta(v | psi).  Where only the support of a
 conditional prior matters, :func:`state_bitsets` conditions supports without
 weights: a support is a bitset of realization indices, and observing state y
 at element v intersects it with ``state_bitsets(instance)[v][y]``.
@@ -153,9 +154,9 @@ class Instance:
                 raise ValueError(f"non-canonical subset key {key!r}")
             if len(values) != m:
                 raise ValueError("utility row length does not match realizations")
-            if not all(math.isfinite(v) for v in values):
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"non-finite utility value at {key!r}")
-            if any(v < -TOL for v in values):
+            if min(values, default=0.0) < -TOL:
                 raise ValueError(f"negative utility value at {key!r}")
 
     # -- basic accessors ---------------------------------------------------
@@ -226,7 +227,31 @@ def version_space(instance: Instance, psi: PartialRealization) -> ConditionalPri
             f"no positive-probability realization consistent with "
             f"{instance.describe_psi(psi)}"
         )
-    return ConditionalPrior(tuple(support), tuple(m / total for m in masses))
+    return renormalize(support, masses, total)
+
+
+def renormalize(
+    support: list[int], weights: list[float], mass: float
+) -> ConditionalPrior:
+    """``weights`` on ``support`` divided by ``mass``, their sum."""
+    return ConditionalPrior(tuple(support), tuple([w / mass for w in weights]))
+
+
+def partition(
+    instance: Instance, vs: ConditionalPrior, element: int
+) -> dict[int, tuple[list[int], list[float]]]:
+    """Support and unnormalized weights of ``vs`` per observable state of
+    ``element``: states by first appearance, each part in support order."""
+    parts: dict[int, tuple[list[int], list[float]]] = {}
+    realizations = instance.realizations
+    for phi_index, w in vs.items():
+        y = realizations[phi_index][element]
+        part = parts.get(y)
+        if part is None:
+            part = parts[y] = ([], [])
+        part[0].append(phi_index)
+        part[1].append(w)
+    return parts
 
 
 def split(
@@ -235,24 +260,13 @@ def split(
     """Condition ``vs`` on each observable state of ``element``.
 
     Maps every state with positive mass, in order of first appearance in
-    the support, to ``(p(state | vs), vs conditioned on it)``.  The mass sums
-    the state's weights in support order, as the renormalization does.
+    the support, to ``(p(state | vs), vs conditioned on it)``: the
+    :func:`partition` of ``vs``, each part renormalized by its mass.
     """
-    buckets: dict[int, tuple[list[int], list[float]]] = {}
-    realizations = instance.realizations
-    for phi_index, w in vs.items():
-        y = realizations[phi_index][element]
-        bucket = buckets.get(y)
-        if bucket is None:
-            bucket = buckets[y] = ([], [])
-        bucket[0].append(phi_index)
-        bucket[1].append(w)
-    out = {}
-    for y, (support, weights) in buckets.items():
-        mass = sum(weights)
-        part = ConditionalPrior(tuple(support), tuple([w / mass for w in weights]))
-        out[y] = (mass, part)
-    return out
+    return {
+        y: (mass := sum(weights), renormalize(support, weights, mass))
+        for y, (support, weights) in partition(instance, vs, element).items()
+    }
 
 
 def state_bitsets(instance: Instance) -> tuple[tuple[int, ...], ...]:

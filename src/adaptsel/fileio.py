@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 
-from .core import Instance, UtilityTable, subset_key
+from .core import Instance, UtilityTable
 from .errors import ParseError
 from .policy import Node, Policy, Select, TERMINAL, Terminal, ThresholdSubPolicy
 
@@ -49,6 +49,8 @@ def _expect(obj, key, kind, where):
 
 def _number(value, where) -> float:
     """A JSON number as a float; booleans and non-numbers are rejected."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{where}: {value!r} is not a number")
     return float(value)
@@ -88,41 +90,59 @@ def _parse_utility(instance: Instance, spec) -> UtilityTable:
     if kind != "table":
         _fail(f"utility: unknown kind {kind!r}")
     entries = _expect(spec, "entries", list, "utility")
-    table: UtilityTable = {}
-    rows: dict[tuple[int, ...], dict[int, float]] = {}
     m = instance.num_realizations
+    rows: dict[tuple[int, ...], list] = {}
+    # Only exact-string member lists cache their key: 1, True and 1.0 are equal.
+    keys: dict[tuple, tuple[int, ...]] = {}
     for entry in entries:
         members = _expect(entry, "set", list, "utility entry")
-        indices = []
-        for member in members:
-            if isinstance(member, str):
-                indices.append(instance.element_index(member))
-            elif (isinstance(member, int) and not isinstance(member, bool)
-                  and 0 <= member < instance.num_elements):
-                indices.append(member)
-            else:
-                _fail(f"utility entry {entry!r}: set member {member!r} is not "
-                      f"an element name or index")
-        phi_index = _expect(entry, "realization", int, "utility entry")
-        if isinstance(phi_index, bool) or not 0 <= phi_index < m:
+        try:
+            key = keys[tuple(members)]
+        except (KeyError, TypeError):  # a new or an unhashable member list
+            key = _subset_key(instance, entry, members)
+            if all(type(member) is str for member in members):
+                keys[tuple(members)] = key
+        phi_index = entry.get("realization")
+        if type(phi_index) is not int or not 0 <= phi_index < m:
+            phi_index = _expect(entry, "realization", int, "utility entry")
             _fail(f"utility entry {entry!r}: realization {phi_index!r} is not "
                   f"an index below {m}")
         value = _number(entry.get("value"), "utility entry value")
-        key = subset_key(indices)
-        row = rows.setdefault(key, {})
-        if phi_index in row:
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = [None] * m
+        if row[phi_index] is not None:
             _fail(f"utility entry {entry!r}: duplicate entry for set "
                   f"{[instance.elements[e] for e in key]!r} and realization "
                   f"{phi_index!r}")
         row[phi_index] = value
+    table: UtilityTable = {}
     for size in range(instance.num_elements + 1):
-        for subset in itertools.combinations(range(instance.num_elements), size):
-            key = subset_key(subset)
+        for key in itertools.combinations(range(instance.num_elements), size):
             row = rows.get(key)
-            if row is None or set(row) != set(range(m)):
+            if row is None or None in row:
                 _fail(f"utility table is missing entries for subset {key!r}")
-            table[key] = tuple(row[i] for i in range(m))
+            table[key] = tuple(row)
     return table
+
+
+def _subset_key(instance: Instance, entry: dict, members: list) -> tuple[int, ...]:
+    """The sorted indices a utility entry's set names, each at most once."""
+    indices = set()
+    for member in members:
+        if isinstance(member, str):
+            index = instance.element_index(member)
+        elif (isinstance(member, int) and not isinstance(member, bool)
+              and 0 <= member < instance.num_elements):
+            index = member
+        else:
+            _fail(f"utility entry {entry!r}: set member {member!r} is not "
+                  f"an element name or index")
+        if index in indices:
+            _fail(f"utility entry {entry!r}: set names element "
+                  f"{instance.elements[index]!r} twice")
+        indices.add(index)
+    return tuple(sorted(indices))
 
 
 def instance_from_dict(data: dict) -> Instance:

@@ -3,15 +3,16 @@
 Everything here is desk-scale exact computation: a memoized dynamic program
 for the best height-k policy, a coverage DP for the cheapest policy that
 drives the utility to its maximum on every branch, and a generator for
-every deterministic tree of bounded height.  A budget check estimates the
-state count before running and refuses beyond the configured limit rather
-than hanging.
+every deterministic tree of bounded height.  A budget check bounds the
+DP memo keys or counts the policies before running and refuses beyond the
+configured limit rather than hanging.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from operator import mul
 from typing import Iterator, Optional
 
 from .core import (
@@ -20,7 +21,8 @@ from .core import (
     ConditionalPrior,
     Instance,
     PartialRealization,
-    split,
+    partition,
+    renormalize,
     state_bitsets,
     subset_key,
     version_space,
@@ -102,13 +104,17 @@ def random_policy_over(
 # -- maximization under a cardinality constraint ---------------------------
 
 
-def _budget_state_estimate(num_elements: int, num_states: int, k: int) -> int:
-    total = 0
-    perm = 1
-    for depth in range(k + 1):
-        total += perm * (num_states**depth)
-        perm *= max(num_elements - depth, 1)
-    return total
+def _check_memo_keys(instance: Instance, k: int, enum_budget: int) -> None:
+    """Refuse a DP whose (observed elements, support) memo keys of at most k
+    observations may exceed ``enum_budget``: there are at most sum over
+    j <= k of C(|V|, j) * min(|Y|^j, m+), m+ the positive-prior realizations."""
+    positive = sum(1 for p in instance.prior if p > 0.0)
+    n, num_states = instance.num_elements, instance.num_states
+    bound = sum(math.comb(n, j) * min(num_states**j, positive) for j in range(k + 1))
+    if bound > enum_budget:
+        raise EnumerationBudgetExceeded(
+            f"up to {bound} DP memo keys exceed the enumeration budget {enum_budget}"
+        )
 
 
 def optimal_budget(
@@ -117,57 +123,60 @@ def optimal_budget(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> tuple[Node, float]:
     """The exact best expected utility over policies of height <= k, via a
-    memoized DP over (observations, remaining budget).
+    DP memoized on (observed elements, support) bitsets; the remaining
+    budget is k minus the observed count.  ``enum_budget`` bounds the memo
+    keys, not the paths to them.
 
-    At each state, stopping is the incumbent and elements are tried in index
-    order; one replaces the incumbent only if its value is strictly greater,
-    with no tolerance.  Exact ties therefore keep stopping, then the smallest
-    element, but options whose values differ only by rounding are decided by
-    that rounding: the last bits of the sums pick among trees that are tied
-    mathematically.
+    A state's prior is the :func:`~adaptsel.core.partition` part of the
+    first parent to reach it, renormalized only on a memo miss.  Stopping is
+    the incumbent and elements are tried in index order; one replaces the
+    incumbent only if its value is strictly greater, with no tolerance.
+    Exact ties keep stopping, then the smallest element, but rounding
+    decides mathematical ties, so the summation order is a contract: the
+    stop value sums weight x utility in support order, a mass sums its
+    weights in support order, child weights are parent weight / mass, and an
+    element's value adds mass x child value over outcomes in order of first
+    appearance.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
-    k = min(k, instance.num_elements)
+    n = instance.num_elements
+    k = min(k, n)
     if instance.utility is None:
         raise ValueError("instance has no utility table attached")
-    estimate = _budget_state_estimate(instance.num_elements, instance.num_states, k)
-    if estimate > enum_budget:
-        raise EnumerationBudgetExceeded(
-            f"about {estimate} DP states exceed the enumeration budget"
-        )
+    _check_memo_keys(instance, k, enum_budget)
     table = instance.utility
-    memo: dict[tuple[frozenset, int], tuple[float, Node]] = {}
+    bits = state_bitsets(instance)
+    rows = {sum(1 << v for v in key): row for key, row in table.items()}
+    memo: dict[tuple[int, int], tuple[float, Node]] = {}
 
-    def solve(
-        psi: PartialRealization, vs: ConditionalPrior, budget: int
-    ) -> tuple[float, Node]:
-        key = (psi.key(), budget)
-        if key in memo:
-            return memo[key]
-        dom = psi.dom
-        row = table[subset_key(dom)]
-        best_value = sum(w * row[i] for i, w in vs.items())
+    def solve(dom: int, support: int, vs: ConditionalPrior) -> tuple[float, Node]:
+        row = rows[dom].__getitem__
+        best_value = sum(map(mul, vs.weights, map(row, vs.support)))
         best_node: Node = TERMINAL
-        if budget > 0:
-            for v in range(instance.num_elements):
-                if v in dom:
+        if dom.bit_count() < k:
+            for v in range(n):
+                if dom >> v & 1:
                     continue
+                observed = dom | 1 << v
                 value = 0.0
                 children: list[Node] = [TERMINAL] * instance.num_states
-                for y, (p_y, part) in split(instance, vs, v).items():
-                    sub_value, sub_node = solve(
-                        psi.extended(v, y), part, budget - 1
-                    )
-                    value += p_y * sub_value
-                    children[y] = sub_node
+                for y, (part, weights) in partition(instance, vs, v).items():
+                    mass = sum(weights)
+                    child = support & bits[v][y]
+                    found = memo.get((observed, child))
+                    if found is None:
+                        found = solve(observed, child, renormalize(part, weights, mass))
+                    value += mass * found[0]
+                    children[y] = found[1]
                 if value > best_value:
                     best_value = value
                     best_node = Select(v, tuple(children))
-        memo[key] = (best_value, best_node)
-        return memo[key]
+        memo[dom, support] = result = (best_value, best_node)
+        return result
 
-    value, tree = solve(EMPTY, version_space(instance, EMPTY), k)
+    root = version_space(instance, EMPTY)
+    value, tree = solve(0, sum(1 << i for i in root.support), root)
     return tree, value
 
 
@@ -228,28 +237,18 @@ def optimal_coverage(
                 f"realization {i} only reaches {table[full][i]} != {q} "
                 f"with every element selected"
             )
-    estimate = _budget_state_estimate(n, instance.num_states, n)
-    if estimate > enum_budget:
-        raise EnumerationBudgetExceeded(
-            f"about {estimate} DP states exceed the enumeration budget"
-        )
+    _check_memo_keys(instance, n, enum_budget)
     bits = state_bitsets(instance)
-    rows: dict[int, tuple[float, ...]] = {}
+    rows = {sum(1 << v for v in key): row for key, row in table.items()}
     uncovered: dict[int, int] = {}
     masses: dict[int, float] = {}
     memo: dict[tuple[int, int], tuple[float, Node]] = {}
-
-    def row(dom: int) -> tuple[float, ...]:
-        found = rows.get(dom)
-        if found is None:
-            found = rows[dom] = table[tuple(v for v in range(n) if dom >> v & 1)]
-        return found
 
     def uncovered_at(dom: int) -> int:
         found = uncovered.get(dom)
         if found is None:
             found = 0
-            for i, value in enumerate(row(dom)):
+            for i, value in enumerate(rows[dom]):
                 if abs(value - q) > tol:
                     found |= 1 << i
             uncovered[dom] = found
@@ -276,14 +275,14 @@ def optimal_coverage(
         if not pruned:
             return options
         members = _members(support)
-        here = row(dom)
+        here = rows[dom]
         current_min = min([here[i] for i in members])
         keep = []
         for v, outcomes in options:
             if len(outcomes) > 1:
                 keep.append((v, outcomes))
                 continue
-            after = row(dom | 1 << v)
+            after = rows[dom | 1 << v]
             if min([after[i] for i in members]) > current_min + tol:
                 keep.append((v, outcomes))
         # Coverage is reachable, so some element must eventually help; fall
@@ -315,9 +314,5 @@ def optimal_coverage(
         memo[key] = (best_cost, best_node)
         return memo[key]
 
-    root = 0
-    for i, p in enumerate(prior):
-        if p > 0.0:
-            root |= 1 << i
-    cost, tree = solve(0, root)
+    cost, tree = solve(0, sum(1 << i for i, p in enumerate(prior) if p > 0.0))
     return tree, cost

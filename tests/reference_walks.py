@@ -7,10 +7,11 @@ cut with ``cut_tree`` into its coin components.  The differential tests
 require the library's annotated-tree results to equal these exactly,
 witnesses included.
 
-``reference_optimal_coverage`` is the coverage DP keyed by partial
-realizations and conditioned with ``core.split``; the two reference checks
+``reference_optimal_budget`` and ``reference_optimal_coverage`` are the
+budget and coverage DPs keyed by partial realizations, every state
+conditioned with ``core.split``; the two reference checks
 condition every partial realization from scratch with ``version_space`` and
-compare every pair psi subseteq psi' directly.  The library's bitset DP and
+compare every pair psi subseteq psi' directly.  The library's bitset DPs and
 running-minimum check must return the same trees and witnesses.
 """
 
@@ -109,6 +110,49 @@ def stops_exhausted(instance, tree, tol=a.TOL):
         for psi, vs, node in reachable_nodes(instance, tree)
         if isinstance(node, a.Terminal)
     )
+
+
+def reference_optimal_budget(instance, k):
+    """Best tree of height <= k by a DP over (partial realization, remaining
+    budget), splitting every state's prior for every element (no
+    enumeration-budget gate).  Elements replace stopping or an earlier
+    element only when strictly better, with no tolerance."""
+    if k < 0:
+        raise ValueError("budget must be non-negative")
+    k = min(k, instance.num_elements)
+    if instance.utility is None:
+        raise ValueError("instance has no utility table attached")
+    table = instance.utility
+    memo = {}
+
+    def solve(psi, vs, budget):
+        key = (psi.key(), budget)
+        if key in memo:
+            return memo[key]
+        dom = psi.dom
+        row = table[subset_key(dom)]
+        best_value = sum(w * row[i] for i, w in vs.items())
+        best_node = a.TERMINAL
+        if budget > 0:
+            for v in range(instance.num_elements):
+                if v in dom:
+                    continue
+                value = 0.0
+                children = [a.TERMINAL] * instance.num_states
+                for y, (p_y, part) in split(instance, vs, v).items():
+                    sub_value, sub_node = solve(
+                        psi.extended(v, y), part, budget - 1
+                    )
+                    value += p_y * sub_value
+                    children[y] = sub_node
+                if value > best_value:
+                    best_value = value
+                    best_node = a.Select(v, tuple(children))
+        memo[key] = (best_value, best_node)
+        return memo[key]
+
+    value, tree = solve(EMPTY, version_space(instance, EMPTY), k)
+    return tree, value
 
 
 def reference_optimal_coverage(instance, q=None, pruned=True, tol=a.TOL):

@@ -200,6 +200,43 @@ def test_bad_utility_entry_is_named(field, bad):
         )
 
 
+@pytest.mark.parametrize("name, members", [("v1", ["v1", "v1"]),
+                                           ("v2", ["v2", 1])])
+def test_set_naming_an_element_twice_is_rejected(name, members):
+    data = fileio.instance_to_dict(corpus_instance(0))
+    for entry in data["utility"]["entries"]:
+        if entry["set"] == [name]:
+            entry["set"] = list(members)
+    with pytest.raises(a.ParseError, match="utility entry") as info:
+        fileio.instance_from_dict(data)
+    assert f"set names element {name!r} twice" in str(info.value)
+    assert repr(members) in str(info.value)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_index_lookalikes_are_rejected_where_the_index_is_used(bad):
+    """1, True and 1.0 compare equal, yet only the integer is an index."""
+    data = fileio.instance_to_dict(corpus_instance(0))
+    entries = [e for e in data["utility"]["entries"] if e["set"] == ["v2"]]
+    for entry in entries:
+        entry["set"] = [1]
+    assert fileio.instance_from_dict(data).utility == corpus_instance(0).utility
+    entries[-1]["set"] = [bad]
+    with pytest.raises(a.ParseError,
+                       match=rf"set member {bad!r} is not an element name"):
+        fileio.instance_from_dict(data)
+
+
+def test_reordered_set_is_still_a_duplicate():
+    data = fileio.instance_to_dict(corpus_instance(0))
+    entries = data["utility"]["entries"]
+    first = next(e for e in entries if e["set"] == ["v1", "v2"])
+    entries.append({**first, "set": ["v2", "v1"]})
+    with pytest.raises(a.ParseError, match=re.escape(
+            "duplicate entry for set ['v1', 'v2'] and realization 0")):
+        fileio.instance_from_dict(data)
+
+
 def test_jsonable_handles_non_finite_floats():
     out = fileio.jsonable({"x": float("inf")})
     json.dumps(out)
