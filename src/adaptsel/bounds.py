@@ -42,9 +42,10 @@ from .policy import (
     Policy,
     ThresholdSubPolicy,
     base_tree,
+    components,
     find_threshold_pair,
     policy_height,
-    run,
+    selected_elements,
     threshold_ladder,
     validate_policy,
 )
@@ -115,13 +116,12 @@ def _cap_factor(l: float, ratio: float, c_star: float) -> float:
 
 def _check_covering(instance: Instance, opt_policy, q: float,
                     include_zero_mass: bool, tol: float) -> bool:
-    for phi_index, p in enumerate(instance.prior):
-        if p <= 0.0 and not include_zero_mass:
-            continue
-        for trace in run(instance, opt_policy, phi_index):
-            if abs(instance.value(trace.selected, phi_index) - q) > tol:
-                return False
-    return True
+    trees = components(instance, opt_policy)
+    return all(
+        abs(instance.value(selected_elements(instance, tree, i), i) - q) <= tol
+        for i, p in enumerate(instance.prior) if p > 0.0 or include_zero_mass
+        for _weight, tree in trees
+    )
 
 
 def verify(

@@ -16,8 +16,9 @@ conditional prior matters, :func:`state_bitsets` conditions supports without
 weights: a support is a bitset of realization indices, and observing state y
 at element v intersects it with ``state_bitsets(instance)[v][y]``.
 
-All operations are pure functions of immutable inputs.  Internal caches are
-per-call only, so concurrent use of the same ``Instance`` is safe.
+All operations are pure functions of immutable inputs.  Tree walkers condition
+each observation path once per ``Instance`` (:func:`path_root`); that cache
+holds only deterministic values, so concurrent use of an instance is safe.
 """
 
 from __future__ import annotations
@@ -141,6 +142,7 @@ class Instance:
             raise ValueError(f"prior sums to {sum(self.prior)}, not 1")
         if self.utility is not None:
             self._check_utility(self.utility)
+        object.__setattr__(self, "_paths", None)  # path_root's; not a field
 
     def _check_utility(self, table: UtilityTable) -> None:
         m = len(self.realizations)
@@ -269,6 +271,42 @@ def split(
     }
 
 
+@dataclass(eq=False, slots=True)
+class PathState:
+    """An observation path psi of one instance with its conditional prior,
+    its gains (shared by every reader: never mutate them) and its splits."""
+
+    psi: PartialRealization
+    vs: ConditionalPrior
+    gains: dict[int, float]
+    after: dict[int, dict] = field(default_factory=dict)
+
+    def split(self, instance: Instance, element: int) -> dict:
+        """:func:`split` on ``element``, each part as its path's state."""
+        found = self.after.get(element)
+        if found is None:
+            found = self.after[element] = {
+                y: (mass, _path_state(instance, self.psi.extended(element, y), part))
+                for y, (mass, part) in split(instance, self.vs, element).items()
+            }
+        return found
+
+
+def _path_state(instance, psi, vs) -> PathState:
+    return PathState(psi, vs, gains(instance, psi, vs))
+
+
+def path_root(instance: Instance) -> PathState:
+    """The empty path of ``instance``, conditioned by :func:`version_space`;
+    every state below it is one :func:`split` part of its parent's.  Paths
+    are ordered (another order rounds differently) and live as long as the
+    instance."""
+    if instance._paths is None:
+        root = _path_state(instance, EMPTY, version_space(instance, EMPTY))
+        object.__setattr__(instance, "_paths", root)
+    return instance._paths
+
+
 def state_bitsets(instance: Instance) -> tuple[tuple[int, ...], ...]:
     """``bits[v][y]`` is the set of positive-prior realizations that have
     state y at element v, as a bitset over realization indices (bit i set
@@ -324,20 +362,20 @@ def marginal_gain(
 
 
 def _expectation(instance: Instance, policy, weights, value) -> float:
-    """Sum over the positive ``(phi_index, weight)`` pairs and the run
-    traces of ``policy`` of weight x branch weight x ``value(selected,
-    phi_index)``.  The policy is split into its deterministic component
-    trees once per call, not once per realization."""
+    """Sum over the positive ``(phi_index, weight)`` pairs and the component
+    trees of ``policy`` of weight x branch weight x ``value(selected,
+    phi_index)``, each tree descended once per realization.  The policy is
+    split into its deterministic component trees once per call."""
     from . import policy as policy_mod
 
     trees = policy_mod.components(instance, policy)
+    descend = policy_mod.selected_elements
     total = 0.0
     for phi_index, w in weights:
         if w <= 0.0:
             continue
         for branch, tree in trees:
-            (trace,) = policy_mod.run(instance, tree, phi_index)
-            total += w * branch * value(trace.selected, phi_index)
+            total += w * branch * value(descend(instance, tree, phi_index), phi_index)
     return total
 
 

@@ -10,8 +10,8 @@ as soon as every remaining gain is at most tau.  Run-level (not
 per-decision) randomization is what makes the average cost of the mixture
 exactly the two-point interpolation used by the threshold-pair construction.
 
-Conditioning lives in ``core``: tree walks take each node's conditional prior
-from ``core.split`` and its gains from ``core.gains``.
+Conditioning lives in ``core``: tree walks take each node's conditional prior,
+gains and split from the instance's path cache, ``core.path_root``.
 """
 
 from __future__ import annotations
@@ -21,15 +21,12 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .core import (
-    EMPTY,
     TOL,
-    ConditionalPrior,
     Instance,
     PartialRealization,
+    PathState,
     c_avg,
-    gains,
-    split,
-    version_space,
+    path_root,
 )
 from .errors import BudgetExceedsCost, MalformedPolicy
 
@@ -149,21 +146,21 @@ def chain_policy(instance: Instance, element_indices: list[int]) -> Node:
 # -- running policies ------------------------------------------------------
 
 
-def _run_tree(instance: Instance, tree: Node, phi_index: int) -> RunTrace:
+def selected_elements(instance: Instance, tree: Node, phi_index: int) -> tuple[int, ...]:
+    """The elements a deterministic tree selects on realization
+    ``phi_index``, in selection order, read by descending to its leaf."""
     phi = instance.realizations[phi_index]
-    psi = EMPTY
-    node = tree
+    seen, selected, node = 0, [], tree
     while isinstance(node, Select):
-        if not 0 <= node.element < instance.num_elements:
-            raise MalformedPolicy(f"element index {node.element} outside ground set")
-        if node.element in psi:
-            raise MalformedPolicy(
-                f"element {instance.elements[node.element]!r} re-selected"
-            )
-        y = phi[node.element]
-        psi = psi.extended(node.element, y)
-        node = node.children[y]
-    return RunTrace(psi.dom, psi, 1.0)
+        e = node.element
+        if not 0 <= e < instance.num_elements:
+            raise MalformedPolicy(f"element index {e} outside ground set")
+        if seen >> e & 1:
+            raise MalformedPolicy(f"element {instance.elements[e]!r} re-selected")
+        seen |= 1 << e
+        selected.append(e)
+        node = node.children[phi[e]]
+    return tuple(selected)
 
 
 def cut_tree(
@@ -178,23 +175,21 @@ def cut_tree(
     no gain is defined there and no expectation ever reaches them.
     """
 
-    def build(node: Node, psi: PartialRealization, vs: ConditionalPrior) -> Node:
+    def build(node: Node, state: PathState) -> Node:
         if isinstance(node, Terminal):
             return TERMINAL
-        gmax = max(gains(instance, psi, vs).values(), default=0.0)
+        gmax = max(state.gains.values(), default=0.0)
         stop = gmax < tau - tol if strict else gmax <= tau + tol
         if stop:
             return TERMINAL
-        parts = split(instance, vs, node.element)
+        parts = state.split(instance, node.element)
         children = tuple(
-            build(node.children[y], psi.extended(node.element, y), parts[y][1])
-            if y in parts
-            else TERMINAL
+            build(node.children[y], parts[y][1]) if y in parts else TERMINAL
             for y in range(instance.num_states)
         )
         return Select(node.element, children)
 
-    return build(base, EMPTY, version_space(instance, EMPTY))
+    return build(base, path_root(instance))
 
 
 def components(
@@ -238,14 +233,16 @@ def run(instance: Instance, policy: Policy, phi_index: int) -> list[RunTrace]:
     """
     if not 0 <= phi_index < instance.num_realizations:
         raise ValueError(f"realization index {phi_index} out of range")
+    phi = instance.realizations[phi_index]
     traces: dict[tuple[int, ...], RunTrace] = {}
     for weight, tree in components(instance, policy):
-        trace = _run_tree(instance, tree, phi_index)
-        prev = traces.get(trace.selected)
+        selected = selected_elements(instance, tree, phi_index)
+        prev = traces.get(selected)
         if prev is None:
-            traces[trace.selected] = RunTrace(trace.selected, trace.observed, weight)
+            observed = PartialRealization(tuple((e, phi[e]) for e in selected))
+            traces[selected] = RunTrace(selected, observed, weight)
         else:
-            traces[trace.selected] = RunTrace(
+            traces[selected] = RunTrace(
                 prev.selected, prev.observed, prev.weight + weight
             )
     return list(traces.values())
@@ -304,20 +301,18 @@ def annotate_tree(instance: Instance, tree: Node) -> AnnotatedNode:
     """Precompute reach probabilities and gain tables for every
     positive-mass node of a deterministic tree."""
 
-    def build(node: Node, psi: PartialRealization, vs: ConditionalPrior,
-              mass: float) -> AnnotatedNode:
-        node_gains = gains(instance, psi, vs)
+    def build(node: Node, state: PathState, mass: float) -> AnnotatedNode:
+        node_gains = state.gains
         gmax = max(node_gains.values(), default=0.0)
         if isinstance(node, Terminal):
-            return AnnotatedNode(psi, mass, node_gains, gmax, None, ())
+            return AnnotatedNode(state.psi, mass, node_gains, gmax, None, ())
         children = tuple(
-            build(node.children[y], psi.extended(node.element, y), part,
-                  mass * p_y)
-            for y, (p_y, part) in split(instance, vs, node.element).items()
+            build(node.children[y], child, mass * p_y)
+            for y, (p_y, child) in state.split(instance, node.element).items()
         )
-        return AnnotatedNode(psi, mass, node_gains, gmax, node.element, children)
+        return AnnotatedNode(state.psi, mass, node_gains, gmax, node.element, children)
 
-    return build(tree, EMPTY, version_space(instance, EMPTY), 1.0)
+    return build(tree, path_root(instance), 1.0)
 
 
 def cut_nodes(
@@ -378,22 +373,22 @@ def build_greedy(instance: Instance, tol: float = TOL) -> Node:
     once no remaining element has positive gain.
     """
 
-    def build(psi: PartialRealization, vs: ConditionalPrior) -> Node:
-        node_gains = gains(instance, psi, vs)
+    def build(state: PathState) -> Node:
+        node_gains = state.gains
         if not node_gains:
             return TERMINAL
         gmax = max(node_gains.values())
         if gmax <= GREEDY_STOP:
             return TERMINAL
         element = min(v for v, g in node_gains.items() if g >= gmax - tol)
-        parts = split(instance, vs, element)
+        parts = state.split(instance, element)
         children = tuple(
-            build(psi.extended(element, y), parts[y][1]) if y in parts else TERMINAL
+            build(parts[y][1]) if y in parts else TERMINAL
             for y in range(instance.num_states)
         )
         return Select(element, children)
 
-    return build(EMPTY, version_space(instance, EMPTY))
+    return build(path_root(instance))
 
 
 # -- threshold pairs (existence/uniqueness construction) -------------------

@@ -45,6 +45,15 @@ def corpus_instance(seed, num_elements=None, monotone=True):
     return a.gen_random(num_elements, 2, seed, monotone=monotone)
 
 
+def zero_prior_instance(seed):
+    """corpus_instance(seed) on 3 elements with two realizations at prior 0."""
+    instance = corpus_instance(seed, num_elements=3)
+    prior = list(instance.prior)
+    prior[1] = prior[6] = 0.0
+    total = sum(prior)
+    return instance.with_prior(tuple(p / total for p in prior))
+
+
 def coverage_demo(hc):
     """Bare instance plus its coverage-utility forms (plain and modified)."""
     bare = a.instance_from_hypotheses(hc)

@@ -13,6 +13,12 @@ conditioned with ``core.split``; the two reference checks
 condition every partial realization from scratch with ``version_space`` and
 compare every pair psi subseteq psi' directly.  The library's bitset DPs and
 running-minimum check must return the same trees and witnesses.
+
+``reference_f_avg``, ``reference_c_avg`` and ``reference_policy_gain`` are
+the run-based expectations: every positive-weight realization runs every
+component tree from the root, building its observations one
+``PartialRealization`` at a time.  The library's descent must give the same
+floats and raise the same errors.
 """
 
 import itertools
@@ -49,6 +55,59 @@ def reachable_nodes(instance, tree):
             )
         for y, (_mass, part) in split(instance, vs, node.element).items():
             stack.append((psi.extended(node.element, y), part, node.children[y]))
+
+
+def reference_selected(instance, tree, phi_index):
+    """The elements ``tree`` selects on realization ``phi_index``, by running
+    it with a growing partial realization."""
+    phi = instance.realizations[phi_index]
+    psi = EMPTY
+    node = tree
+    while isinstance(node, a.Select):
+        if not 0 <= node.element < instance.num_elements:
+            raise a.MalformedPolicy(f"element index {node.element} outside ground set")
+        if node.element in psi:
+            raise a.MalformedPolicy(
+                f"element {instance.elements[node.element]!r} re-selected"
+            )
+        y = phi[node.element]
+        psi = psi.extended(node.element, y)
+        node = node.children[y]
+    return psi.dom
+
+
+def _reference_expectation(instance, policy, weights, value):
+    trees = a.policy.components(instance, policy)
+    total = 0.0
+    for phi_index, w in weights:
+        if w <= 0.0:
+            continue
+        for branch, tree in trees:
+            selected = reference_selected(instance, tree, phi_index)
+            total += w * branch * value(selected, phi_index)
+    return total
+
+
+def reference_f_avg(instance, policy):
+    return _reference_expectation(
+        instance, policy, enumerate(instance.prior), instance.value
+    )
+
+
+def reference_c_avg(instance, policy):
+    return _reference_expectation(
+        instance, policy, enumerate(instance.prior),
+        lambda selected, _phi_index: len(selected),
+    )
+
+
+def reference_policy_gain(instance, policy, psi):
+    dom = psi.dom
+    return _reference_expectation(
+        instance, policy, version_space(instance, psi).items(),
+        lambda selected, phi_index: instance.value(dom + selected, phi_index)
+        - instance.value(dom, phi_index),
+    )
 
 
 def _ratio(numerator, denominator, tol):

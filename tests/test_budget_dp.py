@@ -8,17 +8,8 @@ import pytest
 
 import adaptsel as a
 from adaptsel import core, oracle
-from conftest import corpus_instance
+from conftest import corpus_instance, zero_prior_instance
 from reference_walks import reference_optimal_budget
-
-
-def _zero_prior_instance(seed):
-    """corpus_instance(seed) on 3 elements with two realizations at prior 0."""
-    instance = corpus_instance(seed, num_elements=3)
-    prior = list(instance.prior)
-    prior[1] = prior[6] = 0.0
-    total = sum(prior)
-    return instance.with_prior(tuple(p / total for p in prior))
 
 
 def budget_cases():
@@ -46,7 +37,7 @@ def budget_cases():
                           a.coverage_instance(corpus_instance(seed),
                                               modified=modified)))
     for seed in (3, 4):
-        cases.append((f"zero-prior{seed}", _zero_prior_instance(seed)))
+        cases.append((f"zero-prior{seed}", zero_prior_instance(seed)))
     return cases
 
 

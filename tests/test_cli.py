@@ -239,6 +239,17 @@ def test_tolerance_must_be_finite_and_non_negative():
                    "--corpus", "0..1"]).exit_code == 0
 
 
+def test_params_at_a_coarse_tolerance_reports_instead_of_asserting(tmp_path):
+    path = str(tmp_path / "i.json")
+    invoke(["generate", "random", "--elements", "4", "--states", "2",
+            "--seed", "0", "--out", path])
+    result = invoke(["--json", "--tolerance", "1e-3", "params", "--instance",
+                     path, "--greedy", "--gamma-mode", "skip"])
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert 1.0 < report["beta"] <= report["alpha"] + 0.01
+
+
 def test_params_gamma_bounds_must_be_positive(tmp_path):
     path = _random_instance(tmp_path)
     _usage_error(["params", "--instance", path, "--n", "0"], "--n")

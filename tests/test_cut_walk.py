@@ -156,3 +156,22 @@ def test_params_keeps_the_ratio_assertion_for_exhaustive_trees(monkeypatch):
         a.param_report(instance, greedy, gamma_mode="skip")
     # The same inflation on the early-stopping policy is not asserted on.
     a.param_report(instance, a.chain_policy(instance, [0]), gamma_mode="skip")
+
+
+def test_params_allows_beta_above_alpha_by_the_tolerance_slack():
+    # At tolerance tol a cut stops where every gain is at most tau + tol and
+    # selects where the largest is at least tau - tol, so on an exhaustive
+    # tree delta_u <= alpha * delta_l + 2 tol; 33 of these 180 reports used
+    # to fail the beta <= alpha assertion.
+    for seed in range(20):
+        for shape in ((3, 2), (4, 2), (3, 3)):
+            instance = a.gen_random(*shape, seed)
+            greedy = a.build_greedy(instance)
+            for tol in (1e-3, 1e-2, 5e-2):
+                report = a.param_report(instance, greedy, gamma_mode="skip",
+                                        tol=tol)
+                budget = report.witnesses["beta_budget"]
+                if budget is None:
+                    continue
+                fg = a.frontier_gains(instance, greedy, budget, tol)
+                assert fg.delta_u <= report.alpha * max(fg.delta_l, tol) + 2 * tol
