@@ -46,13 +46,10 @@ from .policy import (
     build_greedy,
     canonical_traces,
     chain_policy,
-    concat,
     find_threshold_pair,
-    materialize,
     policy_height,
     run,
     sub_policy_at_cost,
-    threshold_subpolicy,
     tree_height,
     validate_policy,
 )

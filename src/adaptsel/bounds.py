@@ -175,15 +175,17 @@ def verify(
 #: How far the average cost of the canonical threshold truncation may miss
 #: the budget l.  The round trip is a sanity check of the threshold-pair
 #: construction, not a comparison at the user's tolerance: the ladder snaps
-#: to a class boundary within tol of l, so the cost can miss l by tol plus
+#: to a class boundary within TOL of l, so the cost can miss l by TOL plus
 #: rounding, and 1e-6 leaves room for both while still catching a wrong pair.
 TRUNCATION_COST_TOL = 1e-6
 
 
-def _truncated(instance, policy, l, tol):
+def _truncated(instance, policy, l):
+    """pi_l, built at ``TOL``: the tolerance that f_avg and c_avg cut at."""
     _require(policy is not None, "a base policy is required")
-    _require(l is not None and l == int(l) and l >= 1, "an integer budget l >= 1 is required")
-    tau, rho, sub = find_threshold_pair(instance, policy, int(l), tol)
+    _require(l is not None and l == int(l) and l >= 1,
+             "an integer budget l >= 1 is required")
+    tau, rho, sub = find_threshold_pair(instance, policy, int(l))
     # Round-trip check: the truncation really has average cost l.
     _require(
         abs(c_avg(instance, sub) - l) <= TRUNCATION_COST_TOL,
@@ -197,7 +199,7 @@ def _verify_thm1(instance, policy, opt_policy, l, gamma_mode,
     _require(opt_policy is not None, "a baseline policy pi* is required")
     monotone = check_adaptive_monotone(instance, tol)
     _require(monotone.ok, f"utility is not adaptive monotone: {monotone.witness}")
-    tau, rho, sub = _truncated(instance, policy, l, tol)
+    tau, rho, sub = _truncated(instance, policy, l)
     n = max(policy_height(instance, sub), 1)
     k = max(policy_height(instance, opt_policy), 1)
     b = beta(instance, sub, tol).value
@@ -256,7 +258,7 @@ def _verify_eq3(instance, policy, opt_policy, l, gamma_mode,
                 use_ground_set_size, enum_budget, tol):
     _require(opt_policy is not None, "a baseline policy pi* is required")
     submodular = check_adaptive_submodular(instance, tol)
-    tau, rho, sub = _truncated(instance, policy, l, tol)
+    tau, rho, sub = _truncated(instance, policy, l)
     a = alpha(instance, policy, tol)
     c_star = c_avg(instance, opt_policy)
     lhs = f_avg(instance, sub)
@@ -393,15 +395,16 @@ def _verify_eq5(instance, policy, opt_policy, l, gamma_mode,
 def _verify_lemma2(instance, policy, opt_policy, l, gamma_mode,
                    use_ground_set_size, enum_budget, tol):
     """f_avg(pi_i) - f_avg(pi_{i-1}) >= delta_l at every budget i, with
-    every pi_i and delta_l read off one threshold ladder of the base tree;
-    f_avg stays on the reference evaluator."""
+    every pi_i and delta_l read off one threshold ladder of the base tree,
+    built at ``TOL`` like every cut that f_avg takes; ``tol`` sets the
+    budget range and the slack."""
     _require(policy is not None, "a policy is required")
     total = c_avg(instance, policy)
     top = int(math.floor(total + tol))
     _require(top >= 1, "the policy must select at least one element on average")
     base = base_tree(policy)
     validate_policy(instance, base)
-    ladder = threshold_ladder(instance, base, tol)
+    ladder = threshold_ladder(instance, base)
     worst = math.inf
     per_budget = []
     previous = f_avg(instance, IMMEDIATE)

@@ -71,7 +71,8 @@ def _corpus(ctx, param, spec: Optional[str]) -> Optional[range]:
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON output.")
 @click.option("--tolerance", type=float, default=TOL, show_default=True,
               callback=_tolerance, help="Absolute comparison tolerance.")
-@click.option("--enum-budget", type=int, default=oracle.DEFAULT_ENUM_BUDGET,
+@click.option("--enum-budget", type=click.IntRange(min=0),
+              default=oracle.DEFAULT_ENUM_BUDGET,
               show_default=True,
               help="Refuse an exact DP whose memo-key bound, or an "
                    "enumeration whose policy count, exceeds this.")
@@ -84,10 +85,12 @@ def main(ctx, as_json, tolerance, enum_budget):
 def _run(ctx, fn):
     try:
         fn()
-    except EnumerationBudgetExceeded as exc:
+    except metrics.GammaBudgetExceeded as exc:
         raise click.ClickException(
             f"{exc} (try --gamma-mode sampled or raise --enum-budget)"
         )
+    except EnumerationBudgetExceeded as exc:
+        raise click.ClickException(f"{exc} (raise --enum-budget)")
     except AdaptselError as exc:
         raise click.ClickException(str(exc))
 

@@ -343,22 +343,15 @@ def gains(
     return out
 
 
-def marginal_gain(
-    instance: Instance,
-    element: int,
-    psi: PartialRealization,
-    vs: Optional[ConditionalPrior] = None,
-) -> float:
+def marginal_gain(instance: Instance, element: int, psi: PartialRealization) -> float:
     """Expected marginal gain of selecting ``element`` after observing psi.
 
     Exactly 0 when the element was already observed (set union is
-    idempotent).  ``vs`` may carry a precomputed version space for psi.
+    idempotent).
     """
     if element in psi:
         return 0.0
-    if vs is None:
-        vs = version_space(instance, psi)
-    return gains(instance, psi, vs)[element]
+    return gains(instance, psi, version_space(instance, psi))[element]
 
 
 def _expectation(instance: Instance, policy, weights, value) -> float:

@@ -22,6 +22,7 @@ from .core import (
     ConditionalPrior,
     Instance,
     PartialRealization,
+    PathState,
     c_avg,
     f_avg,
     gains,
@@ -30,7 +31,12 @@ from .core import (
     version_space,
 )
 from .errors import BudgetExceedsCost, EnumerationBudgetExceeded
-from .oracle import DEFAULT_ENUM_BUDGET
+from .oracle import (
+    DEFAULT_ENUM_BUDGET,
+    count_policies,
+    enumerate_policies,
+    random_policy_over,
+)
 from .policy import (
     AnnotatedNode,
     Node,
@@ -188,21 +194,14 @@ class GammaResult:
         return self.value
 
 
+class GammaBudgetExceeded(EnumerationBudgetExceeded):
+    """Exact gamma would evaluate more policies than the enumeration
+    budget; sampled mode bounds gamma from above without enumerating."""
+
+
 #: Candidate policies whose expected gain is within this of 0 are skipped by
 #: ``gamma`` in both modes: their ratio is undefined.
 GAMMA_DENOMINATOR_FLOOR = 1e-12
-
-
-@dataclass(slots=True)
-class _State:
-    """One conditioning state of a gamma call: observations, their
-    conditional prior and gains, and, per element split on so far, each
-    outcome's ``(state index, mass, next state)``."""
-
-    psi: PartialRealization
-    vs: ConditionalPrior
-    gains: dict[int, float]
-    after: dict[int, tuple[tuple[int, float, "_State"], ...]]
 
 
 class _GammaWalk:
@@ -212,11 +211,11 @@ class _GammaWalk:
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
-        self.states: dict[frozenset, _State] = {}
+        self.states: dict[frozenset, PathState] = {}
 
     def state(
         self, psi: PartialRealization, vs: Optional[ConditionalPrior] = None
-    ) -> _State:
+    ) -> PathState:
         """The state of psi; ``vs``, its conditional prior, is computed
         only if psi was not reached before."""
         key = psi.key()
@@ -224,12 +223,10 @@ class _GammaWalk:
         if found is None:
             if vs is None:
                 vs = version_space(self.instance, psi)
-            found = self.states[key] = _State(
-                psi, vs, gains(self.instance, psi, vs), {}
-            )
+            found = self.states[key] = PathState(psi, vs, gains(self.instance, psi, vs))
         return found
 
-    def terms(self, root: _State, tree: Node) -> tuple[float, float]:
+    def terms(self, root: PathState, tree: Node) -> tuple[float, float]:
         """(N, D) of ``tree`` run after ``root``'s psi': the reach-weighted
         sums of Delta(v | psi') and of Delta(v | psi' and the path to v) over
         the tree's selections.  D telescopes to the tree's expected gain."""
@@ -244,11 +241,11 @@ class _GammaWalk:
             denominator += reach * at.gains[v]
             outcomes = at.after.get(v)
             if outcomes is None:
-                outcomes = at.after[v] = tuple(
-                    (y, mass, self.state(at.psi.extended(v, y), part))
+                outcomes = at.after[v] = {
+                    y: (mass, self.state(at.psi.extended(v, y), part))
                     for y, (mass, part) in split(self.instance, at.vs, v).items()
-                )
-            for y, mass, child in outcomes:
+                }
+            for y, (mass, child) in outcomes.items():
                 sub = node.children[y]
                 if isinstance(sub, Select):
                     stack.append((sub, child, reach * mass))
@@ -281,8 +278,6 @@ def gamma(
     ``mode="sampled"`` scores a random subset of policies per psi' the same
     way and therefore returns an upper bound on gamma, labeled as such.
     """
-    from .oracle import count_policies, enumerate_policies, random_policy_over
-
     if n < 1 or k < 1:
         raise ValueError("gamma requires n, k >= 1")
     if mode not in ("exact", "sampled"):
@@ -297,7 +292,7 @@ def gamma(
             for psi in nodes
         )
         if total > enum_budget:
-            raise EnumerationBudgetExceeded(
+            raise GammaBudgetExceeded(
                 f"exact gamma would evaluate {total} policies "
                 f"(budget {enum_budget}); use sampled mode"
             )

@@ -75,10 +75,6 @@ class ThresholdSubPolicy:
             raise MalformedPolicy(f"tie-break probability {self.rho} outside [0,1]")
 
 
-def threshold_subpolicy(base: Node, tau: float, rho: float) -> ThresholdSubPolicy:
-    return ThresholdSubPolicy(base, tau, rho)
-
-
 def coin_outcomes(rho: float) -> list[tuple[bool, float]]:
     """(strict, weight) of each coin outcome of positive weight, strict rule
     first: it has weight rho, the at-most rule 1 - rho."""
@@ -163,14 +159,12 @@ def selected_elements(instance: Instance, tree: Node, phi_index: int) -> tuple[i
     return tuple(selected)
 
 
-def cut_tree(
-    instance: Instance, base: Node, tau: float, strict: bool, tol: float = TOL
-) -> Node:
+def cut_tree(instance: Instance, base: Node, tau: float, strict: bool) -> Node:
     """The deterministic tree obtained by terminating ``base`` at threshold
     ``tau`` under one coin outcome.
 
     ``strict=True`` stops where every remaining gain is strictly below tau
-    (within tolerance); ``strict=False`` stops where every remaining gain is
+    (within ``TOL``); ``strict=False`` stops where every remaining gain is
     at most tau.  Branches with zero prior mass are cut to terminals, since
     no gain is defined there and no expectation ever reaches them.
     """
@@ -179,7 +173,7 @@ def cut_tree(
         if isinstance(node, Terminal):
             return TERMINAL
         gmax = max(state.gains.values(), default=0.0)
-        stop = gmax < tau - tol if strict else gmax <= tau + tol
+        stop = gmax < tau - TOL if strict else gmax <= tau + TOL
         if stop:
             return TERMINAL
         parts = state.split(instance, node.element)
@@ -192,9 +186,7 @@ def cut_tree(
     return build(base, path_root(instance))
 
 
-def components(
-    instance: Instance, policy: Policy, tol: float = TOL
-) -> list[tuple[float, Node]]:
+def components(instance: Instance, policy: Policy) -> list[tuple[float, Node]]:
     """A policy as a finite mixture of deterministic trees.
 
     Deterministic trees are their own single component; a threshold
@@ -203,25 +195,10 @@ def components(
     """
     if isinstance(policy, ThresholdSubPolicy):
         return [
-            (weight, cut_tree(instance, policy.base, policy.tau, strict, tol))
+            (weight, cut_tree(instance, policy.base, policy.tau, strict))
             for strict, weight in coin_outcomes(policy.rho)
         ]
     return [(1.0, policy)]
-
-
-def materialize(instance: Instance, policy: Policy, tol: float = TOL) -> Node:
-    """Flatten a policy to a single deterministic tree.
-
-    Only defined for deterministic trees and threshold sub-policies whose
-    coin is degenerate (rho 0 or 1); a proper mixture has no tree form.
-    """
-    comps = components(instance, policy, tol)
-    if len(comps) != 1:
-        raise MalformedPolicy(
-            "policy with tie-break probability strictly inside (0,1) has no "
-            "deterministic tree form"
-        )
-    return comps[0][1]
 
 
 def run(instance: Instance, policy: Policy, phi_index: int) -> list[RunTrace]:
@@ -496,42 +473,3 @@ def sub_policy_at_cost(
     if i == 0:
         return IMMEDIATE
     return find_threshold_pair(instance, policy, i, tol)[2]
-
-
-# -- concatenation ---------------------------------------------------------
-
-
-def concat(instance: Instance, first: Policy, second: Policy) -> Node:
-    """first@second: run ``first``, then ``second`` from its own root.
-
-    The second policy ignores what the first observed except that selecting
-    an already-selected element is skipped as a no-op, preserving
-    E(first@second, phi) = E(first, phi) union E(second, phi).  Both
-    arguments must have a deterministic tree form.
-    """
-    tree_a = materialize(instance, first)
-    tree_b = materialize(instance, second)
-
-    def skipped(node: Node, observed: dict[int, int]) -> Node:
-        if isinstance(node, Terminal):
-            return TERMINAL
-        if node.element in observed:
-            return skipped(node.children[observed[node.element]], observed)
-        children = tuple(
-            skipped(node.children[y], {**observed, node.element: y})
-            for y in range(instance.num_states)
-        )
-        return Select(node.element, children)
-
-    def append(node: Node, observed: dict[int, int]) -> Node:
-        if isinstance(node, Terminal):
-            return skipped(tree_b, observed)
-        children = tuple(
-            append(node.children[y], {**observed, node.element: y})
-            for y in range(instance.num_states)
-        )
-        return Select(node.element, children)
-
-    result = append(tree_a, {})
-    validate_policy(instance, result)
-    return result

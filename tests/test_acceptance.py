@@ -117,7 +117,7 @@ def test_criterion_4_threshold_pair_cost_and_uniqueness():
             for other_tau, other_rho in alternative_threshold_pairs(
                 instance, greedy, i
             ):
-                other = a.threshold_subpolicy(greedy, other_tau, other_rho)
+                other = a.ThresholdSubPolicy(greedy, other_tau, other_rho)
                 assert a.canonical_traces(instance, other) == reference
 
 

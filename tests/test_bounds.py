@@ -146,6 +146,30 @@ def test_lemma2_on_greedy_corpus():
         assert report.lhs >= -TOL
 
 
+def test_truncations_are_built_at_the_tolerance_they_are_evaluated_at():
+    """At a coarse tolerance, lemma 2, eq3 and thm1 still build their
+    truncations at TOL, where f_avg and c_avg cut them: lemma 2 holds and
+    every truncation reaches its average cost l."""
+    for shape in ((3, 2), (4, 2), (3, 3)):
+        for seed in range(60):
+            instance = a.gen_random(*shape, seed)
+            greedy = a.build_greedy(instance)
+            for tol in (1e-3, 1e-2):
+                report = a.verify(instance, "lemma2", policy=greedy, tol=tol)
+                assert report.holds, (shape, seed, tol, report.lhs)
+            top = int(math.floor(a.c_avg(instance, greedy) + 1e-2))
+            for l in range(1, top + 1):
+                opt, _ = a.optimal_budget(instance, l)
+                report = a.verify(instance, "eq3", policy=greedy,
+                                  opt_policy=opt, l=l, tol=1e-2)
+                assert report.holds, (shape, seed, l)
+    instance = a.gen_random(3, 2, 12)
+    opt, _ = a.optimal_budget(instance, 3)
+    report = a.verify(instance, "thm1", policy=a.build_greedy(instance),
+                      opt_policy=opt, l=3, tol=1e-2)
+    assert report.holds
+
+
 def test_lemma3_on_coverage_demos(demo_hypotheses, two_feature_hypotheses):
     for hc in (demo_hypotheses, two_feature_hypotheses):
         bare, cov_plain, _ = coverage_demo(hc)
@@ -189,4 +213,4 @@ def test_lemma2_accepts_the_negative_thresholds_of_non_monotone_utilities():
     report = a.verify(instance, "lemma2", policy=policy)
     assert report.holds
     with pytest.raises(a.MalformedPolicy, match="NaN"):
-        a.threshold_subpolicy(policy, math.nan, 0.5)
+        a.ThresholdSubPolicy(policy, math.nan, 0.5)

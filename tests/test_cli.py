@@ -239,6 +239,41 @@ def test_tolerance_must_be_finite_and_non_negative():
                    "--corpus", "0..1"]).exit_code == 0
 
 
+def test_enum_budget_must_be_non_negative(tmp_path):
+    path = _random_instance(tmp_path)
+    _usage_error(["--enum-budget", "-5", "solve", "--instance", path,
+                  "--objective", "budget", "--k", "1"], "--enum-budget")
+    assert invoke(["--enum-budget", "0", "solve", "--instance", path,
+                   "--objective", "coverage"]).exit_code == 1
+
+
+def test_only_gammas_refusal_suggests_sampled_mode(tmp_path):
+    path = _random_instance(tmp_path)
+    result = invoke(["--enum-budget", "1", "solve", "--instance", path,
+                     "--objective", "budget", "--k", "1"])
+    assert result.exit_code == 1
+    assert "--enum-budget" in result.output
+    assert "--gamma-mode" not in result.output
+    result = invoke(["--enum-budget", "0", "params", "--instance", path])
+    assert result.exit_code == 1
+    assert "--gamma-mode sampled" in result.output
+
+
+def test_truncation_bounds_at_a_coarse_tolerance(tmp_path):
+    lemma2 = str(tmp_path / "r40.json")
+    invoke(["generate", "random", "--elements", "4", "--states", "2",
+            "--seed", "40", "--out", lemma2])
+    result = invoke(["--tolerance", "1e-3", "verify", "--bounds", "lemma2",
+                     "--policy", "greedy", "--instance", lemma2])
+    assert result.exit_code == 0, result.output
+    truncated = str(tmp_path / "r12.json")
+    invoke(["generate", "random", "--elements", "3", "--states", "2",
+            "--seed", "12", "--out", truncated])
+    result = invoke(["--tolerance", "1e-2", "verify", "--bounds", "eq3,thm1",
+                     "--l", "3", "--instance", truncated])
+    assert result.exit_code == 0, result.output
+
+
 def test_params_at_a_coarse_tolerance_reports_instead_of_asserting(tmp_path):
     path = str(tmp_path / "i.json")
     invoke(["generate", "random", "--elements", "4", "--states", "2",

@@ -133,10 +133,10 @@ def test_policy_gain_from_empty_equals_f_avg_shift():
 def test_f_avg_c_avg_affine_in_mixture_weight():
     instance, chain = a.gen_theorem5(3, 0.5)
     tau = 0.25
-    strict = a.threshold_subpolicy(chain, tau, 1.0)
-    weak = a.threshold_subpolicy(chain, tau, 0.0)
+    strict = a.ThresholdSubPolicy(chain, tau, 1.0)
+    weak = a.ThresholdSubPolicy(chain, tau, 0.0)
     for rho in (0.0, 0.3, 0.5, 0.8, 1.0):
-        mixed = a.threshold_subpolicy(chain, tau, rho)
+        mixed = a.ThresholdSubPolicy(chain, tau, rho)
         for measure in (a.f_avg, a.c_avg):
             blended = (1 - rho) * measure(instance, weak) + rho * measure(
                 instance, strict

@@ -33,7 +33,7 @@ def _threshold_inputs(instance, base):
     if top < 1:
         return []
     tau, _rho, sub = a.find_threshold_pair(instance, base, max(1, top - 1))
-    return [sub, a.threshold_subpolicy(base, tau, 0.5)]
+    return [sub, a.ThresholdSubPolicy(base, tau, 0.5)]
 
 
 def _policies(instance, seed):
@@ -105,7 +105,7 @@ def instances_and_policies(draw):
             for g in a.core.gains(instance, psi, vs).values() if g >= 0.0
         })
         if values:
-            policy = a.threshold_subpolicy(
+            policy = a.ThresholdSubPolicy(
                 policy, draw(st.sampled_from(values)),
                 draw(st.sampled_from([0.0, 0.3, 1.0])))
     return instance, policy

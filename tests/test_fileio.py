@@ -44,7 +44,7 @@ def test_policy_round_trip(tmp_path):
 
 def test_threshold_policy_round_trip(tmp_path):
     instance, chain = a.gen_theorem5(3, 0.5)
-    sp = a.threshold_subpolicy(chain, 0.25, 0.4)
+    sp = a.ThresholdSubPolicy(chain, 0.25, 0.4)
     path = tmp_path / "sp.json"
     fileio.save_policy(path, instance, sp)
     loaded = fileio.load_policy(path, instance)
@@ -111,7 +111,7 @@ def test_policy_parse_rejects_incomplete_children(thm5):
 @pytest.mark.parametrize("bad", [True, False, "0.5", None])
 def test_threshold_policy_numbers_are_checked(thm5, field, bad):
     instance, chain = thm5
-    data = fileio.policy_to_dict(instance, a.threshold_subpolicy(chain, 0.25, 0.5))
+    data = fileio.policy_to_dict(instance, a.ThresholdSubPolicy(chain, 0.25, 0.5))
     data[field] = bad
     with pytest.raises(a.ParseError, match=f"policy: field '{field}': {bad!r}"):
         fileio.policy_from_dict(instance, data)

@@ -66,7 +66,7 @@ def _policies(instance, seed):
         taus += [(x + y) / 2 for x, y in zip(values, values[1:])][:2]
         for tau in taus:
             for rho in (0.0, 1.0, 0.37):
-                policies.append(a.threshold_subpolicy(tree, tau, rho))
+                policies.append(a.ThresholdSubPolicy(tree, tau, rho))
     return policies
 
 
@@ -92,7 +92,7 @@ def test_policy_gain_equals_the_run_based_expectation():
             for _ in range(2):
                 tree = a.oracle.random_policy_over(
                     instance, available, len(available), rng)
-                for policy in (tree, a.threshold_subpolicy(tree, 0.05, 0.5)):
+                for policy in (tree, a.ThresholdSubPolicy(tree, 0.05, 0.5)):
                     assert float.hex(a.policy_gain(instance, policy, psi)) == float.hex(
                         reference_policy_gain(instance, policy, psi))
                     checked += 1
@@ -236,6 +236,6 @@ def test_c_avg_is_affine_in_rho(seed, shape, monotone, pick, rho):
     base = a.random_policy(instance, seed, stop_probability=0.0)
     values = _node_gains(instance, base) or [0.0]
     tau = values[pick % len(values)]
-    c0, c1, c = (a.c_avg(instance, a.threshold_subpolicy(base, tau, r))
+    c0, c1, c = (a.c_avg(instance, a.ThresholdSubPolicy(base, tau, r))
                  for r in (0.0, 1.0, rho))
     assert abs(c - (rho * c1 + (1.0 - rho) * c0)) <= 1e-12

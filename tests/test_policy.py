@@ -29,8 +29,8 @@ def alternative_threshold_pairs(instance, base, i, tol=TOL):
     for tau in candidates:
         if tau < 0.0:
             continue
-        strict = a.c_avg(instance, a.threshold_subpolicy(base, tau, 1.0))
-        weak = a.c_avg(instance, a.threshold_subpolicy(base, tau, 0.0))
+        strict = a.c_avg(instance, a.ThresholdSubPolicy(base, tau, 1.0))
+        weak = a.c_avg(instance, a.ThresholdSubPolicy(base, tau, 0.0))
         if weak - tol <= i <= strict + tol:
             if strict - weak > tol:
                 rho = (i - weak) / (strict - weak)
@@ -63,7 +63,7 @@ def test_run_theorem4_threshold_policy_is_all_or_nothing(thm4):
     instance, chain = thm4
     k = instance.num_elements
     for i in (1, 2):
-        sp = a.threshold_subpolicy(chain, 1.0 / k, i / k)
+        sp = a.ThresholdSubPolicy(chain, 1.0 / k, i / k)
         for phi_index in range(instance.num_realizations):
             traces = {t.selected: t.weight for t in a.run(instance, sp, phi_index)}
             assert set(traces) == {(0, 1, 2), ()}
@@ -73,7 +73,7 @@ def test_run_theorem4_threshold_policy_is_all_or_nothing(thm4):
 
 def test_trace_weights_sum_to_one():
     instance, chain = a.gen_theorem5(3, 0.5)
-    sp = a.threshold_subpolicy(chain, 0.25, 0.4)
+    sp = a.ThresholdSubPolicy(chain, 0.25, 0.4)
     for phi_index in range(instance.num_realizations):
         total = sum(t.weight for t in a.run(instance, sp, phi_index))
         assert abs(total - 1.0) <= TOL
@@ -114,13 +114,13 @@ def test_build_greedy_is_greedy_at_every_reachable_node():
 
 def test_threshold_zero_rho_one_behaves_as_base(thm5):
     instance, chain = thm5
-    sp = a.threshold_subpolicy(chain, 0.0, 1.0)
+    sp = a.ThresholdSubPolicy(chain, 0.0, 1.0)
     assert a.canonical_traces(instance, sp) == a.canonical_traces(instance, chain)
 
 
 def test_threshold_above_every_gain_terminates_immediately(thm5):
     instance, chain = thm5
-    sp = a.threshold_subpolicy(chain, 100.0, 0.5)
+    sp = a.ThresholdSubPolicy(chain, 100.0, 0.5)
     for phi_index in range(instance.num_realizations):
         for trace in a.run(instance, sp, phi_index):
             assert trace.selected == ()
@@ -128,10 +128,8 @@ def test_threshold_above_every_gain_terminates_immediately(thm5):
 
 def test_threshold_half_on_theorem5_selects_one_or_zero(thm5):
     instance, chain = thm5
-    strict = a.materialize(instance, a.threshold_subpolicy(chain, 0.5, 1.0))
-    weak = a.materialize(instance, a.threshold_subpolicy(chain, 0.5, 0.0))
-    assert a.c_avg(instance, strict) == 1.0
-    assert a.c_avg(instance, weak) == 0.0
+    assert a.c_avg(instance, a.ThresholdSubPolicy(chain, 0.5, 1.0)) == 1.0
+    assert a.c_avg(instance, a.ThresholdSubPolicy(chain, 0.5, 0.0)) == 0.0
 
 
 def test_find_threshold_pair_theorem4_matches_closed_form(thm4):
@@ -175,7 +173,7 @@ def test_threshold_pair_cost_and_uniqueness_on_corpus():
             for alt_tau, alt_rho in alternative_threshold_pairs(
                 instance, greedy, i
             ):
-                alt = a.threshold_subpolicy(greedy, alt_tau, alt_rho)
+                alt = a.ThresholdSubPolicy(greedy, alt_tau, alt_rho)
                 assert abs(a.c_avg(instance, alt) - i) <= 1e-6
                 assert a.canonical_traces(instance, alt) == canonical
 
@@ -192,7 +190,7 @@ def test_threshold_ladder_costs_match_reference_cuts(thm4):
         ladder = a.policy.threshold_ladder(instance, base)
         assert ladder.steps[0] == (ladder.sentinel, 0.0)
         for tau, mu in ladder.steps:
-            sp = a.threshold_subpolicy(base, tau, 1.0)
+            sp = a.ThresholdSubPolicy(base, tau, 1.0)
             assert abs(mu - a.c_avg(instance, sp)) <= 1e-9
 
 
@@ -218,34 +216,11 @@ def test_sub_policies_are_nested_by_budget():
 def test_mixture_affinity_of_c_avg():
     instance, chain = a.gen_theorem5(4, 0.25)
     for tau in (0.0625, 0.25, 0.7):
-        strict = a.c_avg(instance, a.threshold_subpolicy(chain, tau, 1.0))
-        weak = a.c_avg(instance, a.threshold_subpolicy(chain, tau, 0.0))
+        strict = a.c_avg(instance, a.ThresholdSubPolicy(chain, tau, 1.0))
+        weak = a.c_avg(instance, a.ThresholdSubPolicy(chain, tau, 0.0))
         for rho in (0.2, 0.5, 0.9):
-            mixed = a.c_avg(instance, a.threshold_subpolicy(chain, tau, rho))
+            mixed = a.c_avg(instance, a.ThresholdSubPolicy(chain, tau, rho))
             assert abs(mixed - ((1 - rho) * weak + rho * strict)) <= TOL
-
-
-def test_concat_with_immediate_is_identity(thm5):
-    instance, chain = thm5
-    combined = a.concat(instance, a.IMMEDIATE, chain)
-    assert abs(a.f_avg(instance, combined) - a.f_avg(instance, chain)) <= TOL
-    assert abs(a.c_avg(instance, combined) - a.c_avg(instance, chain)) <= TOL
-
-
-def test_concat_with_itself_is_idempotent():
-    for seed in range(10):
-        instance = corpus_instance(seed)
-        greedy = a.build_greedy(instance)
-        doubled = a.concat(instance, greedy, greedy)
-        assert abs(a.f_avg(instance, doubled) - a.f_avg(instance, greedy)) <= TOL
-        assert abs(a.c_avg(instance, doubled) - a.c_avg(instance, greedy)) <= TOL
-
-
-def test_concat_truncation_with_full_chain_restores_full_value(thm5):
-    instance, chain = thm5
-    pi_1 = a.materialize(instance, a.sub_policy_at_cost(instance, chain, 1))
-    combined = a.concat(instance, pi_1, chain)
-    assert abs(a.f_avg(instance, combined) - 1.875) <= TOL
 
 
 def test_validate_policy_rejects_repeats_and_bad_arity(thm5):
@@ -256,9 +231,3 @@ def test_validate_policy_rejects_repeats_and_bad_arity(thm5):
     bad_arity = a.Select(0, (a.TERMINAL,))
     with pytest.raises(a.MalformedPolicy):
         a.validate_policy(instance, bad_arity)
-
-
-def test_materialize_rejects_proper_mixtures(thm5):
-    instance, chain = thm5
-    with pytest.raises(a.MalformedPolicy):
-        a.materialize(instance, a.threshold_subpolicy(chain, 0.25, 0.5))
