@@ -131,7 +131,6 @@ def verify(
     opt_policy: Optional[Policy] = None,
     l: Optional[int] = None,
     gamma_mode: str = "exact",
-    use_ground_set_size: bool = False,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
     tol: float = TOL,
 ) -> BoundReport:
@@ -163,7 +162,6 @@ def verify(
         opt_policy=opt_policy,
         l=l,
         gamma_mode=gamma_mode,
-        use_ground_set_size=use_ground_set_size,
         enum_budget=enum_budget,
         tol=tol,
     )
@@ -194,8 +192,7 @@ def _truncated(instance, policy, l):
     return tau, rho, sub
 
 
-def _verify_thm1(instance, policy, opt_policy, l, gamma_mode,
-                 use_ground_set_size, enum_budget, tol):
+def _verify_thm1(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     _require(opt_policy is not None, "a baseline policy pi* is required")
     monotone = check_adaptive_monotone(instance, tol)
     _require(monotone.ok, f"utility is not adaptive monotone: {monotone.witness}")
@@ -217,8 +214,7 @@ def _verify_thm1(instance, policy, opt_policy, l, gamma_mode,
                    {"adaptive_monotone": True}, tol=tol)
 
 
-def _verify_eq1(instance, policy, opt_policy, l, gamma_mode,
-                use_ground_set_size, enum_budget, tol):
+def _verify_eq1(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     _require(policy is not None and opt_policy is not None,
              "policy and baseline are required")
     submodular = check_adaptive_submodular(instance, tol)
@@ -238,8 +234,7 @@ def _verify_eq1(instance, policy, opt_policy, l, gamma_mode,
                    {"adaptive_submodular": submodular.ok}, diagnostics, tol)
 
 
-def _verify_eq2(instance, policy, opt_policy, l, gamma_mode,
-                use_ground_set_size, enum_budget, tol):
+def _verify_eq2(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     _require(policy is not None and opt_policy is not None,
              "policy and baseline are required")
     a = alpha(instance, policy, tol)
@@ -254,8 +249,7 @@ def _verify_eq2(instance, policy, opt_policy, l, gamma_mode,
                    {"greedy": abs(a - 1.0) <= tol}, tol=tol)
 
 
-def _verify_eq3(instance, policy, opt_policy, l, gamma_mode,
-                use_ground_set_size, enum_budget, tol):
+def _verify_eq3(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     _require(opt_policy is not None, "a baseline policy pi* is required")
     submodular = check_adaptive_submodular(instance, tol)
     tau, rho, sub = _truncated(instance, policy, l)
@@ -285,17 +279,15 @@ def _coverage_common(instance, policy, opt_policy, tol, prior=None):
     return q, eta
 
 
-def _verify_thm2(instance, policy, opt_policy, l, gamma_mode,
-                 use_ground_set_size, enum_budget, tol):
+def _verify_thm2(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     monotone = check_adaptive_monotone(instance, tol)
     _require(monotone.ok, f"utility is not adaptive monotone: {monotone.witness}")
     q, eta = _coverage_common(instance, policy, opt_policy, tol)
-    height = policy_height(instance, policy)
-    n = instance.num_elements if use_ground_set_size else height
+    n = policy_height(instance, policy)
     _require(n >= 1, "the policy must be able to select at least one element")
     k = max(policy_height(instance, opt_policy), 1)
     b = beta(instance, policy, tol).value
-    g = gamma(instance, max(height, 1), k, gamma_mode, enum_budget, tol=tol)
+    g = gamma(instance, n, k, gamma_mode, enum_budget, tol=tol)
     c_star = c_avg(instance, opt_policy)
     ratio = _ratio_over_gamma(b, g.value)
     rhs = (ratio * c_star + 1.0) * math.log(n * q / eta) + 2.0
@@ -306,8 +298,7 @@ def _verify_thm2(instance, policy, opt_policy, l, gamma_mode,
                    {"adaptive_monotone": True, "covering": True}, tol=tol)
 
 
-def _verify_eq4(instance, policy, opt_policy, l, gamma_mode,
-                use_ground_set_size, enum_budget, tol):
+def _verify_eq4(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     q, eta = _coverage_common(instance, policy, opt_policy, tol)
     submodular = check_adaptive_submodular(instance, tol)
     a = alpha(instance, policy, tol)
@@ -322,8 +313,7 @@ def _verify_eq4(instance, policy, opt_policy, l, gamma_mode,
                     "covering": True}, tol=tol)
 
 
-def _verify_thm6(instance, policy, opt_policy, l, gamma_mode,
-                 use_ground_set_size, enum_budget, tol):
+def _verify_thm6(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     _require(policy is not None and opt_policy is not None,
              "policy and baseline are required")
     monotone = check_adaptive_monotone(instance, tol)
@@ -341,11 +331,10 @@ def _verify_thm6(instance, policy, opt_policy, l, gamma_mode,
         k <= instance.num_realizations,
         "pi* must have height at most the number of realizations",
     )
-    height = policy_height(lifted, policy)
-    n = instance.num_elements if use_ground_set_size else height
+    n = policy_height(lifted, policy)
     _require(n >= 1, "the policy must be able to select at least one element")
     b = beta(lifted, policy, tol).value
-    g = gamma(lifted, max(height, 1), max(k, 1), gamma_mode, enum_budget, tol=tol)
+    g = gamma(lifted, n, max(k, 1), gamma_mode, enum_budget, tol=tol)
     c_star = c_avg(instance, opt_policy)  # cost under the original prior
     ratio = _ratio_over_gamma(b, g.value)
     rhs = 2.0 * (ratio * (c_star + 1.0) + 1.0) * math.log(n * q / eta) + 4.0
@@ -358,8 +347,7 @@ def _verify_thm6(instance, policy, opt_policy, l, gamma_mode,
                     "height_bound": True}, tol=tol)
 
 
-def _verify_eq5(instance, policy, opt_policy, l, gamma_mode,
-                use_ground_set_size, enum_budget, tol):
+def _verify_eq5(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     """Coverage-utility specialization: GBS on the modified prior, judged
     under the true prior, against the cheapest covering policy."""
     cov_plain = coverage_instance(instance, modified=False)
@@ -392,15 +380,14 @@ def _verify_eq5(instance, policy, opt_policy, l, gamma_mode,
 # -- lemmas ----------------------------------------------------------------
 
 
-def _verify_lemma2(instance, policy, opt_policy, l, gamma_mode,
-                   use_ground_set_size, enum_budget, tol):
+def _verify_lemma2(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     """f_avg(pi_i) - f_avg(pi_{i-1}) >= delta_l at every budget i, with
     every pi_i and delta_l read off one threshold ladder of the base tree,
-    built at ``TOL`` like every cut that f_avg takes; ``tol`` sets the
-    budget range and the slack."""
+    built at ``TOL`` like every cut that f_avg takes, as is the budget
+    range; ``tol`` sets only the slack."""
     _require(policy is not None, "a policy is required")
     total = c_avg(instance, policy)
-    top = int(math.floor(total + tol))
+    top = int(math.floor(total + TOL))
     _require(top >= 1, "the policy must select at least one element on average")
     base = base_tree(policy)
     validate_policy(instance, base)
@@ -422,8 +409,7 @@ def _verify_lemma2(instance, policy, opt_policy, l, gamma_mode,
                    {"per_budget": per_budget, "c_avg": total}, {}, tol=tol)
 
 
-def _verify_lemma3(instance, policy, opt_policy, l, gamma_mode,
-                   use_ground_set_size, enum_budget, tol):
+def _verify_lemma3(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     """Pruned and unpruned coverage optima agree, and the pruned tree's
     height is at most the number of realizations."""
     tree_pruned, cost_pruned = optimal_coverage(

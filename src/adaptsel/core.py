@@ -16,9 +16,14 @@ conditional prior matters, :func:`state_bitsets` conditions supports without
 weights: a support is a bitset of realization indices, and observing state y
 at element v intersects it with ``state_bitsets(instance)[v][y]``.
 
-All operations are pure functions of immutable inputs.  Tree walkers condition
-each observation path once per ``Instance`` (:func:`path_root`); that cache
-holds only deterministic values, so concurrent use of an instance is safe.
+All operations are pure functions of immutable inputs.  :func:`path_state`
+is the only constructor of a :class:`PathState` (a psi with its conditional
+prior and gains) and :meth:`PathState.split` the only loop that splits one
+into its children's states.  Tree walkers condition each observation path
+once per ``Instance`` (:func:`path_root`); ``gamma``'s walk and both
+adaptive checks read the same constructor and split through a per-call table
+keyed by ``psi.key()``.  Either cache holds only deterministic values, so
+concurrent use of an instance is safe.
 """
 
 from __future__ import annotations
@@ -281,19 +286,43 @@ class PathState:
     gains: dict[int, float]
     after: dict[int, dict] = field(default_factory=dict)
 
-    def split(self, instance: Instance, element: int) -> dict:
-        """:func:`split` on ``element``, each part as its path's state."""
+    def split(
+        self, instance: Instance, element: int,
+        table: Optional[dict[frozenset, PathState]] = None,
+    ) -> dict:
+        """:func:`split` on ``element``, each part as its path's
+        :func:`path_state` (read from and stored in ``table`` if given)."""
         found = self.after.get(element)
         if found is None:
+            psi = self.psi
             found = self.after[element] = {
-                y: (mass, _path_state(instance, self.psi.extended(element, y), part))
+                y: (mass, path_state(instance, psi.extended(element, y), part, table))
                 for y, (mass, part) in split(instance, self.vs, element).items()
             }
         return found
 
 
-def _path_state(instance, psi, vs) -> PathState:
-    return PathState(psi, vs, gains(instance, psi, vs))
+def path_state(
+    instance: Instance,
+    psi: PartialRealization,
+    vs: Optional[ConditionalPrior] = None,
+    table: Optional[dict[frozenset, PathState]] = None,
+) -> PathState:
+    """The state of psi, conditioned by ``vs`` (by :func:`version_space`
+    when None).  With ``table``, a dict keyed by ``psi.key()``, the state
+    already stored under psi's key is returned as is, and a new one is
+    stored there."""
+    if table is not None:
+        key = psi.key()
+        found = table.get(key)
+        if found is not None:
+            return found
+    if vs is None:
+        vs = version_space(instance, psi)
+    found = PathState(psi, vs, gains(instance, psi, vs))
+    if table is not None:
+        table[key] = found
+    return found
 
 
 def path_root(instance: Instance) -> PathState:
@@ -302,8 +331,7 @@ def path_root(instance: Instance) -> PathState:
     are ordered (another order rounds differently) and live as long as the
     instance."""
     if instance._paths is None:
-        root = _path_state(instance, EMPTY, version_space(instance, EMPTY))
-        object.__setattr__(instance, "_paths", root)
+        object.__setattr__(instance, "_paths", path_state(instance, EMPTY))
     return instance._paths
 
 
@@ -442,32 +470,22 @@ class CheckResult:
 
 
 def _conditioned_states(
-    instance: Instance,
-) -> Iterator[tuple[PartialRealization, ConditionalPrior]]:
-    """Every positive-mass partial realization with its conditional prior,
-    in :func:`positive_partial_realizations` order.
+    instance: Instance, table: dict[frozenset, PathState]
+) -> Iterator[PathState]:
+    """The :func:`path_state` of every positive-mass partial realization, in
+    :func:`positive_partial_realizations` order, each stored in ``table``.
 
-    Only the empty psi is conditioned from scratch; every other prior is one
-    part of :func:`split` of its parent's, the same psi without its last
-    pair, which is always yielded earlier.  Each (parent, element) is split
-    once.
+    Only the empty psi is conditioned from scratch; every other state is one
+    part of :meth:`PathState.split` of its parent's, the same psi without
+    its last pair, which is always yielded earlier.
     """
-    priors: dict[frozenset, ConditionalPrior] = {}
-    splits: dict[tuple[frozenset, int], dict] = {}
     for psi in positive_partial_realizations(instance):
-        if not psi.pairs:
-            vs = version_space(instance, psi)
+        if psi.pairs:
+            element, y = psi.pairs[-1]
+            parent = table[frozenset(psi.pairs[:-1])]
+            yield parent.split(instance, element, table)[y][1]
         else:
-            parent = frozenset(psi.pairs[:-1])
-            element, state = psi.pairs[-1]
-            outcomes = splits.get((parent, element))
-            if outcomes is None:
-                outcomes = splits[parent, element] = split(
-                    instance, priors[parent], element
-                )
-            vs = outcomes[state][1]
-        priors[psi.key()] = vs
-        yield psi, vs
+            yield path_state(instance, psi, table=table)
 
 
 def check_adaptive_monotone(instance: Instance, tol: float = TOL) -> CheckResult:
@@ -476,13 +494,13 @@ def check_adaptive_monotone(instance: Instance, tol: float = TOL) -> CheckResult
     The witness is the first negative gain in
     :func:`positive_partial_realizations` order, then element order.
     """
-    for psi, vs in _conditioned_states(instance):
-        for v, gain in gains(instance, psi, vs).items():
+    for at in _conditioned_states(instance, {}):
+        for v, gain in at.gains.items():
             if gain < -tol:
                 return CheckResult(
                     False,
                     {
-                        "psi": instance.describe_psi(psi),
+                        "psi": instance.describe_psi(at.psi),
                         "element": instance.elements[v],
                         "gain": gain,
                     },
@@ -503,19 +521,18 @@ def check_adaptive_submodular(instance: Instance, tol: float = TOL) -> CheckResu
     subset psi and element in (size, ``itertools.combinations``, element)
     order.
     """
-    gains_at: dict[frozenset, dict[int, float]] = {}
+    table: dict[frozenset, PathState] = {}
     least: dict[frozenset, dict[int, float]] = {}
-    for psi_big, vs in _conditioned_states(instance):
-        big_key = psi_big.key()
-        big_gains = gains_at[big_key] = gains(instance, psi_big, vs)
-        low = big_gains
-        if psi_big.pairs:
-            earlier = [least[big_key - {pair}] for pair in psi_big.pairs]
+    for at in _conditioned_states(instance, table):
+        big_key = at.psi.key()
+        low = at.gains
+        if at.psi.pairs:
+            earlier = [least[big_key - {pair}] for pair in at.psi.pairs]
             low = {}
-            for v, late in big_gains.items():
+            for v, late in at.gains.items():
                 early = min([m[v] for m in earlier])
                 if early < late - tol:
-                    return _submodularity_witness(instance, psi_big, gains_at, tol)
+                    return _submodularity_witness(instance, at.psi, table, tol)
                 low[v] = min(early, late)
         least[big_key] = low
     return CheckResult(True)
@@ -524,16 +541,16 @@ def check_adaptive_submodular(instance: Instance, tol: float = TOL) -> CheckResu
 def _submodularity_witness(
     instance: Instance,
     psi_big: PartialRealization,
-    gains_at: dict[frozenset, dict[int, float]],
+    table: dict[frozenset, PathState],
     tol: float,
 ) -> CheckResult:
     """The first subset psi of a failing psi' and element whose gain rose
     by more than tol, in (size, ``itertools.combinations``, element)
     order."""
-    big_gains = gains_at[psi_big.key()]
+    big_gains = table[psi_big.key()].gains
     for r in range(len(psi_big.pairs)):
         for sub in itertools.combinations(psi_big.pairs, r):
-            small_gains = gains_at[frozenset(sub)]
+            small_gains = table[frozenset(sub)].gains
             for v, late in big_gains.items():
                 if small_gains[v] < late - tol:
                     return CheckResult(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
 
 from .core import Instance, UtilityTable, subset_key
 from .errors import InvalidParams
@@ -177,7 +176,6 @@ def gen_random(
 def random_policy(
     instance: Instance,
     seed: int,
-    max_height: Optional[int] = None,
     stop_probability: float = 0.25,
 ) -> Node:
     """A seeded random deterministic tree over the whole ground set.
@@ -186,12 +184,10 @@ def random_policy(
     element remains (random order per branch); positive values admit
     early-terminating shapes.
     """
-    rng = random.Random(seed)
-    height = instance.num_elements if max_height is None else max_height
     return random_policy_over(
         instance,
         list(range(instance.num_elements)),
-        height,
-        rng,
+        instance.num_elements,
+        random.Random(seed),
         stop_probability=stop_probability,
     )

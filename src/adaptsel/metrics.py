@@ -19,16 +19,12 @@ from typing import Optional
 
 from .core import (
     TOL,
-    ConditionalPrior,
     Instance,
     PartialRealization,
-    PathState,
     c_avg,
     f_avg,
-    gains,
+    path_state,
     positive_partial_realizations,
-    split,
-    version_space,
 )
 from .errors import BudgetExceedsCost, EnumerationBudgetExceeded
 from .oracle import (
@@ -211,22 +207,14 @@ class _GammaWalk:
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
-        self.states: dict[frozenset, PathState] = {}
+        self.states: dict = {}  # psi.key() -> core.PathState
 
-    def state(
-        self, psi: PartialRealization, vs: Optional[ConditionalPrior] = None
-    ) -> PathState:
-        """The state of psi; ``vs``, its conditional prior, is computed
+    def state(self, psi: PartialRealization):
+        """The ``core.PathState`` of psi, conditioned by ``version_space``
         only if psi was not reached before."""
-        key = psi.key()
-        found = self.states.get(key)
-        if found is None:
-            if vs is None:
-                vs = version_space(self.instance, psi)
-            found = self.states[key] = PathState(psi, vs, gains(self.instance, psi, vs))
-        return found
+        return path_state(self.instance, psi, table=self.states)
 
-    def terms(self, root: PathState, tree: Node) -> tuple[float, float]:
+    def terms(self, root, tree: Node) -> tuple[float, float]:
         """(N, D) of ``tree`` run after ``root``'s psi': the reach-weighted
         sums of Delta(v | psi') and of Delta(v | psi' and the path to v) over
         the tree's selections.  D telescopes to the tree's expected gain."""
@@ -241,10 +229,7 @@ class _GammaWalk:
             denominator += reach * at.gains[v]
             outcomes = at.after.get(v)
             if outcomes is None:
-                outcomes = at.after[v] = {
-                    y: (mass, self.state(at.psi.extended(v, y), part))
-                    for y, (mass, part) in split(self.instance, at.vs, v).items()
-                }
+                outcomes = at.split(self.instance, v, self.states)
             for y, (mass, child) in outcomes.items():
                 sub = node.children[y]
                 if isinstance(sub, Select):

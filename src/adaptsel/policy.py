@@ -342,11 +342,11 @@ def cut_stats(
 # -- greedy construction ---------------------------------------------------
 
 
-def build_greedy(instance: Instance, tol: float = TOL) -> Node:
+def build_greedy(instance: Instance) -> Node:
     """The lexicographic-tie-break greedy tree, run to the threshold-0 stop.
 
     At every reachable positive-mass node the selected element attains the
-    maximal expected marginal gain (within tolerance); construction stops
+    maximal expected marginal gain (within ``TOL``); construction stops
     once no remaining element has positive gain.
     """
 
@@ -357,7 +357,7 @@ def build_greedy(instance: Instance, tol: float = TOL) -> Node:
         gmax = max(node_gains.values())
         if gmax <= GREEDY_STOP:
             return TERMINAL
-        element = min(v for v, g in node_gains.items() if g >= gmax - tol)
+        element = min(v for v, g in node_gains.items() if g >= gmax - TOL)
         parts = state.split(instance, element)
         children = tuple(
             build(parts[y][1]) if y in parts else TERMINAL

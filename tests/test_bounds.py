@@ -170,6 +170,18 @@ def test_truncations_are_built_at_the_tolerance_they_are_evaluated_at():
     assert report.holds
 
 
+def test_lemma2_takes_its_budget_range_at_the_ladders_tolerance():
+    """A policy whose average cost lies within a coarse tolerance below 2
+    asks for budgets 1 only: the range is taken at TOL, like the ladder."""
+    instance = a.gen_random(3, 2, 20)
+    policy = a.random_policy(instance, 20)
+    cost = a.c_avg(instance, policy)
+    assert 2.0 - 5e-2 < cost < 2.0
+    report = a.verify(instance, "lemma2", policy=policy, tol=5e-2)
+    assert [entry["i"] for entry in report.inputs["per_budget"]] == [1]
+    assert report.holds
+
+
 def test_lemma3_on_coverage_demos(demo_hypotheses, two_feature_hypotheses):
     for hc in (demo_hypotheses, two_feature_hypotheses):
         bare, cov_plain, _ = coverage_demo(hc)

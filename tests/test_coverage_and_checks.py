@@ -211,6 +211,46 @@ def test_adaptive_checks_equal_reference(check, reference, demo_hypotheses,
     assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
 
 
+def _split_gain(instance, described, element):
+    """Delta(element | psi) for the psi a witness describes, its prior
+    conditioned by ``core.split`` along psi's pairs in element order."""
+    pairs = sorted((instance.element_index(e), instance.states.index(y))
+                   for e, y in described.items())
+    vs = a.version_space(instance, a.EMPTY)
+    for e, y in pairs:
+        vs = a.core.split(instance, vs, e)[y][1]
+    psi = a.PartialRealization(tuple(pairs))
+    return a.core.gains(instance, psi, vs)[instance.element_index(element)]
+
+
+def test_check_witnesses_are_priced_on_split_priors():
+    """Every state the checks price is one split part of its parent's (psi
+    without its last pair), so each witness gain equals, bit for bit, the
+    gain under the prior split along psi: on some of these instances that
+    rounds differently from conditioning psi from scratch."""
+    rounded_differently = 0
+    for shape in ((3, 2), (4, 2), (3, 3)):
+        for seed in range(40):
+            instance = a.gen_random(*shape, seed, monotone=False)
+            monotone = a.check_adaptive_monotone(instance)
+            witness = monotone.witness
+            gain = _split_gain(instance, witness["psi"], witness["element"])
+            assert witness["gain"] == gain
+            scratch = reference_check_adaptive_monotone(instance).witness
+            rounded_differently += scratch["gain"] != gain
+            submodular = a.check_adaptive_submodular(instance, tol=0.05)
+            if submodular.ok:
+                continue
+            witness = submodular.witness
+            late = _split_gain(instance, witness["psi_prime"], witness["element"])
+            early = _split_gain(instance, witness["psi"], witness["element"])
+            assert (witness["gain_late"], witness["gain_early"]) == (late, early)
+            scratch = reference_check_adaptive_submodular(instance, tol=0.05)
+            rounded_differently += (scratch.witness["gain_late"],
+                                    scratch.witness["gain_early"]) != (late, early)
+    assert rounded_differently >= 10
+
+
 def _table(num_elements, values):
     table = {}
     for mask in range(1 << num_elements):

@@ -2,8 +2,12 @@
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptsel as a
 from adaptsel import fileio
@@ -31,6 +35,38 @@ def test_instance_files_are_stable(tmp_path):
     fileio.save_instance(first, instance)
     fileio.save_instance(second, instance)
     assert first.read_bytes() == second.read_bytes()
+
+
+@st.composite
+def instances_and_policies(draw):
+    """A ``gen_random`` instance with 2-3 states and a random tree over it,
+    bare or as a threshold sub-policy."""
+    instance = a.gen_random(draw(st.integers(2, 4)), draw(st.integers(2, 3)),
+                            draw(st.integers(0, 10_000)),
+                            monotone=draw(st.booleans()))
+    stop = draw(st.sampled_from([0.0, 0.25, 0.6]))
+    policy = a.random_policy(instance, draw(st.integers(0, 10_000)),
+                             stop_probability=stop)
+    if draw(st.booleans()):
+        policy = a.ThresholdSubPolicy(
+            policy, draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 1.0)))
+    return instance, policy
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(instances_and_policies())
+def test_saved_files_load_back_to_the_same_bytes(case):
+    """dump -> load -> dump is byte-stable for instances and policies."""
+    instance, policy = case
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+        fileio.save_instance(first, instance)
+        loaded = fileio.load_instance(first)
+        fileio.save_instance(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
+        fileio.save_policy(first, instance, policy)
+        fileio.save_policy(second, loaded, fileio.load_policy(first, loaded))
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_policy_round_trip(tmp_path):

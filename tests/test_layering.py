@@ -23,9 +23,10 @@ def _imported_module(node):
     return "adaptsel" if node.module == "adaptsel" else None
 
 
-def private_reach_ins(source, own):
-    """Every ``from .mod import _name`` and ``mod._name`` in ``source``
-    (the text of module ``own``) where ``mod`` is another adaptsel module."""
+def imported_names(source):
+    """(module, name, text) for every ``from .mod import name`` and every
+    ``mod.name`` in ``source``, where ``mod`` is an adaptsel module (or, for
+    the import form, the package itself)."""
     tree = ast.parse(source)
     aliases = {}  # local name -> the adaptsel module it is bound to
     found = []
@@ -37,8 +38,9 @@ def private_reach_ins(source, own):
             for alias in node.names:
                 if module == "adaptsel" and alias.name in MODULES:
                     aliases[alias.asname or alias.name] = alias.name
-                elif module != own and _private(alias.name):
-                    found.append(f"from {module} import {alias.name}")
+                else:
+                    found.append((module, alias.name,
+                                  f"from {module} import {alias.name}"))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
@@ -49,7 +51,7 @@ def private_reach_ins(source, own):
                 else:
                     aliases[alias.asname or "adaptsel"] = "adaptsel"
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Attribute) or not _private(node.attr):
+        if not isinstance(node, ast.Attribute):
             continue
         value = node.value
         if isinstance(value, ast.Name):
@@ -59,9 +61,34 @@ def private_reach_ins(source, own):
             module = value.attr
         else:
             continue
-        if module in MODULES and module != own:
-            found.append(f"{module}.{node.attr}")
+        if module in MODULES:
+            found.append((module, node.attr, f"{module}.{node.attr}"))
     return found
+
+
+def private_reach_ins(source, own):
+    """Every ``from .mod import _name`` and ``mod._name`` in ``source``
+    (the text of module ``own``) where ``mod`` is another adaptsel module."""
+    return [text for module, name, text in imported_names(source)
+            if module != own and _private(name)]
+
+
+#: Conditioning primitives: ``core`` defines them and ``oracle``'s budget DP
+#: roots at ``version_space`` and renormalizes a ``partition`` part on a memo
+#: miss.  Every other module conditions through ``core.path_root`` or
+#: ``core.path_state``, so none grows its own conditioning code.
+CONDITIONING = {"split", "partition", "renormalize", "version_space"}
+
+#: Modules that may name a conditioning primitive; ``__init__`` re-exports
+#: ``version_space`` as public API.
+CONDITIONING_READERS = {"core", "oracle", "__init__"}
+
+
+def conditioning_reach_ins(source):
+    """Every import of a conditioning primitive from ``core`` or the
+    package, and every ``core.<primitive>``, in ``source``."""
+    return [text for module, name, text in imported_names(source)
+            if module in ("core", "adaptsel") and name in CONDITIONING]
 
 
 def test_no_module_uses_another_modules_private_names():
@@ -89,3 +116,25 @@ def test_reach_in_detector_flags_each_form():
     for source in ("from . import policy\npolicy.__name__",
                    "from .policy import run\nrun._cache"):
         assert private_reach_ins(source, "fileio") == [], source
+
+
+def test_only_core_and_oracle_use_the_conditioning_primitives():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in CONDITIONING_READERS:
+            assert conditioning_reach_ins(path.read_text()) == [], path.name
+
+
+def test_conditioning_detector_flags_each_form():
+    cases = {
+        "from .core import TOL, split": ["from core import split"],
+        "from adaptsel.core import partition": ["from core import partition"],
+        "from . import version_space": ["from adaptsel import version_space"],
+        "from . import core\ncore.renormalize": ["core.renormalize"],
+        "import adaptsel.core as c\nc.split": ["core.split"],
+    }
+    for source, expected in cases.items():
+        assert conditioning_reach_ins(source) == expected, source
+    # PathState.split and str.split are methods, not the primitive.
+    for source in ("from .core import path_root\npath_root(i).split(i, 0)",
+                   "spec.split(',')", "from .core import path_state"):
+        assert conditioning_reach_ins(source) == [], source
