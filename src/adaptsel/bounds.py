@@ -50,12 +50,6 @@ from .policy import (
     validate_policy,
 )
 
-BOUND_IDS = (
-    "thm1", "thm2", "thm6", "eq1", "eq2", "eq3", "eq4", "eq5",
-    "lemma2", "lemma3",
-)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One verified inequality: both sides, slack oriented so that a
@@ -140,30 +134,15 @@ def verify(
     whose threshold truncation at budget ``l`` is judged) and
     ``opt_policy`` the baseline pi*.  For eq5 both default to the
     GBS/optimal-coverage pipeline of the instance's realization list.
+    ``tol`` sets the ``holds`` slack and the tolerance of the precondition
+    checks; every threshold cut, and so alpha and beta, is taken at ``TOL``.
     """
     bound_id = bound_id.lower()
-    if bound_id not in BOUND_IDS:
+    if bound_id not in _HANDLERS:
         raise ValueError(f"unknown bound id {bound_id!r}")
-    handler = {
-        "thm1": _verify_thm1,
-        "thm2": _verify_thm2,
-        "thm6": _verify_thm6,
-        "eq1": _verify_eq1,
-        "eq2": _verify_eq2,
-        "eq3": _verify_eq3,
-        "eq4": _verify_eq4,
-        "eq5": _verify_eq5,
-        "lemma2": _verify_lemma2,
-        "lemma3": _verify_lemma3,
-    }[bound_id]
-    return handler(
-        instance,
-        policy=policy,
-        opt_policy=opt_policy,
-        l=l,
-        gamma_mode=gamma_mode,
-        enum_budget=enum_budget,
-        tol=tol,
+    return _HANDLERS[bound_id](
+        instance, policy=policy, opt_policy=opt_policy, l=l,
+        gamma_mode=gamma_mode, enum_budget=enum_budget, tol=tol,
     )
 
 
@@ -199,16 +178,17 @@ def _verify_thm1(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     tau, rho, sub = _truncated(instance, policy, l)
     n = max(policy_height(instance, sub), 1)
     k = max(policy_height(instance, opt_policy), 1)
-    b = beta(instance, sub, tol).value
+    b = beta(instance, sub).value
     g = gamma(instance, n, k, gamma_mode, enum_budget, tol=tol)
     c_star = c_avg(instance, opt_policy)
+    f_star = f_avg(instance, opt_policy)
     factor = _cap_factor(float(l), _ratio_over_gamma(b, g.value), c_star)
     lhs = f_avg(instance, sub)
-    rhs = factor * f_avg(instance, opt_policy)
+    rhs = factor * f_star
     inputs = {
         "l": int(l), "n": n, "k": k, "beta": b, "gamma": g.value,
         "gamma_mode": g.mode, "c_avg_opt": c_star, "tau": tau, "rho": rho,
-        "f_avg_opt": f_avg(instance, opt_policy),
+        "f_avg_opt": f_star,
     }
     return _report("thm1", "lower", lhs, rhs, inputs,
                    {"adaptive_monotone": True}, tol=tol)
@@ -218,18 +198,18 @@ def _verify_eq1(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     _require(policy is not None and opt_policy is not None,
              "policy and baseline are required")
     submodular = check_adaptive_submodular(instance, tol)
-    a = alpha(instance, policy, tol)
+    a = alpha(instance, policy)
     height = max(policy_height(instance, policy), 1)
     k = max(policy_height(instance, opt_policy), 1)
+    f_star = f_avg(instance, opt_policy)
     diagnostics = []
     if math.isinf(a):
         rhs = 0.0
         diagnostics.append("alpha is infinite; bound trivialized to 0")
     else:
-        rhs = (1.0 - math.exp(-height / (a * k))) * f_avg(instance, opt_policy)
+        rhs = (1.0 - math.exp(-height / (a * k))) * f_star
     lhs = f_avg(instance, policy)
-    inputs = {"l": height, "k": k, "alpha": a,
-              "f_avg_opt": f_avg(instance, opt_policy)}
+    inputs = {"l": height, "k": k, "alpha": a, "f_avg_opt": f_star}
     return _report("eq1", "lower", lhs, rhs, inputs,
                    {"adaptive_submodular": submodular.ok}, diagnostics, tol)
 
@@ -237,14 +217,15 @@ def _verify_eq1(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
 def _verify_eq2(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     _require(policy is not None and opt_policy is not None,
              "policy and baseline are required")
-    a = alpha(instance, policy, tol)
+    a = alpha(instance, policy)
     height = max(policy_height(instance, policy), 1)
     k = max(policy_height(instance, opt_policy), 1)
     g = gamma(instance, height, k, gamma_mode, enum_budget, tol=tol)
+    f_star = f_avg(instance, opt_policy)
     lhs = f_avg(instance, policy)
-    rhs = (1.0 - math.exp(-g.value * height / k)) * f_avg(instance, opt_policy)
+    rhs = (1.0 - math.exp(-g.value * height / k)) * f_star
     inputs = {"l": height, "k": k, "gamma": g.value, "gamma_mode": g.mode,
-              "f_avg_opt": f_avg(instance, opt_policy)}
+              "f_avg_opt": f_star}
     return _report("eq2", "lower", lhs, rhs, inputs,
                    {"greedy": abs(a - 1.0) <= tol}, tol=tol)
 
@@ -253,12 +234,13 @@ def _verify_eq3(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     _require(opt_policy is not None, "a baseline policy pi* is required")
     submodular = check_adaptive_submodular(instance, tol)
     tau, rho, sub = _truncated(instance, policy, l)
-    a = alpha(instance, policy, tol)
+    a = alpha(instance, policy)
     c_star = c_avg(instance, opt_policy)
+    f_star = f_avg(instance, opt_policy)
     lhs = f_avg(instance, sub)
-    rhs = (1.0 - math.exp(-float(l) / (c_star + 1.0))) * f_avg(instance, opt_policy)
+    rhs = (1.0 - math.exp(-float(l) / (c_star + 1.0))) * f_star
     inputs = {"l": int(l), "c_avg_opt": c_star, "tau": tau, "rho": rho,
-              "f_avg_opt": f_avg(instance, opt_policy)}
+              "f_avg_opt": f_star}
     return _report("eq3", "lower", lhs, rhs, inputs,
                    {"adaptive_submodular": submodular.ok,
                     "greedy": abs(a - 1.0) <= tol}, tol=tol)
@@ -286,7 +268,7 @@ def _verify_thm2(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     n = policy_height(instance, policy)
     _require(n >= 1, "the policy must be able to select at least one element")
     k = max(policy_height(instance, opt_policy), 1)
-    b = beta(instance, policy, tol).value
+    b = beta(instance, policy).value
     g = gamma(instance, n, k, gamma_mode, enum_budget, tol=tol)
     c_star = c_avg(instance, opt_policy)
     ratio = _ratio_over_gamma(b, g.value)
@@ -301,7 +283,7 @@ def _verify_thm2(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
 def _verify_eq4(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     q, eta = _coverage_common(instance, policy, opt_policy, tol)
     submodular = check_adaptive_submodular(instance, tol)
-    a = alpha(instance, policy, tol)
+    a = alpha(instance, policy)
     c_star = c_avg(instance, opt_policy)
     rhs = (c_star + 1.0) * math.log(instance.num_elements * q / eta) + 1.0
     lhs = c_avg(instance, policy)
@@ -333,7 +315,7 @@ def _verify_thm6(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     )
     n = policy_height(lifted, policy)
     _require(n >= 1, "the policy must be able to select at least one element")
-    b = beta(lifted, policy, tol).value
+    b = beta(lifted, policy).value
     g = gamma(lifted, n, max(k, 1), gamma_mode, enum_budget, tol=tol)
     c_star = c_avg(instance, opt_policy)  # cost under the original prior
     ratio = _ratio_over_gamma(b, g.value)
@@ -366,7 +348,7 @@ def _verify_eq5(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
         policy_height(cov_mod, opt_policy) <= m,
         "pi* must have height at most the number of realizations",
     )
-    b = beta(cov_mod, policy, tol).value
+    b = beta(cov_mod, policy).value
     height = max(policy_height(cov_mod, policy), 1)
     c_star = c_avg(cov_plain, opt_policy)
     rhs = 2.0 * (b * (c_star + 1.0) + 1.0) * math.log(2.0 * m * m * height) + 4.0
@@ -430,3 +412,14 @@ def _verify_lemma3(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol
         report = replace(report, holds=False, diagnostics=(
             "pruned and unpruned optimal costs disagree",))
     return report
+
+
+#: Each bound's handler; ``BOUND_IDS`` lists the ids in this order.
+_HANDLERS = {
+    "thm1": _verify_thm1, "thm2": _verify_thm2, "thm6": _verify_thm6,
+    "eq1": _verify_eq1, "eq2": _verify_eq2, "eq3": _verify_eq3,
+    "eq4": _verify_eq4, "eq5": _verify_eq5,
+    "lemma2": _verify_lemma2, "lemma3": _verify_lemma3,
+}
+
+BOUND_IDS = tuple(_HANDLERS)

@@ -70,7 +70,10 @@ def _corpus(ctx, param, spec: Optional[str]) -> Optional[range]:
 @click.group()
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON output.")
 @click.option("--tolerance", type=float, default=TOL, show_default=True,
-              callback=_tolerance, help="Absolute comparison tolerance.")
+              callback=_tolerance,
+              help="Absolute tolerance of bound slacks and preconditions, "
+                   "Q/eta, the coverage optimum and gamma's anomaly flag; "
+                   "threshold cuts, and so alpha and beta, always use 1e-9.")
 @click.option("--enum-budget", type=click.IntRange(min=0),
               default=oracle.DEFAULT_ENUM_BUDGET,
               show_default=True,

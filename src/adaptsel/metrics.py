@@ -51,30 +51,30 @@ from .policy import (
 )
 
 
-def alpha(instance: Instance, policy: Policy, tol: float = TOL) -> float:
+def alpha(instance: Instance, policy: Policy) -> float:
     """Greedy approximation ratio: the largest ratio of the best available
     gain to the selected element's gain over the positive-mass selection
     nodes of the policy's annotated base tree (for a threshold sub-policy,
     the selection nodes of both coin outcomes' cuts)."""
-    return _alpha(annotate_tree(instance, base_tree(policy)), policy, tol)
+    return _alpha(annotate_tree(instance, base_tree(policy)), policy)
 
 
-def _alpha(annot: AnnotatedNode, policy: Policy, tol: float) -> float:
+def _alpha(annot: AnnotatedNode, policy: Policy) -> float:
     if isinstance(policy, ThresholdSubPolicy):
         tau, rho = policy.tau, policy.rho
     else:
         tau, rho = -math.inf, 1.0  # a tree is its own uncut strict-rule cut
     worst = 1.0
     for strict, _weight in coin_outcomes(rho):
-        for node, stop in cut_nodes(annot, tau, strict, tol):
+        for node, stop in cut_nodes(annot, tau, strict):
             if stop:
                 continue
             # Observed elements gain exactly 0, so the best is >= 0; the
             # ratio takes 0/0 := 1 and positive/0 := +inf.
             best, chosen = max(node.gmax, 0.0), node.gains[node.element]
-            if abs(chosen) > tol:
+            if abs(chosen) > TOL:
                 worst = max(worst, best / chosen)
-            elif best > tol:
+            elif best > TOL:
                 return math.inf
     return worst
 
@@ -103,7 +103,7 @@ def budget_frontier(
     frontier = selection = None
     tau, rho = ladder.pair(i)
     for strict, _weight in coin_outcomes(rho):
-        _mu, du, dl, at_u, at_l = cut_stats(ladder.annot, tau, strict, ladder.tol)
+        _mu, du, dl, at_u, at_l = cut_stats(ladder.annot, tau, strict)
         if du > delta_u:
             delta_u, frontier = du, at_u
         if dl < delta_l:
@@ -116,22 +116,20 @@ def budget_frontier(
     })
 
 
-def frontier_gains(
-    instance: Instance, policy: Policy, i: int, tol: float = TOL
-) -> FrontierGains:
+def frontier_gains(instance: Instance, policy: Policy, i: int) -> FrontierGains:
     """delta_u / delta_l of pi_i over both coin outcomes and all
     positive-mass branches, with witnesses: :func:`budget_frontier` on the
     base tree's threshold ladder."""
     if i < 1:
         raise BudgetExceedsCost(f"frontier gains need a budget >= 1, got {i}")
-    return budget_frontier(instance, budget_ladder(instance, policy, i, tol), int(i))
+    return budget_frontier(instance, budget_ladder(instance, policy, i), int(i))
 
 
 @dataclass(frozen=True)
 class BetaResult:
     """``anomaly`` flags a budget whose ratio is negative: its selected gain
-    delta_l is below -tol, which only a non-monotone utility allows.  The
-    value stays the computed maximum."""
+    delta_l is below -``TOL``, which only a non-monotone utility allows.
+    The value stays the computed maximum."""
 
     value: float
     per_budget: tuple[FrontierGains, ...]
@@ -143,7 +141,7 @@ class BetaResult:
         return self.value
 
 
-def beta(instance: Instance, policy: Policy, tol: float = TOL) -> BetaResult:
+def beta(instance: Instance, policy: Policy) -> BetaResult:
     """Maximal gain ratio: max over integer budgets i <= c_avg of
     delta_u / delta_l, with 0/0 := 0 and positive/0 := +inf per budget.
 
@@ -155,17 +153,17 @@ def beta(instance: Instance, policy: Policy, tol: float = TOL) -> BetaResult:
     same that :func:`frontier_gains` reads for a single budget.
     """
     cost = c_avg(instance, policy)
-    return _beta(instance, threshold_ladder(instance, base_tree(policy), tol), cost)
+    return _beta(instance, threshold_ladder(instance, base_tree(policy)), cost)
 
 
 def _beta(instance: Instance, ladder: ThresholdLadder, cost: float) -> BetaResult:
-    top = int(math.floor(cost + ladder.tol))
+    top = int(math.floor(cost + TOL))
     if top < 1:
         return BetaResult(0.0, (), None, empty_range=True)
     per = tuple(budget_frontier(instance, ladder, i) for i in range(1, top + 1))
     ratios = [
-        fg.delta_u / fg.delta_l if abs(fg.delta_l) > ladder.tol
-        else 0.0 if abs(fg.delta_u) <= ladder.tol else math.inf
+        fg.delta_u / fg.delta_l if abs(fg.delta_l) > TOL
+        else 0.0 if abs(fg.delta_u) <= TOL else math.inf
         for fg in per
     ]
     best = max(ratios)
@@ -388,27 +386,28 @@ def param_report(
     ``gamma_mode="skip"`` omits the submodularity ratio (it is by far the
     most expensive number).  ``n`` defaults to the policy height, ``k`` to
     the number of elements.  alpha, beta and its witnesses are read off one
-    threshold ladder of the base tree.
+    threshold ladder of the base tree, cut at ``TOL`` like every threshold
+    cut; ``tol`` sets only Q/eta's value grouping and gamma's anomaly flag.
     """
     height = policy_height(instance, policy)
     if n is None:
         n = max(height, 1)
     if k is None:
         k = instance.num_elements
-    ladder = threshold_ladder(instance, base_tree(policy), tol)
+    ladder = threshold_ladder(instance, base_tree(policy))
     cost = c_avg(instance, policy)
-    a = _alpha(ladder.annot, policy, tol)
+    a = _alpha(ladder.annot, policy)
     b = _beta(instance, ladder, cost)
     # beta <= alpha holds where the base tree stops only once no gain above
-    # tol is left; a tree that stops early can leave any gain behind.  A cut
-    # at tau stops where every gain is at most tau + tol and selects where the
-    # best, at most alpha times the selected gain, is at least tau - tol, so
-    # delta_u <= alpha * delta_l + 2 tol: beta may pass alpha by 2 tol over
-    # delta_l.  A delta_l within tol of 0 makes the ratio 0 or +inf by
+    # TOL is left; a tree that stops early can leave any gain behind.  A cut
+    # at tau stops where every gain is at most tau + TOL and selects where the
+    # best, at most alpha times the selected gain, is at least tau - TOL, so
+    # delta_u <= alpha * delta_l + 2 TOL: beta may pass alpha by 2 TOL over
+    # delta_l.  A delta_l within TOL of 0 makes the ratio 0 or +inf by
     # convention, which bounds nothing.
-    exhaustive = cut_stats(ladder.annot, -math.inf, True, tol)[1] <= tol
+    exhaustive = cut_stats(ladder.annot, -math.inf, True)[1] <= TOL
     fg = b.per_budget[b.argmax_budget - 1] if b.argmax_budget else None
-    slack = 2.0 * tol / fg.delta_l if fg and fg.delta_l > tol else math.inf
+    slack = 2.0 * TOL / fg.delta_l if fg and fg.delta_l > TOL else math.inf
     if exhaustive and math.isfinite(a) and b.value > a + TOL + slack:
         raise AssertionError(
             f"maximal gain ratio {b.value} exceeds greedy approximation "
@@ -416,8 +415,7 @@ def param_report(
         )
     q, eta = covering_params(instance, tol=tol)
     witnesses: dict = {"beta_budget": b.argmax_budget}
-    if b.argmax_budget is not None:
-        fg = b.per_budget[b.argmax_budget - 1]
+    if fg is not None:
         witnesses["beta_termination"] = fg.termination_witness
         witnesses["beta_selection"] = fg.selection_witness
     g_value = None

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .core import (
     TOL,
@@ -159,22 +159,30 @@ def selected_elements(instance: Instance, tree: Node, phi_index: int) -> tuple[i
     return tuple(selected)
 
 
+def _stop_rule(tau: float, strict: bool) -> Callable[[float], bool]:
+    """Whether a threshold-``tau`` cut stops at a node, from the node's
+    largest remaining gain: strictly below tau (``strict``) or at most tau,
+    within ``TOL``, the one tolerance of every threshold cut."""
+    if strict:
+        bar = tau - TOL
+        return lambda gmax: gmax < bar
+    bar = tau + TOL
+    return lambda gmax: gmax <= bar
+
+
 def cut_tree(instance: Instance, base: Node, tau: float, strict: bool) -> Node:
     """The deterministic tree obtained by terminating ``base`` at threshold
-    ``tau`` under one coin outcome.
+    ``tau`` under one coin outcome, by :func:`_stop_rule`.
 
-    ``strict=True`` stops where every remaining gain is strictly below tau
-    (within ``TOL``); ``strict=False`` stops where every remaining gain is
-    at most tau.  Branches with zero prior mass are cut to terminals, since
-    no gain is defined there and no expectation ever reaches them.
+    Branches with zero prior mass are cut to terminals, since no gain is
+    defined there and no expectation ever reaches them.
     """
+    stops = _stop_rule(tau, strict)
 
     def build(node: Node, state: PathState) -> Node:
         if isinstance(node, Terminal):
             return TERMINAL
-        gmax = max(state.gains.values(), default=0.0)
-        stop = gmax < tau - TOL if strict else gmax <= tau + TOL
-        if stop:
+        if stops(max(state.gains.values(), default=0.0)):
             return TERMINAL
         parts = state.split(instance, node.element)
         children = tuple(
@@ -293,27 +301,27 @@ def annotate_tree(instance: Instance, tree: Node) -> AnnotatedNode:
 
 
 def cut_nodes(
-    annot: AnnotatedNode, tau: float, strict: bool, tol: float = TOL
+    annot: AnnotatedNode, tau: float, strict: bool
 ) -> Iterator[tuple[AnnotatedNode, bool]]:
     """The nodes of the threshold-``tau`` cut of an annotated tree under one
     coin outcome, each with whether the cut stops there, depth first from
     the root with each node's children in reverse split order.
 
-    Terminals always stop, so ``tau=-inf, strict=True`` walks the uncut tree.
+    Terminals always stop, other nodes by :func:`_stop_rule` as in
+    :func:`cut_tree`; ``tau=-inf, strict=True`` walks the uncut tree.
     """
+    stops = _stop_rule(tau, strict)
     stack = [annot]
     while stack:
         node = stack.pop()
-        stop = node.element is None or (
-            node.gmax < tau - tol if strict else node.gmax <= tau + tol
-        )
+        stop = node.element is None or stops(node.gmax)
         yield node, stop
         if not stop:
             stack.extend(node.children)
 
 
 def cut_stats(
-    annot: AnnotatedNode, tau: float, strict: bool, tol: float = TOL
+    annot: AnnotatedNode, tau: float, strict: bool
 ) -> tuple[float, float, float, AnnotatedNode, Optional[AnnotatedNode]]:
     """(average cost mu, largest gain left at a stop delta_u, smallest
     selected gain delta_l, first stop node leaving delta_u, first selection
@@ -326,7 +334,7 @@ def cut_stats(
     """
     mu, delta_u, delta_l = 0.0, -math.inf, math.inf
     frontier = selection = None
-    for node, stop in cut_nodes(annot, tau, strict, tol):
+    for node, stop in cut_nodes(annot, tau, strict):
         if stop:
             top = max(node.gmax, 0.0)
             if top > delta_u:
@@ -384,7 +392,6 @@ class ThresholdLadder:
     annot: AnnotatedNode
     sentinel: float
     steps: tuple[tuple[float, float], ...]
-    tol: float
 
     def pair(self, i: int) -> tuple[float, float]:
         """The canonical (tau_i, rho_i) whose sub-policy has average cost i:
@@ -393,11 +400,11 @@ class ThresholdLadder:
         if i == 0:
             return self.sentinel, 0.0
         for (_, mu_low), (tau, mu) in zip(self.steps, self.steps[1:]):
-            if i <= mu + self.tol:
+            if i <= mu + TOL:
                 # Snap to the pure strict rule when the budget sits on the
                 # class boundary, so float noise cannot leave a
                 # vanishing-weight non-strict component behind.
-                if mu - i <= self.tol:
+                if mu - i <= TOL:
                     return tau, 1.0
                 rho = (i - mu_low) / (mu - mu_low)
                 return tau, min(1.0, max(0.0, rho))
@@ -406,37 +413,34 @@ class ThresholdLadder:
         )
 
 
-def threshold_ladder(
-    instance: Instance, base: Node, tol: float = TOL
-) -> ThresholdLadder:
+def threshold_ladder(instance: Instance, base: Node) -> ThresholdLadder:
     """The threshold ladder of a deterministic tree.
 
     Candidate thresholds are the gains of remaining elements at every
-    positive-mass node, grouped at tolerance with each class represented by
-    its maximum, and priced by :func:`cut_stats` on one annotated tree.
+    positive-mass node, grouped within ``TOL`` (the tolerance every cut
+    stops at) with each class represented by its maximum, and priced by
+    :func:`cut_stats` on one annotated tree.
     """
     annot = annotate_tree(instance, base)
     values = [
         value
-        for node, _stop in cut_nodes(annot, -math.inf, True, tol)
+        for node, _stop in cut_nodes(annot, -math.inf, True)
         for value in node.gains.values()
     ]
     sentinel = max(values, default=0.0) + 1.0
     steps = [(sentinel, 0.0)]
     rep = math.inf
     for value in sorted(values, reverse=True):
-        if value >= rep - tol:
+        if value >= rep - TOL:
             continue
         rep = value
-        mu = cut_stats(annot, rep, True, tol)[0]
-        if mu > steps[-1][1] + tol:
+        mu = cut_stats(annot, rep, True)[0]
+        if mu > steps[-1][1] + TOL:
             steps.append((rep, mu))
-    return ThresholdLadder(annot, sentinel, tuple(steps), tol)
+    return ThresholdLadder(annot, sentinel, tuple(steps))
 
 
-def budget_ladder(
-    instance: Instance, policy: Policy, i: int, tol: float = TOL
-) -> ThresholdLadder:
+def budget_ladder(instance: Instance, policy: Policy, i: int) -> ThresholdLadder:
     """The :func:`threshold_ladder` of ``policy``'s base tree, once budget
     ``i`` is checked to be a non-negative integer within the policy's
     average cost."""
@@ -445,15 +449,15 @@ def budget_ladder(
     base = base_tree(policy)
     validate_policy(instance, base)
     total_cost = c_avg(instance, policy)
-    if i > total_cost + tol:
+    if i > total_cost + TOL:
         raise BudgetExceedsCost(
             f"budget {i} exceeds the policy's average cost {total_cost}"
         )
-    return threshold_ladder(instance, base, tol)
+    return threshold_ladder(instance, base)
 
 
 def find_threshold_pair(
-    instance: Instance, policy: Policy, i: int, tol: float = TOL
+    instance: Instance, policy: Policy, i: int
 ) -> tuple[float, float, ThresholdSubPolicy]:
     """The canonical (tau_i, rho_i) whose sub-policy has average cost i.
 
@@ -461,15 +465,13 @@ def find_threshold_pair(
     :func:`threshold_ladder`.  Any other valid pair induces the same
     policy, which the test suite checks directly on run traces.
     """
-    tau, rho = budget_ladder(instance, policy, i, tol).pair(int(i))
+    tau, rho = budget_ladder(instance, policy, i).pair(int(i))
     return tau, rho, ThresholdSubPolicy(base_tree(policy), tau, rho)
 
 
-def sub_policy_at_cost(
-    instance: Instance, policy: Policy, i: int, tol: float = TOL
-) -> Policy:
+def sub_policy_at_cost(instance: Instance, policy: Policy, i: int) -> Policy:
     """pi_i: the canonical sub-policy with average cost i (pi_0 terminates
     immediately)."""
     if i == 0:
         return IMMEDIATE
-    return find_threshold_pair(instance, policy, i, tol)[2]
+    return find_threshold_pair(instance, policy, i)[2]

@@ -130,12 +130,12 @@ def reference_alpha(instance, policy, tol=a.TOL):
     return worst
 
 
-def reference_frontier_gains(instance, policy, i, tol=a.TOL):
+def reference_frontier_gains(instance, policy, i):
     """delta_u / delta_l of pi_i and the first node attaining each, over the
     ``cut_tree`` components of pi_i in ``reachable_nodes`` order."""
     if i < 1:
         raise a.BudgetExceedsCost(f"frontier gains need a budget >= 1, got {i}")
-    sub = a.sub_policy_at_cost(instance, policy, i, tol)
+    sub = a.sub_policy_at_cost(instance, policy, i)
     delta_u = -math.inf
     delta_l = math.inf
     u_witness = None

@@ -226,3 +226,13 @@ def test_lemma2_accepts_the_negative_thresholds_of_non_monotone_utilities():
     assert report.holds
     with pytest.raises(a.MalformedPolicy, match="NaN"):
         a.ThresholdSubPolicy(policy, math.nan, 0.5)
+
+
+def test_thm1_prices_beta_on_its_own_truncation_at_a_coarse_tolerance():
+    instance = a.gen_random(3, 2, 9)
+    greedy = a.build_greedy(instance)
+    opt, _ = a.optimal_budget(instance, 2)
+    report = a.verify(instance, "thm1", policy=greedy, opt_policy=opt, l=2,
+                      tol=1e-2)
+    _tau, _rho, sub = a.find_threshold_pair(instance, greedy, 2)
+    assert report.inputs["beta"] == a.beta(instance, sub).value

@@ -84,7 +84,7 @@ def test_params_prints_the_beta_anomaly_flag(tmp_path):
 def test_params_greedy_flag(tmp_path):
     out = tmp_path / "t5.json"
     invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
-            "--out", str(out)])
+            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
     result = invoke(
         ["params", "--instance", str(out), "--greedy", "--gamma-mode", "skip"]
     )
@@ -96,7 +96,7 @@ def test_params_greedy_flag(tmp_path):
 def test_solve_budget_zero_and_two(tmp_path):
     out = tmp_path / "t5.json"
     invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
-            "--out", str(out)])
+            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
     zero = invoke(["solve", "--instance", str(out), "--objective", "budget",
                    "--k", "0"])
     assert zero.exit_code == 0
@@ -110,7 +110,7 @@ def test_solve_policy_round_trips_to_identical_value(tmp_path):
     out = tmp_path / "t5.json"
     pout = tmp_path / "opt.json"
     invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
-            "--out", str(out)])
+            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
     result = invoke(["solve", "--instance", str(out), "--objective", "budget",
                      "--k", "2", "--out", str(pout)])
     assert result.exit_code == 0
@@ -135,7 +135,7 @@ def test_solve_coverage_demo(tmp_path):
 def test_verify_instance_mode_exit_zero(tmp_path):
     out = tmp_path / "t5.json"
     invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
-            "--out", str(out)])
+            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
     result = invoke(
         ["verify", "--bounds", "thm1,lemma2", "--instance", str(out),
          "--policy", "greedy", "--l", "2"]
@@ -168,7 +168,7 @@ def test_verify_unknown_bound_rejected():
 def test_verify_json_output_is_stable(tmp_path):
     out = tmp_path / "t5.json"
     invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
-            "--out", str(out)])
+            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
     args = ["--json", "verify", "--bounds", "lemma2", "--instance", str(out),
             "--policy", "greedy"]
     first = invoke(args)
@@ -212,7 +212,7 @@ def test_in_process_calls_release_the_redirected_stdout(tmp_path):
 def test_twelve_significant_digit_rendering(tmp_path):
     out = tmp_path / "t5.json"
     invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
-            "--out", str(out)])
+            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
     result = invoke(["params", "--instance", str(out), "--greedy",
                      "--gamma-mode", "skip"])
     assert "1.875" in result.output
@@ -278,11 +278,13 @@ def test_params_at_a_coarse_tolerance_reports_instead_of_asserting(tmp_path):
     path = str(tmp_path / "i.json")
     invoke(["generate", "random", "--elements", "4", "--states", "2",
             "--seed", "0", "--out", path])
-    result = invoke(["--json", "--tolerance", "1e-3", "params", "--instance",
-                     path, "--greedy", "--gamma-mode", "skip"])
+    args = ["params", "--instance", path, "--greedy", "--gamma-mode", "skip"]
+    result = invoke(["--json", "--tolerance", "1e-3", *args])
     assert result.exit_code == 0
     report = json.loads(result.output)
-    assert 1.0 < report["beta"] <= report["alpha"] + 0.01
+    default = json.loads(invoke(["--json", *args]).output)
+    assert report["alpha"] == default["alpha"] == 1.0
+    assert report["beta"] == default["beta"] == 1.0
 
 
 def test_params_gamma_bounds_must_be_positive(tmp_path):

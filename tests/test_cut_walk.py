@@ -173,5 +173,25 @@ def test_params_allows_beta_above_alpha_by_the_tolerance_slack():
                 budget = report.witnesses["beta_budget"]
                 if budget is None:
                     continue
-                fg = a.frontier_gains(instance, greedy, budget, tol)
+                fg = a.frontier_gains(instance, greedy, budget)
                 assert fg.delta_u <= report.alpha * max(fg.delta_l, tol) + 2 * tol
+
+
+def test_the_tolerance_moves_neither_alpha_nor_beta_nor_its_witnesses():
+    # Every threshold cut, and so every ladder that prices alpha and beta,
+    # is taken at TOL: a coarse tolerance reports the default's numbers.
+    for shape in ((3, 2), (4, 2), (3, 3)):
+        for seed in range(60):
+            instance = a.gen_random(*shape, seed)
+            for policy in (a.build_greedy(instance),
+                           a.random_policy(instance, seed, stop_probability=0)):
+                default = a.param_report(instance, policy, gamma_mode="skip")
+                for tol in (1e-3, 1e-2):
+                    report = a.param_report(instance, policy,
+                                            gamma_mode="skip", tol=tol)
+                    assert report.alpha == default.alpha, (shape, seed, tol)
+                    assert report.beta == default.beta, (shape, seed, tol)
+                    for key in ("beta_budget", "beta_termination",
+                                "beta_selection"):
+                        assert (report.witnesses.get(key)
+                                == default.witnesses.get(key)), (shape, seed, tol)
