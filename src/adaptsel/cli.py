@@ -12,6 +12,7 @@ stable-ordered.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Optional
@@ -265,37 +266,31 @@ def solve(ctx, instance_path, objective, k, out):
 
 def _verify_one(ctx, instance, bound_ids, policy_path, l, gamma_mode,
                 hypotheses=None):
-    """Verify the requested bounds on one instance; returns the reports."""
+    """Verify the requested bounds on one instance; returns the reports.
+    The policy and each baseline are built once, when a bound first needs
+    them."""
     tol = ctx.obj["tol"]
     budget = ctx.obj["budget"]
+    policy = functools.cache(lambda: _policy(instance, policy_path))
+    budget_opt = functools.cache(lambda: oracle.optimal_budget(
+        instance, max(int(policy_height(instance, policy()) if l is None else l), 1),
+        enum_budget=budget)[0])
+    coverage_opt = functools.cache(lambda: oracle.optimal_coverage(
+        instance, tol=tol, enum_budget=budget)[0])
     reports = []
     for bound_id in bound_ids:
-        policy = None
-        opt_policy = None
+        target, judged, opt_policy = instance, None, None
         if bound_id == "eq5":
-            base = hypotheses if hypotheses is not None else instance
-            reports.append(
-                bounds_mod.verify(base, "eq5", gamma_mode=gamma_mode,
-                                  enum_budget=budget, tol=tol)
-            )
-            continue
-        if bound_id != "lemma3":
-            policy = _policy(instance, policy_path)
+            target = hypotheses if hypotheses is not None else instance
+        elif bound_id != "lemma3":
+            judged = policy()
         if bound_id in ("thm1", "eq1", "eq2", "eq3"):
-            height = l if l is not None else policy_height(instance, policy)
-            opt_policy, _value = oracle.optimal_budget(
-                instance, max(int(height), 1), enum_budget=budget
-            )
+            opt_policy = budget_opt()
         elif bound_id in ("thm2", "thm6", "eq4"):
-            opt_policy, _cost = oracle.optimal_coverage(
-                instance, tol=tol, enum_budget=budget
-            )
-        reports.append(
-            bounds_mod.verify(
-                instance, bound_id, policy=policy, opt_policy=opt_policy,
-                l=l, gamma_mode=gamma_mode, enum_budget=budget, tol=tol,
-            )
-        )
+            opt_policy = coverage_opt()
+        reports.append(bounds_mod.verify(
+            target, bound_id, policy=judged, opt_policy=opt_policy, l=l,
+            gamma_mode=gamma_mode, enum_budget=budget, tol=tol))
     return reports
 
 

@@ -16,14 +16,12 @@ conditional prior matters, :func:`state_bitsets` conditions supports without
 weights: a support is a bitset of realization indices, and observing state y
 at element v intersects it with ``state_bitsets(instance)[v][y]``.
 
-All operations are pure functions of immutable inputs.  :func:`path_state`
-is the only constructor of a :class:`PathState` (a psi with its conditional
-prior and gains) and :meth:`PathState.split` the only loop that splits one
-into its children's states.  Tree walkers condition each observation path
-once per ``Instance`` (:func:`path_root`); ``gamma``'s walk and both
-adaptive checks read the same constructor and split through a per-call table
-keyed by ``psi.key()``.  Either cache holds only deterministic values, so
-concurrent use of an instance is safe.
+A :class:`PathState` (a psi, its conditional prior and gains) is keyed by
+(observed-element mask, support bitset); utilities are read through the
+per-instance rows of :func:`utility_rows`.  Tree walkers condition each ordered
+path once per instance (:func:`path_root`), ``gamma``'s walk each state once
+per call, and both adaptive checks each positive-mass psi once, layer by layer.
+Caches hold only deterministic values, so concurrent use of an instance is safe.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import EmptyVersionSpace, MalformedPolicy
@@ -147,7 +146,6 @@ class Instance:
             raise ValueError(f"prior sums to {sum(self.prior)}, not 1")
         if self.utility is not None:
             self._check_utility(self.utility)
-        object.__setattr__(self, "_paths", None)  # path_root's; not a field
 
     def _check_utility(self, table: UtilityTable) -> None:
         m = len(self.realizations)
@@ -188,9 +186,10 @@ class Instance:
 
     def value(self, subset: Iterable[int], phi_index: int) -> float:
         """Utility f(A, phi) for a subset of element indices."""
-        if self.utility is None:
-            raise ValueError("instance has no utility table attached")
-        return self.utility[subset_key(subset)][phi_index]
+        mask = 0
+        for v in subset:
+            mask |= 1 << v
+        return utility_rows(self)[mask][phi_index]
 
     def with_utility(self, table: UtilityTable) -> "Instance":
         return Instance(
@@ -278,51 +277,57 @@ def split(
 
 @dataclass(eq=False, slots=True)
 class PathState:
-    """An observation path psi of one instance with its conditional prior,
-    its gains (shared by every reader: never mutate them) and its splits."""
+    """The observations ``pairs`` of a path, in path order, with their key
+    (``dom``, ``support``), conditional prior, gains (shared by every
+    reader: never mutate them) and splits."""
 
-    psi: PartialRealization
+    pairs: tuple[tuple[int, int], ...]
+    dom: int
+    support: int
     vs: ConditionalPrior
     gains: dict[int, float]
     after: dict[int, dict] = field(default_factory=dict)
 
-    def split(
-        self, instance: Instance, element: int,
-        table: Optional[dict[frozenset, PathState]] = None,
-    ) -> dict:
-        """:func:`split` on ``element``, each part as its path's
-        :func:`path_state` (read from and stored in ``table`` if given)."""
+    def split(self, instance: Instance, element: int,
+              table: Optional[dict] = None) -> dict:
+        """:func:`split` on ``element``, each part as the state of the
+        extended path (read from and stored in ``table`` if given)."""
         found = self.after.get(element)
         if found is None:
-            psi = self.psi
+            dom = self.dom | 1 << element
+            bits, rows = state_bitsets(instance)[element], _gain_rows(instance, dom)
             found = self.after[element] = {
-                y: (mass, path_state(instance, psi.extended(element, y), part, table))
+                y: (mass, _state(self.pairs + ((element, y),),
+                                 (dom, self.support & bits[y]), part, rows, table))
                 for y, (mass, part) in split(instance, self.vs, element).items()
             }
         return found
 
 
-def path_state(
-    instance: Instance,
-    psi: PartialRealization,
-    vs: Optional[ConditionalPrior] = None,
-    table: Optional[dict[frozenset, PathState]] = None,
-) -> PathState:
-    """The state of psi, conditioned by ``vs`` (by :func:`version_space`
-    when None).  With ``table``, a dict keyed by ``psi.key()``, the state
-    already stored under psi's key is returned as is, and a new one is
-    stored there."""
-    if table is not None:
-        key = psi.key()
-        found = table.get(key)
-        if found is not None:
-            return found
-    if vs is None:
-        vs = version_space(instance, psi)
-    found = PathState(psi, vs, gains(instance, psi, vs))
-    if table is not None:
-        table[key] = found
+def _state(pairs, key, vs, rows, table) -> PathState:
+    """The state in ``table`` under ``key``, else a new one of ``pairs``, by
+    ``vs`` and its domain's :func:`_gain_rows`, stored in ``table`` if given."""
+    found = table.get(key) if table is not None else None
+    if found is None:
+        found = PathState(pairs, *key, vs, _gains(rows, vs))
+        if table is not None:
+            table[key] = found
     return found
+
+
+def path_state(instance: Instance, psi: PartialRealization,
+               table: Optional[dict] = None) -> PathState:
+    """The state of psi, conditioned by :func:`version_space`.  With ``table``,
+    a dict by (observed-element mask, support bitset), the state already under
+    psi's key is returned as is, and a new one is stored there."""
+    support = sum(1 << i for i, p in enumerate(instance.prior) if p > 0.0)
+    for e, y in psi.pairs:
+        support &= state_bitsets(instance)[e][y]
+    key = (sum(1 << e for e, _ in psi.pairs), support)
+    if table is not None and key in table:
+        return table[key]
+    return _state(psi.pairs, key, version_space(instance, psi),
+                  _gain_rows(instance, key[0]), table)
 
 
 def path_root(instance: Instance) -> PathState:
@@ -330,26 +335,44 @@ def path_root(instance: Instance) -> PathState:
     every state below it is one :func:`split` part of its parent's.  Paths
     are ordered (another order rounds differently) and live as long as the
     instance."""
-    if instance._paths is None:
-        object.__setattr__(instance, "_paths", path_state(instance, EMPTY))
-    return instance._paths
+    cache = instance.__dict__  # not a field: kept out of ==, repr and the JSON
+    if "_paths" not in cache:
+        cache["_paths"] = path_state(instance, EMPTY)
+    return cache["_paths"]
+
+
+def utility_rows(instance: Instance) -> tuple[tuple[float, ...], ...]:
+    """``rows[mask]`` is ``instance.utility[subset_key(members of mask)]``, the
+    utility row of the subset whose element bits ``mask`` sets; built once."""
+    cache = instance.__dict__
+    if "_rows" not in cache:
+        if instance.utility is None:
+            raise ValueError("instance has no utility table attached")
+        keys = [()]
+        for v in range(instance.num_elements):
+            keys += [key + (v,) for key in keys]
+        cache["_rows"] = tuple(map(instance.utility.__getitem__, keys))
+    return cache["_rows"]
 
 
 def state_bitsets(instance: Instance) -> tuple[tuple[int, ...], ...]:
     """``bits[v][y]`` is the set of positive-prior realizations that have
     state y at element v, as a bitset over realization indices (bit i set
-    for realization i).
+    for realization i).  Built once per instance.
 
     The support of psi is the AND of ``bits[e][y]`` over its pairs (the
     positive-prior realizations when psi is empty): the weightless form of
     :func:`version_space` and :func:`split`.
     """
-    bits = [[0] * instance.num_states for _ in range(instance.num_elements)]
-    for i, (phi, p) in enumerate(zip(instance.realizations, instance.prior)):
-        if p > 0.0:
-            for e, y in enumerate(phi):
-                bits[e][y] |= 1 << i
-    return tuple(tuple(row) for row in bits)
+    cache = instance.__dict__
+    if "_bits" not in cache:
+        bits = [[0] * instance.num_states for _ in range(instance.num_elements)]
+        for i, (phi, p) in enumerate(zip(instance.realizations, instance.prior)):
+            if p > 0.0:
+                for e, y in enumerate(phi):
+                    bits[e][y] |= 1 << i
+        cache["_bits"] = tuple(tuple(row) for row in bits)
+    return cache["_bits"]
 
 
 def gains(
@@ -357,18 +380,23 @@ def gains(
 ) -> dict[int, float]:
     """Expected marginal gain Delta(v | psi) of every unobserved element,
     under ``vs``, the conditional prior of psi."""
-    table = instance.utility
-    if table is None:
-        raise ValueError("instance has no utility table attached")
-    dom = psi.dom
-    before = table[subset_key(dom)]
-    out = {}
-    for v in range(instance.num_elements):
-        if v in dom:
-            continue
-        after = table[subset_key(dom + (v,))]
-        out[v] = sum([w * (after[i] - before[i]) for i, w in vs.items()])
-    return out
+    return _gains(_gain_rows(instance, sum(1 << e for e, _ in psi.pairs)), vs)
+
+
+def _gain_rows(instance: Instance, dom: int) -> tuple:
+    """The utility row of the observed-element mask ``dom`` and, per element v
+    outside it, (v, the row of dom plus v): what :func:`_gains` prices on."""
+    rows = utility_rows(instance)
+    n = instance.num_elements
+    return rows[dom], [(v, rows[dom | 1 << v]) for v in range(n) if not dom >> v & 1]
+
+
+def _gains(rows: tuple, vs: ConditionalPrior) -> dict[int, float]:
+    """Delta(v | psi) per unobserved element v, from psi's
+    :func:`_gain_rows` and its conditional prior ``vs``."""
+    before, afters = rows
+    return {v: sum([w * (after[i] - before[i]) for i, w in vs.items()])
+            for v, after in afters}
 
 
 def marginal_gain(instance: Instance, element: int, psi: PartialRealization) -> float:
@@ -469,23 +497,29 @@ class CheckResult:
         return self.ok
 
 
-def _conditioned_states(
-    instance: Instance, table: dict[frozenset, PathState]
-) -> Iterator[PathState]:
-    """The :func:`path_state` of every positive-mass partial realization, in
-    :func:`positive_partial_realizations` order, each stored in ``table``.
-
-    Only the empty psi is conditioned from scratch; every other state is one
-    part of :meth:`PathState.split` of its parent's, the same psi without
-    its last pair, which is always yielded earlier.
-    """
-    for psi in positive_partial_realizations(instance):
-        if psi.pairs:
-            element, y = psi.pairs[-1]
-            parent = table[frozenset(psi.pairs[:-1])]
-            yield parent.split(instance, element, table)[y][1]
-        else:
-            yield path_state(instance, psi, table=table)
+def _conditioned_states(instance: Instance) -> Iterator[PathState]:
+    """The state of every positive-mass psi, each built once, in
+    :func:`positive_partial_realizations` order (by size, domain, pattern):
+    every psi but the empty one is a :func:`split` part of the state of psi
+    without its largest element.  Splitting each layer's parents domain by
+    domain, then element by element, parent by parent and state by state
+    keeps every layer in that order."""
+    bits = state_bitsets(instance)
+    layer = [path_state(instance, EMPTY)]
+    while layer:
+        yield from layer
+        below = []
+        for dom, group in itertools.groupby(layer, key=attrgetter("dom")):
+            group = list(group)
+            for v in range(dom.bit_length(), instance.num_elements):
+                child = dom | 1 << v
+                rows = _gain_rows(instance, child)
+                for parent in group:
+                    for y, (_, part) in sorted(split(instance, parent.vs, v).items()):
+                        pairs = parent.pairs + ((v, y),)
+                        key = (child, parent.support & bits[v][y])
+                        below.append(_state(pairs, key, part, rows, None))
+        layer = below
 
 
 def check_adaptive_monotone(instance: Instance, tol: float = TOL) -> CheckResult:
@@ -494,17 +528,13 @@ def check_adaptive_monotone(instance: Instance, tol: float = TOL) -> CheckResult
     The witness is the first negative gain in
     :func:`positive_partial_realizations` order, then element order.
     """
-    for at in _conditioned_states(instance, {}):
+    for at in _conditioned_states(instance):
         for v, gain in at.gains.items():
             if gain < -tol:
-                return CheckResult(
-                    False,
-                    {
-                        "psi": instance.describe_psi(at.psi),
-                        "element": instance.elements[v],
-                        "gain": gain,
-                    },
-                )
+                return CheckResult(False, {
+                    "psi": instance.describe_psi(PartialRealization(at.pairs)),
+                    "element": instance.elements[v], "gain": gain,
+                })
     return CheckResult(True)
 
 
@@ -521,46 +551,36 @@ def check_adaptive_submodular(instance: Instance, tol: float = TOL) -> CheckResu
     subset psi and element in (size, ``itertools.combinations``, element)
     order.
     """
-    table: dict[frozenset, PathState] = {}
-    least: dict[frozenset, dict[int, float]] = {}
-    for at in _conditioned_states(instance, table):
-        big_key = at.psi.key()
+    seen: dict = {}  # the sorted pairs of each psi so far -> (gains, M(psi, .))
+    for at in _conditioned_states(instance):
+        pairs = at.pairs
         low = at.gains
-        if at.psi.pairs:
-            earlier = [least[big_key - {pair}] for pair in at.psi.pairs]
+        if pairs:
+            earlier = [seen[pairs[:j] + pairs[j + 1:]][1] for j in range(len(pairs))]
             low = {}
             for v, late in at.gains.items():
                 early = min([m[v] for m in earlier])
                 if early < late - tol:
-                    return _submodularity_witness(instance, at.psi, table, tol)
+                    return _submodularity_witness(instance, at, seen, tol)
                 low[v] = min(early, late)
-        least[big_key] = low
+        seen[pairs] = (at.gains, low)
     return CheckResult(True)
 
 
-def _submodularity_witness(
-    instance: Instance,
-    psi_big: PartialRealization,
-    table: dict[frozenset, PathState],
-    tol: float,
-) -> CheckResult:
+def _submodularity_witness(instance: Instance, big: PathState, seen: dict,
+                           tol: float) -> CheckResult:
     """The first subset psi of a failing psi' and element whose gain rose
     by more than tol, in (size, ``itertools.combinations``, element)
     order."""
-    big_gains = table[psi_big.key()].gains
-    for r in range(len(psi_big.pairs)):
-        for sub in itertools.combinations(psi_big.pairs, r):
-            small_gains = table[frozenset(sub)].gains
-            for v, late in big_gains.items():
+    psi_prime = instance.describe_psi(PartialRealization(big.pairs))
+    for r in range(len(big.pairs)):
+        for sub in itertools.combinations(big.pairs, r):
+            small_gains = seen[sub][0]
+            for v, late in big.gains.items():
                 if small_gains[v] < late - tol:
-                    return CheckResult(
-                        False,
-                        {
-                            "psi": instance.describe_psi(PartialRealization(sub)),
-                            "psi_prime": instance.describe_psi(psi_big),
-                            "element": instance.elements[v],
-                            "gain_early": small_gains[v],
-                            "gain_late": late,
-                        },
-                    )
+                    return CheckResult(False, {
+                        "psi": instance.describe_psi(PartialRealization(sub)),
+                        "psi_prime": psi_prime, "element": instance.elements[v],
+                        "gain_early": small_gains[v], "gain_late": late,
+                    })
     raise AssertionError("running minimum found a violation the rescan missed")

@@ -25,6 +25,7 @@ from .core import (
     f_avg,
     path_state,
     positive_partial_realizations,
+    utility_rows,
 )
 from .errors import BudgetExceedsCost, EnumerationBudgetExceeded
 from .oracle import (
@@ -108,10 +109,11 @@ def budget_frontier(
             delta_u, frontier = du, at_u
         if dl < delta_l:
             delta_l, selection = dl, at_l
+    stopped = instance.describe_psi(PartialRealization(frontier.pairs))
     if selection is None:
-        return FrontierGains(i, delta_u, 0.0, instance.describe_psi(frontier.psi))
-    return FrontierGains(i, delta_u, delta_l, instance.describe_psi(frontier.psi), {
-        "psi": instance.describe_psi(selection.psi),
+        return FrontierGains(i, delta_u, 0.0, stopped)
+    return FrontierGains(i, delta_u, delta_l, stopped, {
+        "psi": instance.describe_psi(PartialRealization(selection.pairs)),
         "element": instance.elements[selection.element],
     })
 
@@ -205,7 +207,7 @@ class _GammaWalk:
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
-        self.states: dict = {}  # psi.key() -> core.PathState
+        self.states: dict = {}  # (dom mask, support bitset) -> core.PathState
 
     def state(self, psi: PartialRealization):
         """The ``core.PathState`` of psi, conditioned by ``version_space``
@@ -326,18 +328,9 @@ def covering_params(
     gap).  ``prior`` overrides the instance prior for deciding which
     realizations count.
     """
-    if instance.utility is None:
-        raise ValueError("instance has no utility table attached")
     weights = instance.prior if prior is None else tuple(prior)
-    values = sorted(
-        {
-            row[i]
-            for row in instance.utility.values()
-            for i, p in enumerate(weights)
-            if p > 0.0
-        },
-        reverse=True,
-    )
+    values = sorted({row[i] for row in utility_rows(instance)
+                     for i, p in enumerate(weights) if p > 0.0}, reverse=True)
     q = values[0]
     for value in values[1:]:
         if value < q - tol:

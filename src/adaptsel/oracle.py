@@ -24,7 +24,7 @@ from .core import (
     partition,
     renormalize,
     state_bitsets,
-    subset_key,
+    utility_rows,
     version_space,
 )
 from .errors import CoverageUnreachable, EnumerationBudgetExceeded
@@ -142,12 +142,9 @@ def optimal_budget(
         raise ValueError("budget must be non-negative")
     n = instance.num_elements
     k = min(k, n)
-    if instance.utility is None:
-        raise ValueError("instance has no utility table attached")
+    rows = utility_rows(instance)
     _check_memo_keys(instance, k, enum_budget)
-    table = instance.utility
     bits = state_bitsets(instance)
-    rows = {sum(1 << v for v in key): row for key, row in table.items()}
     memo: dict[tuple[int, int], tuple[float, Node]] = {}
 
     def solve(dom: int, support: int, vs: ConditionalPrior) -> tuple[float, Node]:
@@ -218,28 +215,20 @@ def optimal_coverage(
     appearance in the support.  The first candidate whose cost is below the
     best so far by more than ``tol`` wins.
     """
-    if instance.utility is None:
-        raise ValueError("instance has no utility table attached")
-    table = instance.utility
+    rows = utility_rows(instance)
     prior = instance.prior
     if q is None:
-        q = max(
-            row[i]
-            for row in table.values()
-            for i, p in enumerate(prior)
-            if p > 0.0
-        )
+        q = max(row[i] for row in rows for i, p in enumerate(prior) if p > 0.0)
     n = instance.num_elements
-    full = subset_key(range(n))
+    full = rows[-1]
     for i, p in enumerate(prior):
-        if p > 0.0 and abs(table[full][i] - q) > tol:
+        if p > 0.0 and abs(full[i] - q) > tol:
             raise CoverageUnreachable(
-                f"realization {i} only reaches {table[full][i]} != {q} "
+                f"realization {i} only reaches {full[i]} != {q} "
                 f"with every element selected"
             )
     _check_memo_keys(instance, n, enum_budget)
     bits = state_bitsets(instance)
-    rows = {sum(1 << v for v in key): row for key, row in table.items()}
     uncovered: dict[int, int] = {}
     masses: dict[int, float] = {}
     memo: dict[tuple[int, int], tuple[float, Node]] = {}

@@ -274,7 +274,7 @@ class AnnotatedNode:
     marginal gains precomputed, so repeated threshold cuts of the same base
     tree do not recompute expectations.  ``children`` are in split order."""
 
-    psi: PartialRealization
+    pairs: tuple[tuple[int, int], ...]  # the node's observations, in path order
     mass: float  # probability of reaching this node under the prior
     gains: dict[int, float]
     gmax: float
@@ -290,12 +290,12 @@ def annotate_tree(instance: Instance, tree: Node) -> AnnotatedNode:
         node_gains = state.gains
         gmax = max(node_gains.values(), default=0.0)
         if isinstance(node, Terminal):
-            return AnnotatedNode(state.psi, mass, node_gains, gmax, None, ())
+            return AnnotatedNode(state.pairs, mass, node_gains, gmax, None, ())
         children = tuple(
             build(node.children[y], child, mass * p_y)
             for y, (p_y, child) in state.split(instance, node.element).items()
         )
-        return AnnotatedNode(state.psi, mass, node_gains, gmax, node.element, children)
+        return AnnotatedNode(state.pairs, mass, node_gains, gmax, node.element, children)
 
     return build(tree, path_root(instance), 1.0)
 

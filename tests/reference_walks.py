@@ -13,6 +13,10 @@ conditioned with ``core.split``; the two reference checks
 condition every partial realization from scratch with ``version_space`` and
 compare every pair psi subseteq psi' directly.  The library's bitset DPs and
 running-minimum check must return the same trees and witnesses.
+``reference_conditioned_states`` conditions the checks' states the way they
+were conditioned before the layer walk: per psi of
+``positive_partial_realizations``, one ``core.split`` part of the prior of
+psi without its last pair, found in a table keyed by ``psi.key()``.
 
 ``reference_f_avg``, ``reference_c_avg`` and ``reference_policy_gain`` are
 the run-based expectations: every positive-weight realization runs every
@@ -322,3 +326,20 @@ def reference_check_adaptive_submodular(instance, tol=a.TOL):
                             "gain_late": late,
                         })
     return CheckResult(True)
+
+
+def reference_conditioned_states(instance):
+    """(psi, conditional prior, gains) of every positive-mass psi, in
+    ``positive_partial_realizations`` order; the empty psi is conditioned by
+    ``version_space``, every other one as the ``split`` part of its parent,
+    psi without its last pair."""
+    priors = {}
+    for psi in positive_partial_realizations(instance):
+        if psi.pairs:
+            element, y = psi.pairs[-1]
+            parent = priors[frozenset(psi.pairs[:-1])]
+            vs = split(instance, parent, element)[y][1]
+        else:
+            vs = version_space(instance, psi)
+        priors[psi.key()] = vs
+        yield psi, vs, gains(instance, psi, vs)

@@ -319,3 +319,84 @@ def test_params_reports_an_early_stopping_policy(tmp_path):
     report = json.loads(result.output)
     assert report["alpha"] == 1.0
     assert abs(report["beta"] - 1.7199405673933288) <= 1e-9
+
+
+def _json_documents(output):
+    decoder = json.JSONDecoder()
+    docs, at = [], 0
+    while at < len(output):
+        doc, end = decoder.raw_decode(output, at)
+        docs.append((doc, output[at:end + 1]))
+        at = end + 1
+    return docs
+
+
+def _counting(monkeypatch, counts, module, name):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _coverage_instance_file(tmp_path):
+    hc = a.HypothesisClass(
+        examples=("x1", "x2", "x3"),
+        labels=(("0", "0", "1"), ("0", "1", "0"), ("1", "1", "0"), ("1", "0", "1")),
+        prior=(0.4, 0.3, 0.2, 0.1),
+    )
+    path = tmp_path / "cov.json"
+    fileio.save_instance(path, a.coverage_instance(
+        a.instance_from_hypotheses(hc), modified=False))
+    return path
+
+
+def test_verify_builds_the_policy_and_each_baseline_once(monkeypatch, tmp_path):
+    """Several bound ids on one instance share one policy and one baseline
+    optimum; a run that needs neither builds neither."""
+    from collections import Counter
+
+    from adaptsel import cli, oracle
+
+    counts = Counter()
+    _counting(monkeypatch, counts, cli, "build_greedy")
+    _counting(monkeypatch, counts, oracle, "optimal_budget")
+    _counting(monkeypatch, counts, oracle, "optimal_coverage")
+    result = invoke(["verify", "--bounds", "thm1,eq1,eq2,eq3", "--corpus", "0..1",
+                     "--l", "2"])
+    assert result.output.count("holds") == 4
+    assert counts == {"build_greedy": 1, "optimal_budget": 1}
+    counts.clear()
+    path = str(_coverage_instance_file(tmp_path))
+    result = invoke(["verify", "--bounds", "thm2,thm6,eq4,lemma2", "--instance", path])
+    assert result.output.count("holds") == 4
+    assert counts == {"build_greedy": 1, "optimal_coverage": 1}
+    counts.clear()
+    assert invoke(["verify", "--bounds", "lemma3", "--instance", path]).exit_code == 0
+    hpath = tmp_path / "h.json"
+    invoke(["generate", "hypotheses-demo", "--out", str(hpath)])
+    assert invoke(["verify", "--bounds", "eq5", "--hypotheses", str(hpath)]).exit_code == 0
+    assert counts == {}
+
+
+def test_verify_many_bounds_print_the_single_bound_reports(tmp_path):
+    """Sharing the policy and baselines across bound ids changes no byte of
+    the JSON reports."""
+    path = str(_coverage_instance_file(tmp_path))
+    for bound_ids, target in [
+        (["thm1", "eq1", "eq2", "eq3", "lemma2"], ["--corpus", "0..4", "--l", "2"]),
+        (["eq1", "eq2", "lemma2"], ["--corpus", "5..7"]),
+        (["lemma3", "thm2", "eq4", "thm6", "lemma2"], ["--instance", path]),
+    ]:
+        many = invoke(["--json", "verify", "--bounds", ",".join(bound_ids), *target])
+        singles = [
+            _json_documents(invoke(["--json", "verify", "--bounds", b, *target]).output)
+            for b in bound_ids
+        ]
+        docs = _json_documents(many.output)
+        assert len(docs) == len(singles[0])
+        for at, (doc, text) in enumerate(docs):
+            reports = [report for single in singles for report in single[at][0]["reports"]]
+            assert text == fileio.dumps({"instance": doc["instance"], "reports": reports})
