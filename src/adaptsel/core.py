@@ -16,11 +16,11 @@ conditional prior matters, :func:`state_bitsets` conditions supports without
 weights: a support is a bitset of realization indices, and observing state y
 at element v intersects it with ``state_bitsets(instance)[v][y]``.
 
-A :class:`PathState` (a psi, its conditional prior and gains) is keyed by
-(observed-element mask, support bitset); utilities are read through the
-per-instance rows of :func:`utility_rows`.  Tree walkers condition each ordered
-path once per instance (:func:`path_root`), ``gamma``'s walk each state once
-per call, and both adaptive checks each positive-mass psi once, layer by layer.
+A :class:`PathState` (a psi, its prior and gains) is keyed by (observed-element
+mask, support bitset), and only :meth:`PathState.split` splits one into its
+children; utilities are read through :func:`utility_rows`.  Tree walkers build
+each ordered path once per instance (:func:`path_root`), ``gamma``'s walk each
+state once per call, and the adaptive checks each positive-mass psi once.
 Caches hold only deterministic values, so concurrent use of an instance is safe.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
@@ -186,22 +186,13 @@ class Instance:
 
     def value(self, subset: Iterable[int], phi_index: int) -> float:
         """Utility f(A, phi) for a subset of element indices."""
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        return utility_rows(self)[mask][phi_index]
+        return utility_rows(self)[_mask(subset)][phi_index]
 
     def with_utility(self, table: UtilityTable) -> "Instance":
-        return Instance(
-            self.elements, self.states, self.realizations, tuple(self.prior),
-            table, self.name,
-        )
+        return replace(self, utility=table)
 
     def with_prior(self, prior: Iterable[float]) -> "Instance":
-        return Instance(
-            self.elements, self.states, self.realizations, tuple(prior),
-            self.utility, self.name,
-        )
+        return replace(self, prior=tuple(prior))
 
     def consistent(self, phi_index: int, psi: PartialRealization) -> bool:
         phi = self.realizations[phi_index]
@@ -221,18 +212,12 @@ def version_space(instance: Instance, psi: PartialRealization) -> ConditionalPri
     Raises :class:`EmptyVersionSpace` if the consistent realizations carry no
     prior mass (conditioning on a measure-zero event).
     """
-    support = []
-    masses = []
-    for i, p in enumerate(instance.prior):
-        if p > 0.0 and instance.consistent(i, psi):
-            support.append(i)
-            masses.append(p)
+    support = members(_key(instance, psi.pairs)[1])
+    masses = [instance.prior[i] for i in support]
     total = sum(masses)
     if total <= 0.0:
-        raise EmptyVersionSpace(
-            f"no positive-probability realization consistent with "
-            f"{instance.describe_psi(psi)}"
-        )
+        raise EmptyVersionSpace("no positive-probability realization consistent "
+                                f"with {instance.describe_psi(psi)}")
     return renormalize(support, masses, total)
 
 
@@ -294,22 +279,21 @@ class PathState:
         extended path (read from and stored in ``table`` if given)."""
         found = self.after.get(element)
         if found is None:
-            dom = self.dom | 1 << element
-            bits, rows = state_bitsets(instance)[element], _gain_rows(instance, dom)
+            dom, bits = self.dom | 1 << element, state_bitsets(instance)[element]
             found = self.after[element] = {
-                y: (mass, _state(self.pairs + ((element, y),),
-                                 (dom, self.support & bits[y]), part, rows, table))
+                y: (mass, _state(instance, self.pairs + ((element, y),),
+                                 (dom, self.support & bits[y]), part, table))
                 for y, (mass, part) in split(instance, self.vs, element).items()
             }
         return found
 
 
-def _state(pairs, key, vs, rows, table) -> PathState:
-    """The state in ``table`` under ``key``, else a new one of ``pairs``, by
-    ``vs`` and its domain's :func:`_gain_rows`, stored in ``table`` if given."""
+def _state(instance, pairs, key, vs, table) -> PathState:
+    """The state in ``table`` under ``key``, else a new one of ``pairs`` by
+    ``vs``, stored in ``table`` if given."""
     found = table.get(key) if table is not None else None
     if found is None:
-        found = PathState(pairs, *key, vs, _gains(rows, vs))
+        found = PathState(pairs, *key, vs, _gains(instance, key[0], vs))
         if table is not None:
             table[key] = found
     return found
@@ -320,14 +304,10 @@ def path_state(instance: Instance, psi: PartialRealization,
     """The state of psi, conditioned by :func:`version_space`.  With ``table``,
     a dict by (observed-element mask, support bitset), the state already under
     psi's key is returned as is, and a new one is stored there."""
-    support = sum(1 << i for i, p in enumerate(instance.prior) if p > 0.0)
-    for e, y in psi.pairs:
-        support &= state_bitsets(instance)[e][y]
-    key = (sum(1 << e for e, _ in psi.pairs), support)
+    key = _key(instance, psi.pairs)
     if table is not None and key in table:
         return table[key]
-    return _state(psi.pairs, key, version_space(instance, psi),
-                  _gain_rows(instance, key[0]), table)
+    return _state(instance, psi.pairs, key, version_space(instance, psi), table)
 
 
 def path_root(instance: Instance) -> PathState:
@@ -367,12 +347,44 @@ def state_bitsets(instance: Instance) -> tuple[tuple[int, ...], ...]:
     cache = instance.__dict__
     if "_bits" not in cache:
         bits = [[0] * instance.num_states for _ in range(instance.num_elements)]
-        for i, (phi, p) in enumerate(zip(instance.realizations, instance.prior)):
-            if p > 0.0:
-                for e, y in enumerate(phi):
-                    bits[e][y] |= 1 << i
+        for i in members(_positive(instance)):
+            for e, y in enumerate(instance.realizations[i]):
+                bits[e][y] |= 1 << i
         cache["_bits"] = tuple(tuple(row) for row in bits)
     return cache["_bits"]
+
+
+def members(bits: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _positive(instance: Instance) -> int:
+    """The bitset of positive-prior realizations: the support of the empty psi."""
+    return sum(1 << i for i, p in enumerate(instance.prior) if p > 0.0)
+
+
+def _mask(elements: Iterable[int]) -> int:
+    """The bitset of the element indices ``elements``."""
+    mask = 0
+    for v in elements:
+        mask |= 1 << v
+    return mask
+
+
+def _key(instance: Instance, pairs: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """(observed-element mask, support bitset) of the observations ``pairs``:
+    :func:`_positive` narrowed by :func:`state_bitsets` as splits narrow it."""
+    bits = state_bitsets(instance)
+    support = _positive(instance)
+    for e, y in pairs:
+        support &= bits[e][y]
+    return _mask(e for e, _ in pairs), support
 
 
 def gains(
@@ -380,21 +392,26 @@ def gains(
 ) -> dict[int, float]:
     """Expected marginal gain Delta(v | psi) of every unobserved element,
     under ``vs``, the conditional prior of psi."""
-    return _gains(_gain_rows(instance, sum(1 << e for e, _ in psi.pairs)), vs)
+    return _gains(instance, _mask(e for e, _ in psi.pairs), vs)
 
 
 def _gain_rows(instance: Instance, dom: int) -> tuple:
     """The utility row of the observed-element mask ``dom`` and, per element v
-    outside it, (v, the row of dom plus v): what :func:`_gains` prices on."""
-    rows = utility_rows(instance)
-    n = instance.num_elements
-    return rows[dom], [(v, rows[dom | 1 << v]) for v in range(n) if not dom >> v & 1]
+    outside it, (v, the row of dom plus v): what :func:`_gains` prices on.
+    Built once per instance and mask."""
+    cache = instance.__dict__.setdefault("_gain_rows", {})
+    found = cache.get(dom)
+    if found is None:
+        rows, n = utility_rows(instance), instance.num_elements
+        found = cache[dom] = rows[dom], [
+            (v, rows[dom | 1 << v]) for v in range(n) if not dom >> v & 1]
+    return found
 
 
-def _gains(rows: tuple, vs: ConditionalPrior) -> dict[int, float]:
-    """Delta(v | psi) per unobserved element v, from psi's
-    :func:`_gain_rows` and its conditional prior ``vs``."""
-    before, afters = rows
+def _gains(instance: Instance, dom: int, vs: ConditionalPrior) -> dict[int, float]:
+    """Delta(v | psi) per unobserved element v, from the observed-element mask
+    ``dom`` of psi and its conditional prior ``vs``."""
+    before, afters = _gain_rows(instance, dom)
     return {v: sum([w * (after[i] - before[i]) for i, w in vs.items()])
             for v, after in afters}
 
@@ -500,11 +517,10 @@ class CheckResult:
 def _conditioned_states(instance: Instance) -> Iterator[PathState]:
     """The state of every positive-mass psi, each built once, in
     :func:`positive_partial_realizations` order (by size, domain, pattern):
-    every psi but the empty one is a :func:`split` part of the state of psi
-    without its largest element.  Splitting each layer's parents domain by
-    domain, then element by element, parent by parent and state by state
+    every psi but the empty one is a :meth:`PathState.split` part of the state
+    of psi without its largest element.  Splitting each layer's parents domain
+    by domain, then element by element, parent by parent and state by state
     keeps every layer in that order."""
-    bits = state_bitsets(instance)
     layer = [path_state(instance, EMPTY)]
     while layer:
         yield from layer
@@ -512,13 +528,8 @@ def _conditioned_states(instance: Instance) -> Iterator[PathState]:
         for dom, group in itertools.groupby(layer, key=attrgetter("dom")):
             group = list(group)
             for v in range(dom.bit_length(), instance.num_elements):
-                child = dom | 1 << v
-                rows = _gain_rows(instance, child)
-                for parent in group:
-                    for y, (_, part) in sorted(split(instance, parent.vs, v).items()):
-                        pairs = parent.pairs + ((v, y),)
-                        key = (child, parent.support & bits[v][y])
-                        below.append(_state(pairs, key, part, rows, None))
+                below += [at for parent in group
+                          for _, (_, at) in sorted(parent.split(instance, v).items())]
         layer = below
 
 

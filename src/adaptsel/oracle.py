@@ -22,6 +22,7 @@ from .core import (
     Instance,
     PartialRealization,
     partition,
+    members,
     renormalize,
     state_bitsets,
     utility_rows,
@@ -180,16 +181,6 @@ def optimal_budget(
 # -- minimum cost coverage -------------------------------------------------
 
 
-def _members(bits: int) -> list[int]:
-    """Indices of the set bits, ascending."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
-
-
 def optimal_coverage(
     instance: Instance,
     q: Optional[float] = None,
@@ -246,7 +237,7 @@ def optimal_coverage(
     def mass(support: int) -> float:
         found = masses.get(support)
         if found is None:
-            found = masses[support] = sum([prior[i] for i in _members(support)])
+            found = masses[support] = sum([prior[i] for i in members(support)])
         return found
 
     def candidates(dom: int, support: int) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -263,16 +254,16 @@ def optimal_coverage(
             options.append((v, outcomes))
         if not pruned:
             return options
-        members = _members(support)
+        inside = members(support)
         here = rows[dom]
-        current_min = min([here[i] for i in members])
+        current_min = min([here[i] for i in inside])
         keep = []
         for v, outcomes in options:
             if len(outcomes) > 1:
                 keep.append((v, outcomes))
                 continue
             after = rows[dom | 1 << v]
-            if min([after[i] for i in members]) > current_min + tol:
+            if min([after[i] for i in inside]) > current_min + tol:
                 keep.append((v, outcomes))
         # Coverage is reachable, so some element must eventually help; fall
         # back to everything if the heuristic filters them all out.

@@ -93,6 +93,8 @@ def test_with_utility_and_with_prior_get_fresh_caches():
     scaled = instance.with_utility(doubled)
     assert core.utility_rows(scaled) is not rows
     assert core.utility_rows(scaled)[-1] == doubled[tuple(range(3))]
+    base_gains = core.path_root(instance).gains
+    assert core.path_root(scaled).gains == {v: 2.0 * g for v, g in base_gains.items()}
     lifted = instance.with_prior([0.0] + [1.0 / 7] * 7)
     assert core.state_bitsets(lifted) is not bits
     assert all(not b & 1 for row in core.state_bitsets(lifted) for b in row)
