@@ -16,11 +16,11 @@ conditional prior matters, :func:`state_bitsets` conditions supports without
 weights: a support is a bitset of realization indices, and observing state y
 at element v intersects it with ``state_bitsets(instance)[v][y]``.
 
-A :class:`PathState` (a psi, its prior and gains) is keyed by (observed-element
-mask, support bitset), and only :meth:`PathState.split` splits one into its
-children; utilities are read through :func:`utility_rows`.  Tree walkers build
-each ordered path once per instance (:func:`path_root`), ``gamma``'s walk each
-state once per call, and the adaptive checks each positive-mass psi once.
+A :class:`PathState` (a psi, its conditional prior and gains) is keyed by
+(observed-element mask, support bitset); utilities are read through the
+per-instance rows of :func:`utility_rows`.  Tree walkers condition each ordered
+path once per instance (:func:`path_root`), ``gamma``'s walk each state once
+per call, and both adaptive checks each positive-mass psi once, layer by layer.
 Caches hold only deterministic values, so concurrent use of an instance is safe.
 """
 
@@ -194,10 +194,6 @@ class Instance:
     def with_prior(self, prior: Iterable[float]) -> "Instance":
         return replace(self, prior=tuple(prior))
 
-    def consistent(self, phi_index: int, psi: PartialRealization) -> bool:
-        phi = self.realizations[phi_index]
-        return all(phi[e] == y for e, y in psi.pairs)
-
     def describe_psi(self, psi: PartialRealization) -> dict[str, str]:
         """Human-readable form of a partial realization, for witnesses."""
         return {self.elements[e]: self.states[y] for e, y in psi.pairs}
@@ -279,21 +275,22 @@ class PathState:
         extended path (read from and stored in ``table`` if given)."""
         found = self.after.get(element)
         if found is None:
-            dom, bits = self.dom | 1 << element, state_bitsets(instance)[element]
+            dom = self.dom | 1 << element
+            bits, rows = state_bitsets(instance)[element], _gain_rows(instance, dom)
             found = self.after[element] = {
-                y: (mass, _state(instance, self.pairs + ((element, y),),
-                                 (dom, self.support & bits[y]), part, table))
+                y: (mass, _state(self.pairs + ((element, y),),
+                                 (dom, self.support & bits[y]), part, rows, table))
                 for y, (mass, part) in split(instance, self.vs, element).items()
             }
         return found
 
 
-def _state(instance, pairs, key, vs, table) -> PathState:
-    """The state in ``table`` under ``key``, else a new one of ``pairs`` by
-    ``vs``, stored in ``table`` if given."""
+def _state(pairs, key, vs, rows, table) -> PathState:
+    """The state in ``table`` under ``key``, else a new one of ``pairs``, by
+    ``vs`` and its domain's :func:`_gain_rows`, stored in ``table`` if given."""
     found = table.get(key) if table is not None else None
     if found is None:
-        found = PathState(pairs, *key, vs, _gains(instance, key[0], vs))
+        found = PathState(pairs, *key, vs, _gains(rows, vs))
         if table is not None:
             table[key] = found
     return found
@@ -307,7 +304,8 @@ def path_state(instance: Instance, psi: PartialRealization,
     key = _key(instance, psi.pairs)
     if table is not None and key in table:
         return table[key]
-    return _state(instance, psi.pairs, key, version_space(instance, psi), table)
+    return _state(psi.pairs, key, version_space(instance, psi),
+                  _gain_rows(instance, key[0]), table)
 
 
 def path_root(instance: Instance) -> PathState:
@@ -392,26 +390,21 @@ def gains(
 ) -> dict[int, float]:
     """Expected marginal gain Delta(v | psi) of every unobserved element,
     under ``vs``, the conditional prior of psi."""
-    return _gains(instance, _mask(e for e, _ in psi.pairs), vs)
+    return _gains(_gain_rows(instance, _mask(e for e, _ in psi.pairs)), vs)
 
 
 def _gain_rows(instance: Instance, dom: int) -> tuple:
     """The utility row of the observed-element mask ``dom`` and, per element v
-    outside it, (v, the row of dom plus v): what :func:`_gains` prices on.
-    Built once per instance and mask."""
-    cache = instance.__dict__.setdefault("_gain_rows", {})
-    found = cache.get(dom)
-    if found is None:
-        rows, n = utility_rows(instance), instance.num_elements
-        found = cache[dom] = rows[dom], [
-            (v, rows[dom | 1 << v]) for v in range(n) if not dom >> v & 1]
-    return found
+    outside it, (v, the row of dom plus v): what :func:`_gains` prices on."""
+    rows = utility_rows(instance)
+    n = instance.num_elements
+    return rows[dom], [(v, rows[dom | 1 << v]) for v in range(n) if not dom >> v & 1]
 
 
-def _gains(instance: Instance, dom: int, vs: ConditionalPrior) -> dict[int, float]:
-    """Delta(v | psi) per unobserved element v, from the observed-element mask
-    ``dom`` of psi and its conditional prior ``vs``."""
-    before, afters = _gain_rows(instance, dom)
+def _gains(rows: tuple, vs: ConditionalPrior) -> dict[int, float]:
+    """Delta(v | psi) per unobserved element v, from psi's
+    :func:`_gain_rows` and its conditional prior ``vs``."""
+    before, afters = rows
     return {v: sum([w * (after[i] - before[i]) for i, w in vs.items()])
             for v, after in afters}
 
@@ -517,10 +510,12 @@ class CheckResult:
 def _conditioned_states(instance: Instance) -> Iterator[PathState]:
     """The state of every positive-mass psi, each built once, in
     :func:`positive_partial_realizations` order (by size, domain, pattern):
-    every psi but the empty one is a :meth:`PathState.split` part of the state
-    of psi without its largest element.  Splitting each layer's parents domain
-    by domain, then element by element, parent by parent and state by state
-    keeps every layer in that order."""
+    every psi but the empty one is a :func:`split` part of the state of psi
+    without its largest element.  Splitting each layer's parents domain by
+    domain, then element by element, parent by parent and state by state
+    keeps every layer in that order.  Unlike :meth:`PathState.split`, parents
+    share their domain's gain rows and keep no ``after`` (BENCH_12.json)."""
+    bits = state_bitsets(instance)
     layer = [path_state(instance, EMPTY)]
     while layer:
         yield from layer
@@ -528,8 +523,13 @@ def _conditioned_states(instance: Instance) -> Iterator[PathState]:
         for dom, group in itertools.groupby(layer, key=attrgetter("dom")):
             group = list(group)
             for v in range(dom.bit_length(), instance.num_elements):
-                below += [at for parent in group
-                          for _, (_, at) in sorted(parent.split(instance, v).items())]
+                child = dom | 1 << v
+                rows = _gain_rows(instance, child)
+                for parent in group:
+                    for y, (_, part) in sorted(split(instance, parent.vs, v).items()):
+                        below.append(PathState(parent.pairs + ((v, y),), child,
+                                               parent.support & bits[v][y], part,
+                                               _gains(rows, part)))
         layer = below
 
 

@@ -78,7 +78,8 @@ def test_split_matches_conditioning_from_scratch(thm4, thm5):
             vs = a.version_space(instance, psi)
             consistent = [
                 i for i, p in enumerate(instance.prior)
-                if p > 0.0 and instance.consistent(i, psi)
+                if p > 0.0
+                and all(instance.realizations[i][e] == y for e, y in psi.pairs)
             ]
             psi_mass = sum(instance.prior[i] for i in consistent)
             for v in range(instance.num_elements):
