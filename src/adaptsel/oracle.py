@@ -21,8 +21,8 @@ from .core import (
     ConditionalPrior,
     Instance,
     PartialRealization,
-    partition,
     members,
+    partition,
     renormalize,
     state_bitsets,
     utility_rows,
