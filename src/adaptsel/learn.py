@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import add
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Instance, TOL, UtilityTable, subset_key
+from .core import Instance, TOL, UtilityTable, members
 from .errors import DuplicateHypothesis
 from .policy import Node, build_greedy
 
@@ -70,21 +71,31 @@ def coverage_utility(
     The value is 1 exactly when observing A under phi identifies phi.
     Zero-probability realizations get rows too; their version-space mass
     simply never includes them.
+
+    The realizations that agree on A, its classes, share a version space.
+    As bitsets, they are the classes of A without its largest element split
+    by that element's label bitsets, built over every realization.  Each
+    class's mass sums p over its members in index order.
     """
     p = tuple(instance.prior if prior is None else prior)
+    n, m = instance.num_elements, instance.num_realizations
+    labels = [[sum(1 << i for i, phi in enumerate(instance.realizations) if phi[e] == y)
+               for y in range(instance.num_states)] for e in range(n)]
+    classes = {(): [(1 << m) - 1]}
     table: UtilityTable = {}
-    for size in range(instance.num_elements + 1):
-        for subset in itertools.combinations(range(instance.num_elements), size):
-            # Realizations that agree on the subset share a version space;
-            # each one's mass sums p over its members in index order.
-            patterns = [tuple(phi[e] for e in subset) for phi in instance.realizations]
-            members: dict[tuple[int, ...], list[float]] = {}
-            for j, pattern in enumerate(patterns):
-                members.setdefault(pattern, []).append(p[j])
-            mass = {pattern: sum(ps) for pattern, ps in members.items()}
-            table[subset_key(subset)] = tuple(
-                1.0 - mass[pattern] + p[i] for i, pattern in enumerate(patterns)
-            )
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            if subset:
+                classes[subset] = [part for whole in classes[subset[:-1]]
+                                   for label in labels[subset[-1]]
+                                   if (part := whole & label)]
+            outside = [0.0] * m
+            for part in classes[subset]:
+                inside = members(part)
+                rest = 1.0 - sum([p[i] for i in inside])
+                for i in inside:
+                    outside[i] = rest
+            table[subset] = tuple(map(add, outside, p))
     return table
 
 

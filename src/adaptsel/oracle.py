@@ -205,34 +205,39 @@ def optimal_coverage(
     ``version_space`` sums it; outcomes are added in order of first
     appearance in the support.  The first candidate whose cost is below the
     best so far by more than ``tol`` wins.
+
+    Each instance solves each (Q, ``pruned``, ``tol``) once and returns the
+    same ``(tree, cost)`` object on a repeated call; support masses are kept
+    on the instance for every pass.  The reachability of Q and the
+    ``enum_budget`` gate are checked on every call, cached or not.
     """
+    if q is not None and not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     rows = utility_rows(instance)
     prior = instance.prior
+    positive = [i for i, p in enumerate(prior) if p > 0.0]
     if q is None:
-        q = max(row[i] for row in rows for i, p in enumerate(prior) if p > 0.0)
+        q = max([max([row[i] for i in positive]) for row in rows])
     n = instance.num_elements
     full = rows[-1]
-    for i, p in enumerate(prior):
-        if p > 0.0 and abs(full[i] - q) > tol:
+    for i in positive:
+        if abs(full[i] - q) > tol:
             raise CoverageUnreachable(
                 f"realization {i} only reaches {full[i]} != {q} "
                 f"with every element selected"
             )
     _check_memo_keys(instance, n, enum_budget)
+    cache = instance.__dict__  # not fields: kept out of ==, repr and the JSON
+    solved = cache.setdefault("_coverage", {})
+    if (q, pruned, tol) in solved:
+        return solved[q, pruned, tol]
+    masses: dict[int, float] = cache.setdefault("_masses", {})
     bits = state_bitsets(instance)
-    uncovered: dict[int, int] = {}
-    masses: dict[int, float] = {}
+    uncovered = [sum([1 << i for i, value in enumerate(row) if abs(value - q) > tol])
+                 for row in rows]
     memo: dict[tuple[int, int], tuple[float, Node]] = {}
-
-    def uncovered_at(dom: int) -> int:
-        found = uncovered.get(dom)
-        if found is None:
-            found = 0
-            for i, value in enumerate(rows[dom]):
-                if abs(value - q) > tol:
-                    found |= 1 << i
-            uncovered[dom] = found
-        return found
 
     def mass(support: int) -> float:
         found = masses.get(support)
@@ -240,18 +245,17 @@ def optimal_coverage(
             found = masses[support] = sum([prior[i] for i in members(support)])
         return found
 
-    def candidates(dom: int, support: int) -> list[tuple[int, list[tuple[int, int]]]]:
-        """(element, its outcomes as (state, child support)) per candidate."""
+    def candidates(dom: int, support: int) -> list[tuple[int, list]]:
+        """(element, its outcomes as (lowest bit, state, child support)
+        sorted) per candidate element."""
         options = []
         for v in range(n):
-            if dom >> v & 1:
-                continue
-            outcomes = []
-            for y, observed in enumerate(bits[v]):
-                child = support & observed
-                if child:
-                    outcomes.append((y, child))
-            options.append((v, outcomes))
+            if not dom >> v & 1:
+                outcomes = [(child & -child, y, child)
+                            for y, observed in enumerate(bits[v])
+                            if (child := support & observed)]
+                outcomes.sort()
+                options.append((v, outcomes))
         if not pruned:
             return options
         inside = members(support)
@@ -270,29 +274,28 @@ def optimal_coverage(
         return keep or options
 
     def solve(dom: int, support: int) -> tuple[float, Node]:
-        key = (dom, support)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        if not support & uncovered_at(dom):
-            memo[key] = (0.0, TERMINAL)
-            return memo[key]
+        """The memo entry of an uncovered state not yet in the memo; covered
+        children cost 0 and are left out of the memo."""
         total = mass(support)
         best_cost = math.inf
-        best_node: Node = TERMINAL
         for v, outcomes in candidates(dom, support):
-            outcomes.sort(key=lambda outcome: outcome[1] & -outcome[1])
+            observed = dom | 1 << v
+            unmet = uncovered[observed]
             cost = 1.0
-            children: list[Node] = [TERMINAL] * instance.num_states
-            for y, child in outcomes:
-                sub_cost, sub_node = solve(dom | 1 << v, child)
-                cost += mass(child) / total * sub_cost
-                children[y] = sub_node
+            for _, _, child in outcomes:
+                if child & unmet:
+                    found = memo.get((observed, child)) or solve(observed, child)
+                    cost += (masses.get(child) or mass(child)) / total * found[0]
             if cost < best_cost - tol:
-                best_cost = cost
-                best_node = Select(v, tuple(children))
-        memo[key] = (best_cost, best_node)
-        return memo[key]
+                best_cost, best = cost, (v, outcomes)
+        v, outcomes = best
+        children: list[Node] = [TERMINAL] * instance.num_states
+        for _, y, child in outcomes:
+            children[y] = memo.get((dom | 1 << v, child), (0.0, TERMINAL))[1]
+        memo[dom, support] = result = (best_cost, Select(v, tuple(children)))
+        return result
 
-    cost, tree = solve(0, sum(1 << i for i, p in enumerate(prior) if p > 0.0))
-    return tree, cost
+    root = sum([1 << i for i in positive])
+    cost, tree = solve(0, root) if root & uncovered[0] else (0.0, TERMINAL)
+    solved[q, pruned, tol] = result = (tree, cost)
+    return result

@@ -7,6 +7,11 @@ cut with ``cut_tree`` into its coin components.  The differential tests
 require the library's annotated-tree results to equal these exactly,
 witnesses included.
 
+``reference_coverage_utility`` tabulates the coverage utility subset by
+subset, grouping realizations by their label pattern on the subset.  The
+library's bitset refinement must give the same keys in the same order and
+the same floats.
+
 ``reference_optimal_budget`` and ``reference_optimal_coverage`` are the
 budget and coverage DPs keyed by partial realizations, every state
 conditioned with ``core.split``; the two reference checks
@@ -216,6 +221,27 @@ def reference_optimal_budget(instance, k):
 
     value, tree = solve(EMPTY, version_space(instance, EMPTY), k)
     return tree, value
+
+
+def reference_coverage_utility(instance, prior=None):
+    """f_p(A, phi) = 1 - p(version space of phi restricted to A) + p(phi) for
+    every subset A, by size then ``itertools.combinations`` order, and every
+    realization phi."""
+    p = tuple(instance.prior if prior is None else prior)
+    table = {}
+    for size in range(instance.num_elements + 1):
+        for subset in itertools.combinations(range(instance.num_elements), size):
+            # Realizations that agree on the subset share a version space;
+            # each one's mass sums p over its members in index order.
+            patterns = [tuple(phi[e] for e in subset) for phi in instance.realizations]
+            members = {}
+            for j, pattern in enumerate(patterns):
+                members.setdefault(pattern, []).append(p[j])
+            mass = {pattern: sum(ps) for pattern, ps in members.items()}
+            table[subset_key(subset)] = tuple(
+                1.0 - mass[pattern] + p[i] for i, pattern in enumerate(patterns)
+            )
+    return table
 
 
 def reference_optimal_coverage(instance, q=None, pruned=True, tol=a.TOL):

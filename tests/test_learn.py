@@ -1,12 +1,15 @@
 """Active learning: coverage utility, modified prior, GBS."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import adaptsel as a
 from conftest import coverage_demo
+from reference_walks import reference_coverage_utility
+from test_coverage_and_checks import random_hypotheses
 
 TOL = 1e-9
 
@@ -57,6 +60,38 @@ def test_coverage_utility_equals_pairwise_reference(hc):
     assert a.coverage_utility(bare, modified) == pairwise_coverage_utility(
         bare, modified
     )
+
+
+def _three_label_class(seed, examples, hypotheses):
+    """A random class over labels a, b, c with its first hypothesis at
+    prior 0."""
+    rng = random.Random(seed)
+    rows = set()
+    while len(rows) < hypotheses:
+        rows.add(tuple(rng.choice("abc") for _ in range(examples)))
+    weights = [0.0] + [rng.random() + 0.05 for _ in range(hypotheses - 1)]
+    return a.HypothesisClass(tuple(f"x{i}" for i in range(examples)),
+                             tuple(sorted(rows)),
+                             tuple(w / sum(weights) for w in weights))
+
+
+def test_coverage_utility_equals_reference_bit_for_bit(demo_hypotheses,
+                                                      two_feature_hypotheses):
+    """Bitset refinement against the per-subset pattern grouping: the same
+    keys in the same order and float.hex-identical rows, zero-prior rows
+    included, under the plain and the modified prior."""
+    classes = (demo_hypotheses, two_feature_hypotheses,
+               random_hypotheses(99, 4, 8, zero_prior=2),
+               _three_label_class(7, 4, 11))
+    assert len(a.instance_from_hypotheses(classes[-1]).states) == 3
+    for hc in classes:
+        bare = a.instance_from_hypotheses(hc)
+        for prior in (bare.prior, a.modified_prior(bare.prior)):
+            table = a.coverage_utility(bare, prior)
+            expected = reference_coverage_utility(bare, prior)
+            assert list(table) == list(expected)
+            assert [[v.hex() for v in row] for row in table.values()] == [
+                [v.hex() for v in row] for row in expected.values()]
 
 
 def test_coverage_utility_empty_set_is_prior_mass(demo_hypotheses):

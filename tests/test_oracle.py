@@ -2,6 +2,7 @@
 minimum-cost coverage."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -176,3 +177,53 @@ def test_optimal_coverage_pruned_equals_unpruned(demo_hypotheses,
         _t1, pruned_cost = a.optimal_coverage(cov_plain, pruned=True)
         _t2, full_cost = a.optimal_coverage(cov_plain, pruned=False)
         assert abs(pruned_cost - full_cost) <= TOL
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"q": math.nan}, "q"), ({"q": math.inf}, "q"), ({"q": -math.inf}, "q"),
+    ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
+    ({"tol": -1.0}, "tol"),
+])
+def test_optimal_coverage_rejects_non_finite_q_and_bad_tol(
+        two_feature_hypotheses, kwargs, name):
+    _, cov_plain, _ = coverage_demo(two_feature_hypotheses)
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        a.optimal_coverage(cov_plain, **kwargs)
+
+
+def _splitting_and_partial():
+    """a identifies the realization and is worth nothing; b and c are worth
+    1 on one realization each; d is worth 0.1 everywhere.  Q, ``tol`` and
+    the prior each change the cheapest cover."""
+    instance = a.Instance(("a", "b", "c", "d"), ("0", "1"),
+                          ((0, 0, 0, 0), (1, 0, 0, 0)), (0.5, 0.5))
+    table = {}
+    for mask in range(16):
+        subset = tuple(v for v in range(4) if mask >> v & 1)
+        d = 0.1 if 3 in subset else 0.0
+        table[subset] = (1.0 if 1 in subset else d, 1.0 if 2 in subset else d)
+    return instance.with_utility(table)
+
+
+def test_optimal_coverage_solves_once_per_instance_and_arguments():
+    instance = _splitting_and_partial()
+    calls = [{}, {"pruned": False}, {"pruned": False, "tol": 0.95},
+             {"q": 0.5, "tol": 0.5}, {"q": 1.0, "tol": 0.5}]
+    results = [a.optimal_coverage(instance, **kwargs) for kwargs in calls]
+    assert [cost for _tree, cost in results] == [2.0, 2.0, 1.0, 0.0, 2.0]
+    assert a.optimal_coverage(instance, q=1.0) is results[0]  # Q resolved
+    for kwargs, result in zip(calls, results):
+        assert a.optimal_coverage(instance, **kwargs) is result
+        fresh = a.optimal_coverage(instance.with_utility(instance.utility),
+                                   **kwargs)
+        assert fresh == result and fresh is not result
+    # The gates hold on a cached solve.
+    with pytest.raises(a.EnumerationBudgetExceeded):
+        a.optimal_coverage(instance, enum_budget=0)
+    with pytest.raises(a.CoverageUnreachable):
+        a.optimal_coverage(instance, q=2.0)
+    # A copy with another prior or utility solves afresh.
+    skewed = instance.with_prior((1.0, 0.0))
+    assert a.optimal_coverage(skewed) == (a.Select(1, (a.TERMINAL,) * 2), 1.0)
+    flat = instance.with_utility({key: (1.0, 1.0) for key in instance.utility})
+    assert a.optimal_coverage(flat) == (a.TERMINAL, 0.0)
