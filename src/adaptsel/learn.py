@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import add
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 from .core import Instance, TOL, UtilityTable, members
@@ -72,10 +72,11 @@ def coverage_utility(
     Zero-probability realizations get rows too; their version-space mass
     simply never includes them.
 
-    The realizations that agree on A, its classes, share a version space.
-    As bitsets, they are the classes of A without its largest element split
-    by that element's label bitsets, built over every realization.  Each
-    class's mass sums p over its members in index order.
+    The realizations that agree on A (its classes) share a version space.
+    As bitsets, A's classes are those of A without its largest element split
+    by that element's label bitsets, which cover every realization, zero-prior
+    ones included.  A class's mass sums p over its members in index order;
+    keys run by size, then in ``itertools.combinations`` order.
     """
     p = tuple(instance.prior if prior is None else prior)
     n, m = instance.num_elements, instance.num_realizations

@@ -207,10 +207,10 @@ def _splitting_and_partial():
 
 def test_optimal_coverage_solves_once_per_instance_and_arguments():
     instance = _splitting_and_partial()
-    calls = [{}, {"pruned": False}, {"pruned": False, "tol": 0.95},
+    calls = [{}, {"pruned": False}, {"tol": 0.95}, {"pruned": False, "tol": 0.95},
              {"q": 0.5, "tol": 0.5}, {"q": 1.0, "tol": 0.5}]
     results = [a.optimal_coverage(instance, **kwargs) for kwargs in calls]
-    assert [cost for _tree, cost in results] == [2.0, 2.0, 1.0, 0.0, 2.0]
+    assert [cost for _tree, cost in results] == [2.0, 2.0, 2.0, 1.0, 0.0, 2.0]
     assert a.optimal_coverage(instance, q=1.0) is results[0]  # Q resolved
     for kwargs, result in zip(calls, results):
         assert a.optimal_coverage(instance, **kwargs) is result
