@@ -16,6 +16,10 @@ Formats:
 * hypotheses: ``{"examples": [...], "labels": [[...], ...], "prior":
   [...]}``.
 
+A table is read in one pass; each entry's set, realization, value and
+uniqueness are checked in that order, then missing subsets.  An entry whose
+set list equals the previous entry's all-name list reuses its subset.
+
 All writers emit stable-ordered (sorted-key) JSON so identical inputs give
 byte-identical files.
 """
@@ -92,25 +96,25 @@ def _parse_utility(instance: Instance, spec) -> UtilityTable:
     entries = _expect(spec, "entries", list, "utility")
     m = instance.num_realizations
     rows: dict[tuple[int, ...], list] = {}
-    # Only exact-string member lists cache their key: 1, True and 1.0 are equal.
-    keys: dict[tuple, tuple[int, ...]] = {}
+    # The previous entry's all-string member list: a list equal to it is all
+    # strings too and names the same row.  1, True and 1.0 are equal, so a
+    # list with any other member is checked again.
+    last = None
     for entry in entries:
-        members = _expect(entry, "set", list, "utility entry")
-        try:
-            key = keys[tuple(members)]
-        except (KeyError, TypeError):  # a new or an unhashable member list
+        members = entry.get("set") if type(entry) is dict else None
+        if type(members) is not list or members != last:
+            members = _expect(entry, "set", list, "utility entry")
             key = _subset_key(instance, entry, members)
-            if all(type(member) is str for member in members):
-                keys[tuple(members)] = key
+            row = rows.setdefault(key, [None] * m)
+            last = members if all(type(x) is str for x in members) else None
         phi_index = entry.get("realization")
         if type(phi_index) is not int or not 0 <= phi_index < m:
             phi_index = _expect(entry, "realization", int, "utility entry")
             _fail(f"utility entry {entry!r}: realization {phi_index!r} is not "
                   f"an index below {m}")
-        value = _number(entry.get("value"), "utility entry value")
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = [None] * m
+        value = entry.get("value")
+        if type(value) is not float:
+            value = _number(value, "utility entry value")
         if row[phi_index] is not None:
             _fail(f"utility entry {entry!r}: duplicate entry for set "
                   f"{[instance.elements[e] for e in key]!r} and realization "
@@ -300,8 +304,16 @@ def hypotheses_to_dict(hc) -> dict:
 
 def jsonable(value):
     """Recursively convert dataclasses/tuples to plain JSON values, mapping
-    non-finite floats to strings so the output is strict JSON."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    non-finite floats to strings so the output is strict JSON.  Builtin
+    leaves and containers are tested by exact type first: none of them is a
+    dataclass."""
+    kind = type(value)
+    if kind is str or kind is int or kind is bool or value is None:
+        return value
+    if kind is float:
+        return value if math.isfinite(value) else repr(value)
+    if (kind is not dict and kind is not list and kind is not tuple
+            and dataclasses.is_dataclass(value) and not isinstance(value, type)):
         return {
             f.name: jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)

@@ -256,8 +256,8 @@ def optimal_coverage(
                             if (child := support & observed)]
                 outcomes.sort()
                 options.append((v, outcomes))
-        if not pruned:
-            return options
+        if not pruned or all(len(outcomes) > 1 for _, outcomes in options):
+            return options  # the filter below keeps every splitting element
         inside = members(support)
         here = rows[dom]
         current_min = min([here[i] for i in inside])

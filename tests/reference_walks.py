@@ -28,8 +28,17 @@ the run-based expectations: every positive-weight realization runs every
 component tree from the root, building its observations one
 ``PartialRealization`` at a time.  The library's descent must give the same
 floats and raise the same errors.
+
+``reference_parse_utility`` is the utility-table parse that looked every
+entry's member list up in a dict of all-string lists and checked realization
+and value through ``fileio``'s error helpers; ``fileio`` must return the
+same table, in key order and bit for bit, or raise the same ``ParseError``.
+``reference_jsonable`` is the report converter that asked
+``dataclasses.is_dataclass`` of every value first; ``fileio.dumps`` must
+write the same bytes as it.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -43,6 +52,13 @@ from adaptsel.core import (
     split,
     subset_key,
     version_space,
+)
+from adaptsel.fileio import (
+    _builtin_utility,
+    _expect,
+    _fail,
+    _number,
+    _subset_key,
 )
 
 
@@ -369,3 +385,70 @@ def reference_conditioned_states(instance):
             vs = version_space(instance, psi)
         priors[psi.key()] = vs
         yield psi, vs, gains(instance, psi, vs)
+
+
+def reference_parse_utility(instance, spec):
+    """A utility spec's table: every entry's set resolved through a dict of
+    all-string member lists, its realization and value checked through
+    ``_expect`` and ``_number``."""
+    kind = _expect(spec, "kind", str, "utility")
+    if kind == "builtin":
+        name = _expect(spec, "name", str, "utility")
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            _fail("utility: params must be an object")
+        return _builtin_utility(instance, name, params)
+    if kind != "table":
+        _fail(f"utility: unknown kind {kind!r}")
+    entries = _expect(spec, "entries", list, "utility")
+    m = instance.num_realizations
+    rows = {}
+    # Only exact-string member lists cache their key: 1, True and 1.0 are equal.
+    keys = {}
+    for entry in entries:
+        members = _expect(entry, "set", list, "utility entry")
+        try:
+            key = keys[tuple(members)]
+        except (KeyError, TypeError):  # a new or an unhashable member list
+            key = _subset_key(instance, entry, members)
+            if all(type(member) is str for member in members):
+                keys[tuple(members)] = key
+        phi_index = entry.get("realization")
+        if type(phi_index) is not int or not 0 <= phi_index < m:
+            phi_index = _expect(entry, "realization", int, "utility entry")
+            _fail(f"utility entry {entry!r}: realization {phi_index!r} is not "
+                  f"an index below {m}")
+        value = _number(entry.get("value"), "utility entry value")
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = [None] * m
+        if row[phi_index] is not None:
+            _fail(f"utility entry {entry!r}: duplicate entry for set "
+                  f"{[instance.elements[e] for e in key]!r} and realization "
+                  f"{phi_index!r}")
+        row[phi_index] = value
+    table = {}
+    for size in range(instance.num_elements + 1):
+        for key in itertools.combinations(range(instance.num_elements), size):
+            row = rows.get(key)
+            if row is None or None in row:
+                _fail(f"utility table is missing entries for subset {key!r}")
+            table[key] = tuple(row)
+    return table
+
+
+def reference_jsonable(value):
+    """Dataclasses, dicts, lists and tuples to plain JSON values, non-finite
+    floats to their repr, asking ``is_dataclass`` of every value first."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: reference_jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, dict):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value

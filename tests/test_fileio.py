@@ -1,8 +1,12 @@
 """JSON round-trips for instances, policies, and hypothesis classes."""
 
+import copy
+import dataclasses
 import json
+import random
 import re
 import tempfile
+from collections import OrderedDict, namedtuple
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,9 @@ from hypothesis import strategies as st
 
 import adaptsel as a
 from adaptsel import fileio
+from adaptsel.core import CheckResult
 from conftest import corpus_instance
+from reference_walks import reference_jsonable, reference_parse_utility
 
 TOL = 1e-9
 
@@ -277,3 +283,152 @@ def test_jsonable_handles_non_finite_floats():
     out = fileio.jsonable({"x": float("inf")})
     json.dumps(out)
     assert out["x"] == "inf"
+
+
+def _parsed(parse, instance, spec):
+    """A parse's table as (keys in order, float.hex rows), or the type and
+    text of the error it raised."""
+    try:
+        table = parse(instance, copy.deepcopy(spec))
+    except Exception as exc:  # compared across parsers, ParseError or not
+        return type(exc).__name__, str(exc)
+    return list(table), [[v.hex() for v in row] for row in table.values()]
+
+
+def _members(entries, rng, as_index):
+    """Each entry's set with the members ``as_index`` picks given as indices."""
+    for entry in entries:
+        entry["set"] = [int(m[1:]) - 1 if as_index(rng) else m for m in entry["set"]]
+
+
+def _same_set_pair(entries, members):
+    """Two consecutive entries whose set is ``members``."""
+    at = next(i for i, e in enumerate(entries)
+              if e["set"] == members and entries[i + 1]["set"] == members)
+    return entries[at], entries[at + 1]
+
+
+def _reuse_hazard(first, second):
+    def mutate(entries, at):
+        one, two = _same_set_pair(entries, ["v1"])
+        one["set"], two["set"] = list(first), list(second)
+    return mutate
+
+
+def _set(at_entry, value):
+    at_entry["set"] = value
+
+
+# Each mutation edits the entry list in place, at position ``at`` where it
+# edits one entry; the flag says whether the table must be refused.
+MUTATIONS = {
+    "as-written": (lambda entries, at: None, False),
+    "index-sets": (lambda entries, at: _members(entries, None, lambda rng: True), False),
+    "mixed-sets": (lambda entries, at: _members(entries, random.Random(at),
+                                                lambda rng: rng.random() < 0.5), False),
+    "reordered-sets": (lambda entries, at: [e["set"].reverse() for e in entries], False),
+    "int-value": (lambda entries, at: entries[at].update(value=1), False),
+    "nan-value": (lambda entries, at: entries[at].update(value=float("nan")), False),
+    "non-dict-entry": (lambda entries, at: entries.__setitem__(at, entries[at]["set"]), True),
+    "string-entry": (lambda entries, at: entries.__setitem__(at, "v1"), True),
+    "missing-set": (lambda entries, at: entries[at].pop("set"), True),
+    "string-set": (lambda entries, at: _set(entries[at], "v1"), True),
+    "object-set": (lambda entries, at: _set(entries[at], {"v1": 0}), True),
+    "unhashable-member": (lambda entries, at: _set(entries[at], [["v1"]]), True),
+    "bool-member": (lambda entries, at: _set(entries[at], [True]), True),
+    "float-member": (lambda entries, at: _set(entries[at], [1.0]), True),
+    "unknown-member": (lambda entries, at: _set(entries[at], ["v9"]), True),
+    "range-member": (lambda entries, at: _set(entries[at], [7]), True),
+    "name-twice": (lambda entries, at: _set(entries[at], ["v1", "v1"]), True),
+    "name-and-index": (lambda entries, at: _set(entries[at], ["v2", 1]), True),
+    "realization-range": (lambda entries, at: entries[at].update(realization=99), True),
+    "realization-negative": (lambda entries, at: entries[at].update(realization=-1), True),
+    "realization-bool": (lambda entries, at: entries[at].update(realization=True), True),
+    "realization-str": (lambda entries, at: entries[at].update(realization="0"), True),
+    "realization-float": (lambda entries, at: entries[at].update(realization=0.0), True),
+    "missing-realization": (lambda entries, at: entries[at].pop("realization"), True),
+    "value-bool": (lambda entries, at: entries[at].update(value=True), True),
+    "value-str": (lambda entries, at: entries[at].update(value="1.5"), True),
+    "missing-value": (lambda entries, at: entries[at].pop("value"), True),
+    "duplicate": (lambda entries, at: entries.insert(at, dict(entries[at])), True),
+    "missing-entry": (lambda entries, at: entries.pop(at), True),
+    "missing-subset": (lambda entries, at: entries.__setitem__(slice(None), [
+        e for e in entries if e["set"] != entries[at]["set"]]), True),
+    "set-and-realization": (lambda entries, at: entries[at].update(
+        set=[True], realization=99, value="x"), True),
+    "realization-and-value": (lambda entries, at: entries[at].update(
+        realization=99, value="x"), True),
+    "value-and-duplicate": (lambda entries, at: entries.insert(
+        at, {**entries[at], "value": "x"}), True),
+    "reuse-0-then-false": (_reuse_hazard([0], [False]), True),
+    "reuse-name-then-false": (_reuse_hazard(["v1"], [False]), True),
+    "reuse-0-then-0.0": (_reuse_hazard([0], [0.0]), True),
+}
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["writer-order", "shuffled"])
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_utility_parse_equals_reference(mutation, shuffled):
+    """The one-pass parse returns the reference's table, key order and bits
+    included, or raises its error with the same text."""
+    mutate, refused = MUTATIONS[mutation]
+    for instance in (corpus_instance(0), a.gen_random(3, 3, 7)):
+        written = fileio.instance_to_dict(instance)["utility"]
+        for at in (0, len(written["entries"]) // 2, len(written["entries"]) - 1):
+            spec = copy.deepcopy(written)
+            mutate(spec["entries"], at)
+            if shuffled:
+                random.Random(at).shuffle(spec["entries"])
+            got = _parsed(fileio._parse_utility, instance, spec)
+            assert got == _parsed(reference_parse_utility, instance, spec)
+            assert isinstance(got[0], str) == refused, got
+            if refused and not mutation.startswith("unknown"):
+                assert got[0] == "ParseError"
+
+
+@pytest.mark.parametrize("spec", [
+    None, [], {"kind": 1}, {"kind": "nope"}, {"kind": "table"},
+    {"kind": "table", "entries": {}}, {"kind": "table", "entries": []},
+    {"kind": "builtin", "name": "theorem4"}, {"kind": "builtin", "name": 4},
+    {"kind": "builtin", "name": "theorem4", "params": []},
+])
+def test_utility_spec_errors_equal_reference(spec):
+    instance = corpus_instance(0)
+    got = _parsed(fileio._parse_utility, instance, spec)
+    assert got == _parsed(reference_parse_utility, instance, spec)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Leaf:
+    value: float
+    tags: tuple
+
+
+@dataclasses.dataclass
+class _Report:
+    name: str
+    leaf: _Leaf
+    leaves: list
+    by_index: dict
+    missing: object = None
+
+
+def test_jsonable_writes_the_bytes_of_the_reference():
+    """Dataclasses, tuples, int-keyed dicts, non-finite floats, bools and
+    None give the same ``dumps`` bytes as the is_dataclass-first walk."""
+    Pair = namedtuple("Pair", "left right")
+    value = {
+        "report": _Report(
+            name="r",
+            leaf=_Leaf(float("inf"), (1, 2.5, True, None)),
+            leaves=[_Leaf(float("-inf"), ()), _Leaf(float("nan"), ("a", False))],
+            by_index={0: (float("nan"), -0.0), 1: [None, {"x": 1e308 * 10}]},
+        ),
+        "pair": Pair(_Leaf(0.1, (3,)), OrderedDict([(2, "b"), (1, "a")])),
+        "check": CheckResult(False, {"psi": {"v1": "0"}, "gap": float("-inf")}),
+        7: ((), [], {}),
+        "flags": (True, False, None, 0, -3, 2**70),
+    }
+    expected = json.dumps(reference_jsonable(value), indent=2, sort_keys=True) + "\n"
+    assert fileio.dumps(value) == expected
+    assert fileio.jsonable(value) == reference_jsonable(value)
