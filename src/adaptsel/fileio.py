@@ -18,7 +18,7 @@ Formats:
 
 A table is read in one pass; each entry's set, realization, value and
 uniqueness are checked in that order, then missing subsets.  An entry whose
-set list equals the previous entry's all-name list reuses its subset.
+set list equals an earlier entry's all-name list reuses its subset.
 
 All writers emit stable-ordered (sorted-key) JSON so identical inputs give
 byte-identical files.
@@ -96,17 +96,20 @@ def _parse_utility(instance: Instance, spec) -> UtilityTable:
     entries = _expect(spec, "entries", list, "utility")
     m = instance.num_realizations
     rows: dict[tuple[int, ...], list] = {}
-    # The previous entry's all-string member list: a list equal to it is all
-    # strings too and names the same row.  1, True and 1.0 are equal, so a
-    # list with any other member is checked again.
-    last = None
+    # The key and row of each all-name member list checked so far.  Only
+    # strings equal strings, whereas 1, True and 1.0 are equal, so a list
+    # with any other member is checked in full every time.
+    named: dict[tuple, tuple] = {}
     for entry in entries:
         members = entry.get("set") if type(entry) is dict else None
-        if type(members) is not list or members != last:
+        try:
+            key, row = named[tuple(members) if type(members) is list else None]
+        except (KeyError, TypeError):  # a new, unhashable or malformed set
             members = _expect(entry, "set", list, "utility entry")
             key = _subset_key(instance, entry, members)
-            row = rows.setdefault(key, [None] * m)
-            last = members if all(type(x) is str for x in members) else None
+            row = rows.get(key) or rows.setdefault(key, [None] * m)
+            if all(type(x) is str for x in members):
+                named[tuple(members)] = key, row
         phi_index = entry.get("realization")
         if type(phi_index) is not int or not 0 <= phi_index < m:
             phi_index = _expect(entry, "realization", int, "utility entry")
