@@ -18,7 +18,7 @@ Formats:
 
 A table is read in one pass; each entry's set, realization, value and
 uniqueness are checked in that order, then missing subsets.  An entry whose
-set list equals an earlier entry's all-name list reuses its subset.
+set list equals an earlier entry's all-name list reuses its subset and row.
 
 All writers emit stable-ordered (sorted-key) JSON so identical inputs give
 byte-identical files.
@@ -96,20 +96,22 @@ def _parse_utility(instance: Instance, spec) -> UtilityTable:
     entries = _expect(spec, "entries", list, "utility")
     m = instance.num_realizations
     rows: dict[tuple[int, ...], list] = {}
-    # The key and row of each all-name member list checked so far.  Only
-    # strings equal strings, whereas 1, True and 1.0 are equal, so a list
-    # with any other member is checked in full every time.
+    # Key and row of each all-name member list checked so far: 1, True and
+    # 1.0 are equal, so a list with any other member is checked every time.
     named: dict[tuple, tuple] = {}
+    last = None  # the previous entry's list, if it was all names
     for entry in entries:
         members = entry.get("set") if type(entry) is dict else None
-        try:
-            key, row = named[tuple(members) if type(members) is list else None]
-        except (KeyError, TypeError):  # a new, unhashable or malformed set
-            members = _expect(entry, "set", list, "utility entry")
-            key = _subset_key(instance, entry, members)
-            row = rows.get(key) or rows.setdefault(key, [None] * m)
-            if all(type(x) is str for x in members):
-                named[tuple(members)] = key, row
+        if type(members) is not list or members != last:
+            try:
+                key, row = named[tuple(members) if type(members) is list else None]
+            except (KeyError, TypeError):  # a new, unhashable or malformed set
+                members = _expect(entry, "set", list, "utility entry")
+                key = _subset_key(instance, entry, members)
+                row = rows.get(key) or rows.setdefault(key, [None] * m)
+                if all(type(x) is str for x in members):
+                    named[tuple(members)] = key, row
+            last = members if tuple(members) in named else None
         phi_index = entry.get("realization")
         if type(phi_index) is not int or not 0 <= phi_index < m:
             phi_index = _expect(entry, "realization", int, "utility entry")
@@ -313,10 +315,8 @@ def jsonable(value):
     kind = type(value)
     if kind is str or kind is int or kind is bool or value is None:
         return value
-    if kind is float:
-        return value if math.isfinite(value) else repr(value)
-    if (kind is not dict and kind is not list and kind is not tuple
-            and dataclasses.is_dataclass(value) and not isinstance(value, type)):
+    if (kind not in (float, dict, list, tuple) and dataclasses.is_dataclass(value)
+            and not isinstance(value, type)):
         return {
             f.name: jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
