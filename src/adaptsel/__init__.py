@@ -16,7 +16,6 @@ from .core import (
     check_adaptive_monotone,
     check_adaptive_submodular,
     f_avg,
-    marginal_gain,
     policy_gain,
     positive_partial_realizations,
     subset_key,
@@ -44,12 +43,10 @@ from .policy import (
     Terminal,
     ThresholdSubPolicy,
     build_greedy,
-    canonical_traces,
     chain_policy,
     find_threshold_pair,
     policy_height,
     run,
-    sub_policy_at_cost,
     tree_height,
     validate_policy,
 )

@@ -316,6 +316,7 @@ def _verify_thm6(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     n = policy_height(lifted, policy)
     _require(n >= 1, "the policy must be able to select at least one element")
     b = beta(lifted, policy).value
+    _require(b >= -TOL, f"beta on the modified prior is negative: {b}")
     g = gamma(lifted, n, max(k, 1), gamma_mode, enum_budget, tol=tol)
     c_star = c_avg(instance, opt_policy)  # cost under the original prior
     ratio = _ratio_over_gamma(b, g.value)

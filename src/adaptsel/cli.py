@@ -221,6 +221,18 @@ def params(ctx, instance_path, policy_path, greedy, n, k, gamma_mode):
     _run(ctx, work)
 
 
+def _emit_policy(ctx, instance: Instance, policy: Policy, rows, out) -> None:
+    """Write ``policy`` to ``out`` when one is given, then print ``rows``:
+    as a table, or under ``--json`` after the policy tree."""
+    if out:
+        fileio.save_policy(out, instance, policy)
+        rows.append(("policy", out))
+    if ctx.obj["json"]:
+        _echo_json({"policy": fileio.policy_to_dict(instance, policy), **dict(rows)})
+    else:
+        _echo(_table(rows))
+
+
 @main.command()
 @click.option("--instance", "instance_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
@@ -250,16 +262,7 @@ def solve(ctx, instance_path, objective, k, out):
             )
             rows = [("objective", "coverage"), ("cost", cost),
                     ("f_avg", f_avg(instance, tree))]
-        if out:
-            fileio.save_policy(out, instance, tree)
-            rows.append(("policy", out))
-        if ctx.obj["json"]:
-            _echo_json(
-                {"policy": fileio.policy_to_dict(instance, tree),
-                 **{name: value for name, value in rows}}
-            )
-        else:
-            _echo(_table(rows))
+        _emit_policy(ctx, instance, tree, rows, out)
 
     _run(ctx, work)
 
@@ -393,16 +396,7 @@ def active_learning(ctx, hypotheses_path, out):
             ("c_avg_p_modified", c_avg(cov_mod, policy)),
             ("height", policy_height(cov_mod, policy)),
         ]
-        if out:
-            fileio.save_policy(out, instance, policy)
-            rows.append(("policy", out))
-        if ctx.obj["json"]:
-            _echo_json(
-                {"policy": fileio.policy_to_dict(instance, policy),
-                 **{name: value for name, value in rows}}
-            )
-        else:
-            _echo(_table(rows))
+        _emit_policy(ctx, instance, policy, rows, out)
 
     _run(ctx, work)
 

@@ -409,17 +409,6 @@ def _gains(rows: tuple, vs: ConditionalPrior) -> dict[int, float]:
             for v, after in afters}
 
 
-def marginal_gain(instance: Instance, element: int, psi: PartialRealization) -> float:
-    """Expected marginal gain of selecting ``element`` after observing psi.
-
-    Exactly 0 when the element was already observed (set union is
-    idempotent).
-    """
-    if element in psi:
-        return 0.0
-    return gains(instance, psi, version_space(instance, psi))[element]
-
-
 def _expectation(instance: Instance, policy, weights, value) -> float:
     """Sum over the positive ``(phi_index, weight)`` pairs and the component
     trees of ``policy`` of weight x branch weight x ``value(selected,

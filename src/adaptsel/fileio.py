@@ -35,8 +35,6 @@ from .core import Instance, UtilityTable
 from .errors import ParseError
 from .policy import Node, Policy, Select, TERMINAL, Terminal, ThresholdSubPolicy
 
-_BUILTIN_NAMES = ("coverage", "theorem4", "theorem5")
-
 
 def _fail(message: str) -> None:
     raise ParseError(message)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .core import Instance, UtilityTable, subset_key
+from .core import Instance, UtilityTable
 from .errors import InvalidParams
 from .oracle import random_policy_over
 from .policy import Node, chain_policy
@@ -29,8 +29,7 @@ def _tabulate_set_function(num_elements: int, num_realizations: int, fn) -> Util
     table: UtilityTable = {}
     for size in range(num_elements + 1):
         for subset in itertools.combinations(range(num_elements), size):
-            value = fn(subset)
-            table[subset_key(subset)] = (value,) * num_realizations
+            table[subset] = (fn(subset),) * num_realizations
     return table
 
 
@@ -142,27 +141,15 @@ def gen_random(
     prior = tuple(p / total for p in raw)
 
     table: UtilityTable = {}
-    if monotone:
-        for size in range(num_elements + 1):
-            for subset in itertools.combinations(range(num_elements), size):
-                key = subset_key(subset)
-                row = []
-                for i in range(m):
-                    if not subset:
-                        base = 0.0
-                    else:
-                        base = max(
-                            table[subset_key(tuple(x for x in subset if x != v))][i]
-                            for v in subset
-                        )
-                    row.append(base + rng.random())
-                table[key] = tuple(row)
-    else:
-        for size in range(num_elements + 1):
-            for subset in itertools.combinations(range(num_elements), size):
-                table[subset_key(subset)] = tuple(
-                    2.0 * rng.random() for _ in range(m)
-                )
+    for size in range(num_elements + 1):
+        for subset in itertools.combinations(range(num_elements), size):
+            if monotone:
+                below = [table[tuple(x for x in subset if x != v)] for v in subset]
+                row = [max((r[i] for r in below), default=0.0) + rng.random()
+                       for i in range(m)]
+            else:
+                row = [2.0 * rng.random() for _ in range(m)]
+            table[subset] = tuple(row)
     return Instance(
         elements=tuple(f"v{i + 1}" for i in range(num_elements)),
         states=tuple(str(y) for y in range(num_states)),

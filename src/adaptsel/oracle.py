@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import product
 from operator import mul
 from typing import Iterator, Optional
 
@@ -65,19 +66,8 @@ def enumerate_policies(
             return
         for v in avail:
             rest = tuple(x for x in avail if x != v)
-            subtrees = list(generate(rest, h - 1))
-            indices = [0] * num_states
-            while True:
-                yield Select(v, tuple(subtrees[i] for i in indices))
-                pos = num_states - 1
-                while pos >= 0:
-                    indices[pos] += 1
-                    if indices[pos] < len(subtrees):
-                        break
-                    indices[pos] = 0
-                    pos -= 1
-                if pos < 0:
-                    break
+            for children in product(generate(rest, h - 1), repeat=num_states):
+                yield Select(v, children)
 
     return generate(available, height)
 

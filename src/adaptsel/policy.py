@@ -219,43 +219,12 @@ def run(instance: Instance, policy: Policy, phi_index: int) -> list[RunTrace]:
     if not 0 <= phi_index < instance.num_realizations:
         raise ValueError(f"realization index {phi_index} out of range")
     phi = instance.realizations[phi_index]
-    traces: dict[tuple[int, ...], RunTrace] = {}
+    weights: dict[tuple[int, ...], float] = {}
     for weight, tree in components(instance, policy):
         selected = selected_elements(instance, tree, phi_index)
-        prev = traces.get(selected)
-        if prev is None:
-            observed = PartialRealization(tuple((e, phi[e]) for e in selected))
-            traces[selected] = RunTrace(selected, observed, weight)
-        else:
-            traces[selected] = RunTrace(
-                prev.selected, prev.observed, prev.weight + weight
-            )
-    return list(traces.values())
-
-
-#: Decimal places ``canonical_traces`` keeps of each trace weight.  Two
-#: threshold pairs that induce one policy give coin weights (rho, 1 - rho
-#: and their sums) that agree only up to rounding, and a weight that rounds
-#: to 0 is a coin outcome of vanishing probability; 9 places matches TOL.
-TRACE_WEIGHT_DIGITS = 9
-
-
-def canonical_traces(
-    instance: Instance, policy: Policy
-) -> dict[int, tuple[tuple[tuple[int, ...], float], ...]]:
-    """Per-realization trace sets in a canonical order, for comparing whether
-    two policies behave identically."""
-    out = {}
-    for phi_index, p in enumerate(instance.prior):
-        if p <= 0.0:
-            continue
-        merged = sorted(
-            (t.selected, round(t.weight, TRACE_WEIGHT_DIGITS))
-            for t in run(instance, policy, phi_index)
-            if round(t.weight, TRACE_WEIGHT_DIGITS) > 0.0
-        )
-        out[phi_index] = tuple(merged)
-    return out
+        weights[selected] = weights.get(selected, 0.0) + weight
+    return [RunTrace(s, PartialRealization(tuple((e, phi[e]) for e in s)), w)
+            for s, w in weights.items()]
 
 
 def policy_height(instance: Instance, policy: Policy) -> int:
@@ -467,11 +436,3 @@ def find_threshold_pair(
     """
     tau, rho = budget_ladder(instance, policy, i).pair(int(i))
     return tau, rho, ThresholdSubPolicy(base_tree(policy), tau, rho)
-
-
-def sub_policy_at_cost(instance: Instance, policy: Policy, i: int) -> Policy:
-    """pi_i: the canonical sub-policy with average cost i (pi_0 terminates
-    immediately)."""
-    if i == 0:
-        return IMMEDIATE
-    return find_threshold_pair(instance, policy, i)[2]

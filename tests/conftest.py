@@ -4,6 +4,7 @@ random corpus helpers used by the property suites."""
 import pytest
 
 import adaptsel as a
+from adaptsel.core import gains
 
 
 @pytest.fixture
@@ -38,6 +39,11 @@ def two_feature_hypotheses():
     )
 
 
+def gain(instance, v, psi):
+    """Delta(v | psi) of an unobserved element v, from ``core.gains``."""
+    return gains(instance, psi, a.version_space(instance, psi))[v]
+
+
 def corpus_instance(seed, num_elements=None, monotone=True):
     """One member of the seeded random corpus (|V| in 2..4, |Y| = 2)."""
     if num_elements is None:
@@ -52,6 +58,29 @@ def zero_prior_instance(seed):
     prior[1] = prior[6] = 0.0
     total = sum(prior)
     return instance.with_prior(tuple(p / total for p in prior))
+
+
+def splitting_and_partial():
+    """a identifies the realization and is worth nothing; b and c are worth
+    1 on one realization each; d is worth 0.1 everywhere.  Q, ``tol`` and
+    the prior each change the cheapest cover."""
+    instance = a.Instance(("a", "b", "c", "d"), ("0", "1"),
+                          ((0, 0, 0, 0), (1, 0, 0, 0)), (0.5, 0.5))
+    table = {}
+    for mask in range(16):
+        subset = tuple(v for v in range(4) if mask >> v & 1)
+        d = 0.1 if 3 in subset else 0.0
+        table[subset] = (1.0 if 1 in subset else d, 1.0 if 2 in subset else d)
+    return instance.with_utility(table)
+
+
+def zero_gain_chain():
+    """theorem5(2, 0.5) reshaped so v2 gains nothing anywhere while v1
+    gains 1, and the chain that selects v2 alone."""
+    instance, _ = a.gen_theorem5(2, 0.5)
+    shaped = instance.with_utility({(): (0.0,) * 4, (0,): (1.0,) * 4,
+                                    (1,): (0.0,) * 4, (0, 1): (1.0,) * 4})
+    return shaped, a.chain_policy(shaped, [1])
 
 
 def coverage_demo(hc):

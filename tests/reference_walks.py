@@ -8,7 +8,7 @@ require the library's annotated-tree results to equal these exactly,
 witnesses included.
 
 ``reference_coverage_utility`` tabulates the coverage utility subset by
-subset, grouping realizations by their label pattern on the subset.  The
+subset, each version-space mass by a scan over every realization.  The
 library's bitset refinement must give the same keys in the same order and
 the same floats.
 
@@ -36,6 +36,12 @@ same table, in key order and bit for bit, or raise the same ``ParseError``.
 ``reference_jsonable`` is the report converter that asked
 ``dataclasses.is_dataclass`` of every value first; ``fileio.dumps`` must
 write the same bytes as it.
+
+``reference_enumerate_policies`` is the enumerator's odometer: each node's
+children advance like digits, the last state fastest.  ``enumerate_policies``
+must yield the same trees in the same order, since gamma's witness is the
+first minimum in that order.  ``canonical_traces`` compares two policies by
+their per-realization run traces, for the threshold-pair uniqueness tests.
 """
 
 import dataclasses
@@ -160,7 +166,7 @@ def reference_frontier_gains(instance, policy, i):
     ``cut_tree`` components of pi_i in ``reachable_nodes`` order."""
     if i < 1:
         raise a.BudgetExceedsCost(f"frontier gains need a budget >= 1, got {i}")
-    sub = a.sub_policy_at_cost(instance, policy, i)
+    sub = a.find_threshold_pair(instance, policy, i)[2]
     delta_u = -math.inf
     delta_l = math.inf
     u_witness = None
@@ -242,20 +248,17 @@ def reference_optimal_budget(instance, k):
 def reference_coverage_utility(instance, prior=None):
     """f_p(A, phi) = 1 - p(version space of phi restricted to A) + p(phi) for
     every subset A, by size then ``itertools.combinations`` order, and every
-    realization phi."""
+    realization phi: each version-space mass by its own scan over all m
+    realizations in index order, m^2 scans per subset."""
     p = tuple(instance.prior if prior is None else prior)
+    realizations = instance.realizations
     table = {}
     for size in range(instance.num_elements + 1):
         for subset in itertools.combinations(range(instance.num_elements), size):
-            # Realizations that agree on the subset share a version space;
-            # each one's mass sums p over its members in index order.
-            patterns = [tuple(phi[e] for e in subset) for phi in instance.realizations]
-            members = {}
-            for j, pattern in enumerate(patterns):
-                members.setdefault(pattern, []).append(p[j])
-            mass = {pattern: sum(ps) for pattern, ps in members.items()}
-            table[subset_key(subset)] = tuple(
-                1.0 - mass[pattern] + p[i] for i, pattern in enumerate(patterns)
+            table[subset] = tuple(
+                1.0 - sum(p[j] for j, other in enumerate(realizations)
+                          if all(other[e] == phi[e] for e in subset)) + p[i]
+                for i, phi in enumerate(realizations)
             )
     return table
 
@@ -452,3 +455,51 @@ def reference_jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
     return value
+
+
+def reference_enumerate_policies(instance, height, psi=EMPTY):
+    """Every deterministic tree of height <= ``height`` over the elements
+    outside dom(psi), each node's children counted up by an odometer."""
+
+    def generate(avail, h):
+        yield a.TERMINAL
+        if h <= 0:
+            return
+        for v in avail:
+            subtrees = list(generate(tuple(x for x in avail if x != v), h - 1))
+            indices = [0] * instance.num_states
+            while True:
+                yield a.Select(v, tuple(subtrees[i] for i in indices))
+                pos = len(indices) - 1
+                while pos >= 0 and indices[pos] == len(subtrees) - 1:
+                    indices[pos] = 0
+                    pos -= 1
+                if pos < 0:
+                    break
+                indices[pos] += 1
+
+    available = tuple(v for v in range(instance.num_elements) if v not in psi)
+    return generate(available, height)
+
+
+#: Decimal places ``canonical_traces`` keeps of each trace weight.  Two
+#: threshold pairs that induce one policy give coin weights (rho, 1 - rho
+#: and their sums) that agree only up to rounding, and a weight that rounds
+#: to 0 is a coin outcome of vanishing probability; 9 places matches TOL.
+TRACE_WEIGHT_DIGITS = 9
+
+
+def canonical_traces(instance, policy):
+    """Per-realization trace sets in a canonical order, for comparing whether
+    two policies behave identically."""
+    out = {}
+    for phi_index, p in enumerate(instance.prior):
+        if p <= 0.0:
+            continue
+        merged = sorted(
+            (t.selected, round(t.weight, TRACE_WEIGHT_DIGITS))
+            for t in a.run(instance, policy, phi_index)
+            if round(t.weight, TRACE_WEIGHT_DIGITS) > 0.0
+        )
+        out[phi_index] = tuple(merged)
+    return out

@@ -6,7 +6,8 @@ import math
 import pytest
 
 import adaptsel as a
-from conftest import corpus_instance, coverage_demo
+from adaptsel import bounds
+from conftest import corpus_instance, coverage_demo, zero_gain_chain
 
 TOL = 1e-9
 
@@ -64,15 +65,7 @@ def test_eq1_reports_legacy_precondition(thm4):
 
 
 def test_eq1_with_infinite_alpha_trivializes():
-    instance, _ = a.gen_theorem5(2, 0.5)
-    table = {
-        (): (0.0,) * 4,
-        (0,): (1.0,) * 4,
-        (1,): (0.0,) * 4,
-        (0, 1): (1.0,) * 4,
-    }
-    shaped = instance.with_utility(table)
-    bad = a.chain_policy(shaped, [1])
+    shaped, bad = zero_gain_chain()
     opt, _ = a.optimal_budget(shaped, 1)
     report = a.verify(shaped, "eq1", policy=bad, opt_policy=opt)
     assert report.rhs == 0.0
@@ -126,6 +119,45 @@ def test_thm6_on_coverage_demo(demo_hypotheses):
     report = a.verify(cov_plain, "thm6", policy=gbs, opt_policy=opt)
     assert report.holds
     assert "beta_modified" in report.inputs
+
+
+def test_thm6_refuses_a_negative_beta_on_the_modified_prior():
+    """Monotone under the prior (0, 0, 0, 1), so thm6 accepts the instance,
+    but the greedy tree's beta on the modified prior is about -28.16."""
+    instance = a.Instance(
+        ("v1", "v2"), ("0", "1"), ((0, 0), (0, 1), (1, 0), (1, 1)),
+        (0.0, 0.0, 0.0, 1.0),
+        {(): (1.5, 5.9, 9.7, 0.7), (0,): (3.2, 0.2, 4.9, 0.9),
+         (1,): (8.7, 9.1, 5.4, 0.8), (0, 1): (10.0,) * 4})
+    with pytest.raises(a.PreconditionFailed, match="modified prior is negative"):
+        a.verify(instance, "thm6", policy=a.build_greedy(instance),
+                 opt_policy=a.chain_policy(instance, [0, 1]))
+
+
+def test_ratio_over_gamma_pins_its_degenerate_cases():
+    assert bounds._ratio_over_gamma(0.0, 0.0) == 0.0
+    assert bounds._ratio_over_gamma(0.5, 0.0) == math.inf
+    assert bounds._ratio_over_gamma(0.5, 0.25) == 2.0
+
+
+def test_cap_factor_with_an_infinite_ratio():
+    assert bounds._cap_factor(2.0, math.inf, 0.0) == 1.0 - math.exp(-2.0)
+    assert bounds._cap_factor(2.0, math.inf, 1.5) == 0.0
+
+
+def test_lemma3_reports_disagreeing_costs(demo_hypotheses, monkeypatch):
+    _, cov_plain, _ = coverage_demo(demo_hypotheses)
+    solve = bounds.optimal_coverage
+
+    def skewed(instance, pruned=True, **kwargs):
+        tree, cost = solve(instance, pruned=pruned, **kwargs)
+        return tree, cost if pruned else cost + 1.0
+
+    monkeypatch.setattr(bounds, "optimal_coverage", skewed)
+    report = a.verify(cov_plain, "lemma3")
+    assert not report.holds
+    assert not report.preconditions["pruned_cost_matches_unpruned"]
+    assert report.diagnostics == ("pruned and unpruned optimal costs disagree",)
 
 
 def test_eq5_pipeline_defaults(demo_hypotheses):

@@ -19,6 +19,15 @@ def invoke(args, **kwargs):
     return runner.invoke(main, args, catch_exceptions=False, **kwargs)
 
 
+def _theorem5(tmp_path):
+    """The path of the theorem-5 witness (k 3, epsilon 0.5) written into
+    ``tmp_path``, its chain beside it as t5p.json."""
+    out = tmp_path / "t5.json"
+    invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
+            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
+    return out
+
+
 def test_generate_theorem5_writes_instance_and_policy(tmp_path):
     out = tmp_path / "t5.json"
     pout = tmp_path / "t5p.json"
@@ -82,9 +91,7 @@ def test_params_prints_the_beta_anomaly_flag(tmp_path):
 
 
 def test_params_greedy_flag(tmp_path):
-    out = tmp_path / "t5.json"
-    invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
-            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
+    out = _theorem5(tmp_path)
     result = invoke(
         ["params", "--instance", str(out), "--greedy", "--gamma-mode", "skip"]
     )
@@ -94,9 +101,7 @@ def test_params_greedy_flag(tmp_path):
 
 
 def test_solve_budget_zero_and_two(tmp_path):
-    out = tmp_path / "t5.json"
-    invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
-            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
+    out = _theorem5(tmp_path)
     zero = invoke(["solve", "--instance", str(out), "--objective", "budget",
                    "--k", "0"])
     assert zero.exit_code == 0
@@ -107,10 +112,8 @@ def test_solve_budget_zero_and_two(tmp_path):
 
 
 def test_solve_policy_round_trips_to_identical_value(tmp_path):
-    out = tmp_path / "t5.json"
+    out = _theorem5(tmp_path)
     pout = tmp_path / "opt.json"
-    invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
-            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
     result = invoke(["solve", "--instance", str(out), "--objective", "budget",
                      "--k", "2", "--out", str(pout)])
     assert result.exit_code == 0
@@ -133,9 +136,7 @@ def test_solve_coverage_demo(tmp_path):
 
 
 def test_verify_instance_mode_exit_zero(tmp_path):
-    out = tmp_path / "t5.json"
-    invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
-            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
+    out = _theorem5(tmp_path)
     result = invoke(
         ["verify", "--bounds", "thm1,lemma2", "--instance", str(out),
          "--policy", "greedy", "--l", "2"]
@@ -166,9 +167,7 @@ def test_verify_unknown_bound_rejected():
 
 
 def test_verify_json_output_is_stable(tmp_path):
-    out = tmp_path / "t5.json"
-    invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
-            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
+    out = _theorem5(tmp_path)
     args = ["--json", "verify", "--bounds", "lemma2", "--instance", str(out),
             "--policy", "greedy"]
     first = invoke(args)
@@ -210,9 +209,7 @@ def test_in_process_calls_release_the_redirected_stdout(tmp_path):
 
 
 def test_twelve_significant_digit_rendering(tmp_path):
-    out = tmp_path / "t5.json"
-    invoke(["generate", "theorem5", "--k", "3", "--epsilon", "0.5",
-            "--out", str(out), "--policy-out", str(tmp_path / "t5p.json")])
+    out = _theorem5(tmp_path)
     result = invoke(["params", "--instance", str(out), "--greedy",
                      "--gamma-mode", "skip"])
     assert "1.875" in result.output

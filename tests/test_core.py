@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import adaptsel as a
-from conftest import corpus_instance
+from conftest import corpus_instance, gain
 
 TOL = 1e-9
 
@@ -109,13 +109,13 @@ def test_marginal_gain_matches_brute_force():
                 if v in psi:
                     continue
                 expected = brute_force_marginal_gain(instance, v, psi)
-                assert abs(a.marginal_gain(instance, v, psi) - expected) <= TOL
+                assert abs(gain(instance, v, psi) - expected) <= TOL
 
 
 def test_marginal_gain_of_observed_element_is_zero():
     instance = corpus_instance(3)
     psi = a.PartialRealization(((0, instance.realizations[0][0]),))
-    assert a.marginal_gain(instance, 0, psi) == 0.0
+    assert 0 not in a.core.gains(instance, psi, a.version_space(instance, psi))
 
 
 def test_policy_gain_from_empty_equals_f_avg_shift():

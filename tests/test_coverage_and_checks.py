@@ -8,7 +8,7 @@ import random
 import pytest
 
 import adaptsel as a
-from conftest import corpus_instance, coverage_demo
+from conftest import corpus_instance, coverage_demo, splitting_and_partial
 from reference_walks import (
     reference_check_adaptive_monotone,
     reference_check_adaptive_submodular,
@@ -114,14 +114,7 @@ def test_pruning_keeps_a_splitting_element_that_raises_nothing():
     """Observing a identifies the realization but is worth nothing itself;
     d is worth 0.1 everywhere and splits nothing.  The cheapest cover asks
     a, then b or c (cost 2); a filter that keeps only d pays 3."""
-    instance = a.Instance(("a", "b", "c", "d"), ("0", "1"),
-                          ((0, 0, 0, 0), (1, 0, 0, 0)), (0.5, 0.5))
-    table = {}
-    for mask in range(16):
-        subset = tuple(v for v in range(4) if mask >> v & 1)
-        d = 0.1 if 3 in subset else 0.0
-        table[subset] = (1.0 if 1 in subset else d, 1.0 if 2 in subset else d)
-    instance = instance.with_utility(table)
+    instance = splitting_and_partial()
     for pruned in (True, False):
         tree, cost = a.optimal_coverage(instance, pruned=pruned)
         assert tree.element == 0 and cost == 2.0

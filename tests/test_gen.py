@@ -4,6 +4,7 @@ import pytest
 
 import adaptsel as a
 from adaptsel import fileio
+from conftest import gain
 
 TOL = 1e-9
 
@@ -22,8 +23,7 @@ def test_theorem5_gains_follow_depth():
         for v in range(k):
             if v in psi:
                 continue
-            gain = a.marginal_gain(instance, v, psi)
-            assert abs(gain - eps ** (depth + 1)) <= TOL
+            assert abs(gain(instance, v, psi) - eps ** (depth + 1)) <= TOL
         psi = psi.extended(depth, instance.realizations[0][depth])
 
 
@@ -38,24 +38,24 @@ def test_theorem4_gain_table_three_cases():
     instance, _ = a.gen_theorem4(k)
     # Case 1: at the empty history every element gains 1/k.
     for v in range(k):
-        assert abs(a.marginal_gain(instance, v, a.EMPTY) - 1.0 / k) <= TOL
+        assert abs(gain(instance, v, a.EMPTY) - 1.0 / k) <= TOL
     # Case 2: after the chain prefix v1..v(i-1), the next chain element
     # gains 1/k while the element after it gains 2/k.
     psi = a.EMPTY
     for i in range(1, k - 1):
         psi = psi.extended(i - 1, instance.realizations[0][i - 1])
-        assert abs(a.marginal_gain(instance, i, psi) - 1.0 / k) <= TOL
-        assert abs(a.marginal_gain(instance, i + 1, psi) - 2.0 / k) <= TOL
+        assert abs(gain(instance, i, psi) - 1.0 / k) <= TOL
+        assert abs(gain(instance, i + 1, psi) - 2.0 / k) <= TOL
     # Case 3: after v1..v(k-1) the last element gains 1/k.
     psi = psi.extended(k - 2, instance.realizations[0][k - 2])
-    assert abs(a.marginal_gain(instance, k - 1, psi) - 1.0 / k) <= TOL
+    assert abs(gain(instance, k - 1, psi) - 1.0 / k) <= TOL
 
 
 def test_theorem4_k3_doubled_gain_after_one_observation():
     instance, _ = a.gen_theorem4(3)
     for y in (0, 1):
         psi = a.PartialRealization(((0, y),))
-        assert abs(a.marginal_gain(instance, 2, psi) - 2.0 / 3.0) <= TOL
+        assert abs(gain(instance, 2, psi) - 2.0 / 3.0) <= TOL
 
 
 def test_theorem4_requires_three_elements():

@@ -1,6 +1,5 @@
 """Active learning: coverage utility, modified prior, GBS."""
 
-import itertools
 import random
 
 import pytest
@@ -12,28 +11,6 @@ from reference_walks import reference_coverage_utility
 from test_coverage_and_checks import random_hypotheses
 
 TOL = 1e-9
-
-
-def pairwise_coverage_utility(instance, prior=None):
-    """Reference: every version-space mass by its own scan over all m
-    realizations, m^2 scans per subset."""
-    p = tuple(instance.prior if prior is None else prior)
-    realizations = instance.realizations
-    m = len(realizations)
-    table = {}
-    for size in range(instance.num_elements + 1):
-        for subset in itertools.combinations(range(instance.num_elements), size):
-            row = []
-            for i in range(m):
-                phi = realizations[i]
-                mass = sum(
-                    p[j]
-                    for j in range(m)
-                    if all(realizations[j][e] == phi[e] for e in subset)
-                )
-                row.append(1.0 - mass + p[i])
-            table[a.subset_key(subset)] = tuple(row)
-    return table
 
 
 @st.composite
@@ -55,9 +32,9 @@ def hypothesis_classes(draw):
 @given(hypothesis_classes())
 def test_coverage_utility_equals_pairwise_reference(hc):
     bare = a.instance_from_hypotheses(hc)
-    assert a.coverage_utility(bare) == pairwise_coverage_utility(bare)
+    assert a.coverage_utility(bare) == reference_coverage_utility(bare)
     modified = a.modified_prior(bare.prior)
-    assert a.coverage_utility(bare, modified) == pairwise_coverage_utility(
+    assert a.coverage_utility(bare, modified) == reference_coverage_utility(
         bare, modified
     )
 
@@ -77,7 +54,7 @@ def _three_label_class(seed, examples, hypotheses):
 
 def test_coverage_utility_equals_reference_bit_for_bit(demo_hypotheses,
                                                       two_feature_hypotheses):
-    """Bitset refinement against the per-subset pattern grouping: the same
+    """Bitset refinement against the pairwise scans: the same
     keys in the same order and float.hex-identical rows, zero-prior rows
     included, under the plain and the modified prior."""
     classes = (demo_hypotheses, two_feature_hypotheses,

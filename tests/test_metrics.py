@@ -6,7 +6,7 @@ import math
 import pytest
 
 import adaptsel as a
-from conftest import corpus_instance, coverage_demo
+from conftest import corpus_instance, coverage_demo, zero_gain_chain
 
 TOL = 1e-9
 
@@ -28,16 +28,7 @@ def test_alpha_greedy_is_one_on_corpus():
 
 
 def test_alpha_infinite_when_zero_gain_selected_over_positive():
-    instance, _ = a.gen_theorem5(2, 0.5)
-    # Shape the table so v2 gains nothing anywhere while v1 gains 1.
-    table = {
-        (): (0.0,) * 4,
-        (0,): (1.0,) * 4,
-        (1,): (0.0,) * 4,
-        (0, 1): (1.0,) * 4,
-    }
-    shaped = instance.with_utility(table)
-    bad = a.chain_policy(shaped, [1])
+    shaped, bad = zero_gain_chain()
     assert math.isinf(a.alpha(shaped, bad))
 
 
@@ -184,6 +175,24 @@ def test_gamma_budget_refusal_and_sampled_upper_bound():
     sampled = a.gamma(instance, 2, 2, mode="sampled", samples=100, seed=1)
     assert sampled.mode == "sampled-upper-bound"
     assert sampled.value >= exact.value - TOL
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda inst, chain: a.optimal_budget(inst, -1), ValueError),
+    (lambda inst, chain: a.gamma(inst, n=0, k=1), ValueError),
+    (lambda inst, chain: a.gamma(inst, n=1, k=1, mode="bogus"), ValueError),
+    (lambda inst, chain: a.frontier_gains(inst, chain, 0), a.BudgetExceedsCost),
+    (lambda inst, chain: a.find_threshold_pair(inst, chain, 1.5), ValueError),
+    (lambda inst, chain: a.policy.threshold_ladder(inst, chain).pair(4),
+     a.BudgetExceedsCost),
+    (lambda inst, chain: a.run(inst, chain, inst.num_realizations), ValueError),
+], ids=["optimal_budget-k", "gamma-n", "gamma-mode", "frontier_gains-i",
+        "find_threshold_pair-i", "ladder-pair", "run-phi"])
+def test_arguments_outside_their_range_are_refused(thm5, call, error):
+    """The theorem-5 chain on 3 elements costs 3 on every realization."""
+    instance, chain = thm5
+    with pytest.raises(error):
+        call(instance, chain)
 
 
 def test_covering_params_of_coverage_utility(demo_hypotheses):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adaptsel as a
-from conftest import corpus_instance, coverage_demo
-from reference_walks import reachable_nodes
+from conftest import corpus_instance, coverage_demo, splitting_and_partial
+from reference_walks import reachable_nodes, reference_enumerate_policies
 
 TOL = 1e-9
 
@@ -41,6 +41,17 @@ def test_enumerate_policies_respects_observed_elements():
             if not isinstance(node, a.Terminal):
                 assert node.element != 0
             del node_psi
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize("instance", [corpus_instance(3, num_elements=4),
+                                      a.gen_random(3, 3, 1)], ids=["4x2", "3x3"])
+def test_enumerate_policies_equals_the_odometer(instance, height):
+    """Tree for tree and in order: gamma's witness is the first minimum."""
+    one_pair = a.PartialRealization(((1, instance.realizations[0][1]),))
+    for psi in (a.EMPTY, one_pair):
+        assert list(a.enumerate_policies(instance, height, psi)) == list(
+            reference_enumerate_policies(instance, height, psi))
 
 
 def test_enumerate_policies_budget_refusal():
@@ -191,22 +202,8 @@ def test_optimal_coverage_rejects_non_finite_q_and_bad_tol(
         a.optimal_coverage(cov_plain, **kwargs)
 
 
-def _splitting_and_partial():
-    """a identifies the realization and is worth nothing; b and c are worth
-    1 on one realization each; d is worth 0.1 everywhere.  Q, ``tol`` and
-    the prior each change the cheapest cover."""
-    instance = a.Instance(("a", "b", "c", "d"), ("0", "1"),
-                          ((0, 0, 0, 0), (1, 0, 0, 0)), (0.5, 0.5))
-    table = {}
-    for mask in range(16):
-        subset = tuple(v for v in range(4) if mask >> v & 1)
-        d = 0.1 if 3 in subset else 0.0
-        table[subset] = (1.0 if 1 in subset else d, 1.0 if 2 in subset else d)
-    return instance.with_utility(table)
-
-
 def test_optimal_coverage_solves_once_per_instance_and_arguments():
-    instance = _splitting_and_partial()
+    instance = splitting_and_partial()
     calls = [{}, {"pruned": False}, {"tol": 0.95}, {"pruned": False, "tol": 0.95},
              {"q": 0.5, "tol": 0.5}, {"q": 1.0, "tol": 0.5}]
     results = [a.optimal_coverage(instance, **kwargs) for kwargs in calls]

@@ -60,7 +60,7 @@ def _policies(instance, seed):
     for tree in trees:
         top = int(math.floor(a.c_avg(instance, tree) + a.TOL))
         if top >= 1:
-            policies.append(a.sub_policy_at_cost(instance, tree, top))
+            policies.append(a.find_threshold_pair(instance, tree, top)[2])
         values = _node_gains(instance, tree)
         taus = values[:: max(1, len(values) // 3)]
         taus += [(x + y) / 2 for x, y in zip(values, values[1:])][:2]

@@ -5,7 +5,7 @@ import pytest
 
 import adaptsel as a
 from conftest import corpus_instance, coverage_demo
-from reference_walks import reachable_nodes
+from reference_walks import canonical_traces, reachable_nodes
 
 TOL = 1e-9
 
@@ -97,10 +97,7 @@ def test_build_greedy_root_picks_unique_argmax():
     for seed in range(10):
         instance = corpus_instance(seed)
         greedy = a.build_greedy(instance)
-        gains = {
-            v: a.marginal_gain(instance, v, a.EMPTY)
-            for v in range(instance.num_elements)
-        }
+        gains = a.core.gains(instance, a.EMPTY, a.version_space(instance, a.EMPTY))
         best = max(gains.values())
         assert gains[greedy.element] >= best - TOL
 
@@ -115,7 +112,7 @@ def test_build_greedy_is_greedy_at_every_reachable_node():
 def test_threshold_zero_rho_one_behaves_as_base(thm5):
     instance, chain = thm5
     sp = a.ThresholdSubPolicy(chain, 0.0, 1.0)
-    assert a.canonical_traces(instance, sp) == a.canonical_traces(instance, chain)
+    assert canonical_traces(instance, sp) == canonical_traces(instance, chain)
 
 
 def test_threshold_above_every_gain_terminates_immediately(thm5):
@@ -169,13 +166,13 @@ def test_threshold_pair_cost_and_uniqueness_on_corpus():
         for i in range(1, top + 1):
             tau, rho, sp = a.find_threshold_pair(instance, greedy, i)
             assert abs(a.c_avg(instance, sp) - i) <= TOL
-            canonical = a.canonical_traces(instance, sp)
+            canonical = canonical_traces(instance, sp)
             for alt_tau, alt_rho in alternative_threshold_pairs(
                 instance, greedy, i
             ):
                 alt = a.ThresholdSubPolicy(greedy, alt_tau, alt_rho)
                 assert abs(a.c_avg(instance, alt) - i) <= 1e-6
-                assert a.canonical_traces(instance, alt) == canonical
+                assert canonical_traces(instance, alt) == canonical
 
 
 def test_threshold_ladder_costs_match_reference_cuts(thm4):
@@ -200,8 +197,8 @@ def test_sub_policies_are_nested_by_budget():
         greedy = a.build_greedy(instance)
         top = int(a.c_avg(instance, greedy) + TOL)
         for i in range(1, top):
-            small = a.sub_policy_at_cost(instance, greedy, i)
-            large = a.sub_policy_at_cost(instance, greedy, i + 1)
+            small = a.find_threshold_pair(instance, greedy, i)[2]
+            large = a.find_threshold_pair(instance, greedy, i + 1)[2]
             for phi_index, p in enumerate(instance.prior):
                 if p <= 0.0:
                     continue
