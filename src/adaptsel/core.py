@@ -19,9 +19,12 @@ at element v intersects it with ``state_bitsets(instance)[v][y]``.
 A :class:`PathState` (a psi, its conditional prior and gains) is keyed by
 (observed-element mask, support bitset); utilities are read through the
 per-instance rows of :func:`utility_rows`.  Tree walkers condition each ordered
-path once per instance (:func:`path_root`), ``gamma``'s walk each state once
-per call, and both adaptive checks each positive-mass psi once, layer by layer.
-Caches hold only deterministic values, so concurrent use of an instance is safe.
+path once per instance (:func:`path_root`).  :func:`conditioned_states` builds
+each positive-mass psi once, layer by layer, up to a size: both adaptive checks
+walk every layer, and ``gamma`` roots its trees at the states of at most n
+observations, splitting each state below them once per call.  A split
+renormalizes only the parts its table does not already hold.  Caches hold only
+deterministic values, so concurrent use of an instance is safe.
 """
 
 from __future__ import annotations
@@ -38,6 +41,14 @@ from .errors import EmptyVersionSpace, MalformedPolicy
 TOL = 1e-9
 
 UtilityTable = dict[tuple[int, ...], tuple[float, ...]]
+
+
+def require_int(**values: object) -> None:
+    """Raise ValueError for the first of ``values`` that is not an int; a
+    bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def subset_key(indices: Iterable[int]) -> tuple[int, ...]:
@@ -272,28 +283,31 @@ class PathState:
     def split(self, instance: Instance, element: int,
               table: Optional[dict] = None) -> dict:
         """:func:`split` on ``element``, each part as the state of the
-        extended path (read from and stored in ``table`` if given)."""
+        extended path: read from ``table`` if given and found there, else
+        renormalized and stored in it."""
         found = self.after.get(element)
         if found is None:
             dom = self.dom | 1 << element
             bits, rows = state_bitsets(instance)[element], _gain_rows(instance, dom)
-            found = self.after[element] = {
-                y: (mass, _state(self.pairs + ((element, y),),
-                                 (dom, self.support & bits[y]), part, rows, table))
-                for y, (mass, part) in split(instance, self.vs, element).items()
-            }
+            found = self.after[element] = {}
+            for y, (support, weights) in partition(instance, self.vs, element).items():
+                mass = sum(weights)
+                key = (dom, self.support & bits[y])
+                state = table.get(key) if table is not None else None
+                if state is None:  # renormalized only on a table miss
+                    state = _state(self.pairs + ((element, y),), key,
+                                   renormalize(support, weights, mass), rows, table)
+                found[y] = (mass, state)
         return found
 
 
 def _state(pairs, key, vs, rows, table) -> PathState:
-    """The state in ``table`` under ``key``, else a new one of ``pairs``, by
-    ``vs`` and its domain's :func:`_gain_rows`, stored in ``table`` if given."""
-    found = table.get(key) if table is not None else None
-    if found is None:
-        found = PathState(pairs, *key, vs, _gains(rows, vs))
-        if table is not None:
-            table[key] = found
-    return found
+    """A new state of ``pairs`` under ``key``, by ``vs`` and its domain's
+    :func:`_gain_rows`, stored in ``table`` if given."""
+    state = PathState(pairs, *key, vs, _gains(rows, vs))
+    if table is not None:
+        table[key] = state
+    return state
 
 
 def path_state(instance: Instance, psi: PartialRealization,
@@ -482,32 +496,27 @@ def positive_partial_realizations(
                 yield PartialRealization(tuple(zip(dom, pattern)))
 
 
-# -- structural checks ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of a quantified property check, with a witness on failure."""
-
-    ok: bool
-    witness: Optional[dict] = field(default=None)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _conditioned_states(instance: Instance) -> Iterator[PathState]:
-    """The state of every positive-mass psi, each built once, in
+def conditioned_states(
+    instance: Instance, max_size: Optional[int] = None
+) -> Iterator[PathState]:
+    """The state of every positive-mass psi with at most ``max_size``
+    observations (every psi if None), each built once, in
     :func:`positive_partial_realizations` order (by size, domain, pattern):
     every psi but the empty one is a :func:`split` part of the state of psi
     without its largest element.  Splitting each layer's parents domain by
     domain, then element by element, parent by parent and state by state
     keeps every layer in that order.  Unlike :meth:`PathState.split`, parents
-    share their domain's gain rows and keep no ``after`` (BENCH_12.json)."""
+    share their domain's gain rows and keep no ``after`` (BENCH_12.json).
+    The adaptive checks walk every layer; ``gamma`` roots its trees at the
+    states of at most n observations."""
     bits = state_bitsets(instance)
     layer = [path_state(instance, EMPTY)]
+    size = 0
     while layer:
         yield from layer
+        if max_size is not None and size >= max_size:
+            return
+        size += 1
         below = []
         for dom, group in itertools.groupby(layer, key=attrgetter("dom")):
             group = list(group)
@@ -522,13 +531,27 @@ def _conditioned_states(instance: Instance) -> Iterator[PathState]:
         layer = below
 
 
+# -- structural checks ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of a quantified property check, with a witness on failure."""
+
+    ok: bool
+    witness: Optional[dict] = field(default=None)
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 def check_adaptive_monotone(instance: Instance, tol: float = TOL) -> CheckResult:
     """True iff every expected marginal gain is non-negative (within tol).
 
     The witness is the first negative gain in
     :func:`positive_partial_realizations` order, then element order.
     """
-    for at in _conditioned_states(instance):
+    for at in conditioned_states(instance):
         for v, gain in at.gains.items():
             if gain < -tol:
                 return CheckResult(False, {
@@ -552,7 +575,7 @@ def check_adaptive_submodular(instance: Instance, tol: float = TOL) -> CheckResu
     order.
     """
     seen: dict = {}  # the sorted pairs of each psi so far -> (gains, M(psi, .))
-    for at in _conditioned_states(instance):
+    for at in conditioned_states(instance):
         pairs = at.pairs
         low = at.gains
         if pairs:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional
 
 from .core import (
@@ -22,9 +24,9 @@ from .core import (
     Instance,
     PartialRealization,
     c_avg,
+    conditioned_states,
     f_avg,
-    path_state,
-    positive_partial_realizations,
+    require_int,
     utility_rows,
 )
 from .errors import BudgetExceedsCost, EnumerationBudgetExceeded
@@ -201,39 +203,61 @@ GAMMA_DENOMINATOR_FLOOR = 1e-12
 
 
 class _GammaWalk:
-    """Scores candidate trees of one ``gamma`` call by walking their
-    positive-mass nodes, with every conditioning state split and priced
-    once per call, whichever psi' and tree reach it."""
+    """Scores candidate trees of one ``gamma`` call.  The roots psi' are the
+    states of :func:`~adaptsel.core.conditioned_states`, registered in the
+    walk's state table; every state below them is split and priced once per
+    call, whichever psi' and tree reach it.
+
+    N and D are linear over a node's children: with v the node's element,
+    N(t, at) = Delta(v | psi') + sum over outcomes y of p_y N(t_y, at_y) and
+    D(t, at) = Delta(v | at) + sum of p_y D(t_y, at_y).  A memo, one per psi'
+    and living only as long as its domain's trees, keeps (N, D) of every
+    non-root subtree at a state under (id(subtree), id(state)); the subtree
+    is kept in the entry, so its id cannot be reused while the memo lives.
+    ``enumerate_policies`` shares subtrees between the trees it yields, so a
+    tree costs one lookup per child of its root once its subtrees are
+    scored."""
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
         self.states: dict = {}  # (dom mask, support bitset) -> core.PathState
 
-    def state(self, psi: PartialRealization):
-        """The ``core.PathState`` of psi, conditioned by ``version_space``
-        only if psi was not reached before."""
-        return path_state(self.instance, psi, table=self.states)
+    def roots(self, n: int) -> list:
+        """The states of the positive-mass psi' of at most n observations,
+        in walk order, each registered under its key."""
+        roots = list(conditioned_states(self.instance, max_size=n))
+        for root in roots:
+            self.states[root.dom, root.support] = root
+        return roots
 
-    def terms(self, root, tree: Node) -> tuple[float, float]:
+    def terms(self, root, tree: Node, memo: Optional[dict] = None
+              ) -> tuple[float, float]:
         """(N, D) of ``tree`` run after ``root``'s psi': the reach-weighted
         sums of Delta(v | psi') and of Delta(v | psi' and the path to v) over
-        the tree's selections.  D telescopes to the tree's expected gain."""
-        numerator = 0.0
-        denominator = 0.0
-        psi_gains = root.gains
-        stack = [(tree, root, 1.0)] if isinstance(tree, Select) else []
-        while stack:
-            node, at, reach = stack.pop()
-            v = node.element
-            numerator += reach * psi_gains[v]
-            denominator += reach * at.gains[v]
-            outcomes = at.after.get(v)
-            if outcomes is None:
-                outcomes = at.split(self.instance, v, self.states)
-            for y, (mass, child) in outcomes.items():
-                sub = node.children[y]
-                if isinstance(sub, Select):
-                    stack.append((sub, child, reach * mass))
+        the tree's selections.  D telescopes to the tree's expected gain.
+        ``memo`` is ``root``'s subtree memo (a fresh one if None)."""
+        if not isinstance(tree, Select):
+            return 0.0, 0.0
+        return self._terms(tree, root, root.gains, {} if memo is None else memo)
+
+    def _terms(self, node: Select, at, psi_gains: dict, memo: dict
+               ) -> tuple[float, float]:
+        v = node.element
+        numerator = psi_gains[v]
+        denominator = at.gains[v]
+        outcomes = at.after.get(v)
+        if outcomes is None:
+            outcomes = at.split(self.instance, v, self.states)
+        children = node.children
+        for y, (mass, child) in outcomes.items():
+            sub = children[y]
+            if isinstance(sub, Select):
+                found = memo.get((id(sub), id(child)))
+                if found is None:
+                    found = memo[id(sub), id(child)] = (
+                        *self._terms(sub, child, psi_gains, memo), sub)
+                numerator += mass * found[0]
+                denominator += mass * found[1]
         return numerator, denominator
 
 
@@ -255,26 +279,36 @@ def gamma(
     probability) to the policy's expected gain.  Terms whose denominator is
     within ``GAMMA_DENOMINATOR_FLOOR`` of 0 are skipped, and the result is
     clamped to [0, 1]; a raw minimum meaningfully below 0 is reported as an
-    anomaly.
+    anomaly.  ``n`` and ``k`` must be ints >= 1.
 
-    Exact mode scores every policy of ``enumerate_policies`` by one walk
-    over its positive-mass nodes (no per-realization runs); the
-    conditioning states it walks are split and priced once per call.
-    ``mode="sampled"`` scores a random subset of policies per psi' the same
-    way and therefore returns an upper bound on gamma, labeled as such.
+    The psi' come from :func:`~adaptsel.core.conditioned_states`, in its
+    order.  Exact mode enumerates the trees of ``enumerate_policies`` once
+    per domain of psi' and scores each tree against every psi' of that
+    domain by :class:`_GammaWalk`'s memoized walk, keeping each psi''s own
+    minimum; the witness is the first psi', in walk order, whose minimum is
+    the overall one.  ``mode="sampled"`` scores ``samples`` (an int >= 1)
+    random policies per psi', drawn in psi' order from one ``seed``, the
+    same way, and therefore returns an upper bound on gamma, labeled as
+    such.
     """
+    require_int(n=n, k=k)
     if n < 1 or k < 1:
         raise ValueError("gamma requires n, k >= 1")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown gamma mode {mode!r}")
+    if mode == "sampled":
+        require_int(samples=samples)
+        if samples < 1:
+            raise ValueError(f"sampled gamma needs samples >= 1, got {samples}")
 
-    nodes = list(positive_partial_realizations(instance, max_size=n))
+    walk = _GammaWalk(instance)
+    roots = walk.roots(n)
     if mode == "exact":
         total = sum(
             count_policies(
-                instance.num_elements - len(psi), k, instance.num_states
+                instance.num_elements - len(root.pairs), k, instance.num_states
             )
-            for psi in nodes
+            for root in roots
         )
         if total > enum_budget:
             raise GammaBudgetExceeded(
@@ -282,33 +316,43 @@ def gamma(
                 f"(budget {enum_budget}); use sampled mode"
             )
 
-    rng = random.Random(seed)
-    walk = _GammaWalk(instance)
-    raw_min = math.inf
-    witness = None
-    for psi in nodes:
-        root = walk.state(psi)
-        if mode == "exact":
-            trees = enumerate_policies(instance, k, psi, enum_budget)
-        else:
-            available = [v for v in range(instance.num_elements) if v not in psi]
-            trees = (
-                random_policy_over(instance, available, k, rng)
-                for _ in range(samples)
-            )
-        for tree in trees:
-            numerator, denominator = walk.terms(root, tree)
-            if abs(denominator) <= GAMMA_DENOMINATOR_FLOOR:
-                continue
-            ratio = numerator / denominator
-            if ratio < raw_min:
-                raw_min = ratio
-                witness = {"psi": instance.describe_psi(psi)}
+    lows: list[float] = []  # each psi''s own minimum, in walk order
+    if mode == "exact":
+        for _dom, group in groupby(roots, key=attrgetter("dom")):
+            group = list(group)
+            memos = [{} for _ in group]
+            low = [math.inf] * len(group)
+            psi = PartialRealization(group[0].pairs)
+            for tree in enumerate_policies(instance, k, psi, enum_budget):
+                for j, root in enumerate(group):
+                    numerator, denominator = walk.terms(root, tree, memos[j])
+                    if abs(denominator) <= GAMMA_DENOMINATOR_FLOOR:
+                        continue
+                    ratio = numerator / denominator
+                    if ratio < low[j]:
+                        low[j] = ratio
+            lows += low
+    else:
+        rng = random.Random(seed)
+        for root in roots:
+            available = [v for v in range(instance.num_elements)
+                         if not root.dom >> v & 1]
+            low = math.inf
+            for _ in range(samples):
+                tree = random_policy_over(instance, available, k, rng)
+                numerator, denominator = walk.terms(root, tree)
+                if abs(denominator) <= GAMMA_DENOMINATOR_FLOOR:
+                    continue
+                low = min(low, numerator / denominator)
+            lows.append(low)
     label = "exact" if mode == "exact" else "sampled-upper-bound"
+    raw_min = min(lows)
     if raw_min == math.inf:
         # Every candidate policy had zero gain: the constraint set is empty
         # and the function is vacuously submodular.
         return GammaResult(1.0, label, 1.0, n, k)
+    first = roots[lows.index(raw_min)]
+    witness = {"psi": instance.describe_psi(PartialRealization(first.pairs))}
     value = min(1.0, max(0.0, raw_min))
     return GammaResult(value, label, raw_min, n, k, witness, raw_min < -tol)
 

@@ -25,6 +25,7 @@ from .core import (
     members,
     partition,
     renormalize,
+    require_int,
     state_bitsets,
     utility_rows,
     version_space,
@@ -37,11 +38,13 @@ DEFAULT_ENUM_BUDGET = 10**7
 
 def count_policies(num_available: int, height: int, num_states: int) -> int:
     """Number of deterministic trees of height <= ``height`` over
-    ``num_available`` elements: N(m, k) = 1 + m * N(m-1, k-1)^{|Y|}."""
-    if height <= 0 or num_available <= 0:
-        return 1
-    inner = count_policies(num_available - 1, height - 1, num_states)
-    return 1 + num_available * inner**num_states
+    ``num_available`` elements: N(m, k) = 1 + m * N(m-1, k-1)^{|Y|}.
+    ``height`` must be an int."""
+    require_int(height=height)
+    count = 1
+    for available in range(max(num_available - height, 0) + 1, num_available + 1):
+        count = 1 + available * count**num_states
+    return count
 
 
 def enumerate_policies(
@@ -51,7 +54,9 @@ def enumerate_policies(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Iterator[Node]:
     """Every deterministic tree of height <= ``height`` over the elements
-    outside dom(psi), including all early-terminating shapes."""
+    outside dom(psi), including all early-terminating shapes.  ``height``
+    must be an int."""
+    require_int(height=height)
     available = tuple(v for v in range(instance.num_elements) if v not in psi)
     total = count_policies(len(available), height, instance.num_states)
     if total > enum_budget:

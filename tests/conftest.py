@@ -4,7 +4,13 @@ random corpus helpers used by the property suites."""
 import pytest
 
 import adaptsel as a
+from adaptsel import metrics
 from adaptsel.core import gains
+from reference_walks import gamma_walk_state
+
+#: ``gamma`` roots its walk at the layer walk's states; the walk tests score
+#: a tree at any one psi', conditioned from scratch by the reference.
+metrics._GammaWalk.state = gamma_walk_state
 
 
 @pytest.fixture

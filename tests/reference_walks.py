@@ -22,6 +22,8 @@ running-minimum check must return the same trees and witnesses.
 were conditioned before the layer walk: per psi of
 ``positive_partial_realizations``, one ``core.split`` part of the prior of
 psi without its last pair, found in a table keyed by ``psi.key()``.
+``gamma_walk_state`` roots gamma's walk at any psi' conditioned from scratch,
+so a test can score one tree at one psi' without the layer walk.
 
 ``reference_f_avg``, ``reference_c_avg`` and ``reference_policy_gain`` are
 the run-based expectations: every positive-weight realization runs every
@@ -54,6 +56,7 @@ from adaptsel.core import (
     CheckResult,
     PartialRealization,
     gains,
+    path_state,
     positive_partial_realizations,
     split,
     subset_key,
@@ -371,6 +374,14 @@ def reference_check_adaptive_submodular(instance, tol=a.TOL):
                             "gain_late": late,
                         })
     return CheckResult(True)
+
+
+def gamma_walk_state(walk, psi):
+    """The state of psi in ``walk``'s table (a ``metrics._GammaWalk``),
+    conditioned by ``version_space`` if psi was not reached before: how
+    ``gamma`` rooted its trees before its roots came from the layer walk.
+    ``conftest`` installs it as ``_GammaWalk.state``."""
+    return path_state(walk.instance, psi, table=walk.states)
 
 
 def reference_conditioned_states(instance):

@@ -75,8 +75,9 @@ def private_reach_ins(source, own):
 
 #: Conditioning primitives: ``core`` defines them and ``oracle``'s budget DP
 #: roots at ``version_space`` and renormalizes a ``partition`` part on a memo
-#: miss.  Every other module conditions through ``core.path_root`` or
-#: ``core.path_state``, so none grows its own conditioning code.
+#: miss.  Every other module conditions through ``core.path_root``,
+#: ``core.path_state`` or ``core.conditioned_states``, so none grows its own
+#: conditioning code.
 CONDITIONING = {"split", "partition", "renormalize", "version_space"}
 
 #: Modules that may name a conditioning primitive; ``__init__`` re-exports

@@ -195,6 +195,21 @@ def test_arguments_outside_their_range_are_refused(thm5, call, error):
         call(instance, chain)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n": 2, "k": 1.5}, {"n": True, "k": 1}, {"n": 1.5, "k": 1},
+    {"n": 1, "k": True}, {"n": 2.0, "k": 2},
+    {"n": 1, "k": 1, "mode": "sampled", "samples": 0},
+    {"n": 1, "k": 1, "mode": "sampled", "samples": -3},
+    {"n": 1, "k": 1, "mode": "sampled", "samples": 2.5},
+], ids=["k-float", "n-bool", "n-float", "k-bool", "n-integral-float",
+        "samples-zero", "samples-negative", "samples-float"])
+def test_gamma_refuses_non_int_arguments_and_no_samples(thm5, kwargs):
+    """A float k once ran as its ceiling and a bool n was reported as
+    ``true``; zero samples gave the vacuous 1.0."""
+    with pytest.raises(ValueError):
+        a.gamma(thm5[0], **kwargs)
+
+
 def test_covering_params_of_coverage_utility(demo_hypotheses):
     bare, cov_plain, cov_mod = coverage_demo(demo_hypotheses)
     q, eta = a.covering_params(cov_plain)

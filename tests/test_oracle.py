@@ -54,6 +54,15 @@ def test_enumerate_policies_equals_the_odometer(instance, height):
             reference_enumerate_policies(instance, height, psi))
 
 
+@pytest.mark.parametrize("height", [1.5, 2.0, True, None])
+def test_enumeration_and_count_refuse_a_non_int_height(height):
+    instance = corpus_instance(2, num_elements=3)
+    with pytest.raises(ValueError, match="height must be an int"):
+        a.enumerate_policies(instance, height)
+    with pytest.raises(ValueError, match="height must be an int"):
+        a.count_policies(3, height, 2)
+
+
 def test_enumerate_policies_budget_refusal():
     instance = corpus_instance(0, num_elements=4)
     with pytest.raises(a.EnumerationBudgetExceeded):

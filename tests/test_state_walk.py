@@ -1,9 +1,9 @@
 """The adaptive checks' layer walk and the per-instance utility rows.
 
-``core._conditioned_states`` builds every positive-mass psi once, layer by
+``core.conditioned_states`` builds every positive-mass psi once, layer by
 layer, by splitting its parent's state; it must yield the psi, priors and
 gains of ``reference_conditioned_states`` in the same order, floats equal
-bit for bit.  ``core.utility_rows`` is the mask-indexed form of
+bit for bit, and stop after the layer of ``max_size`` observations.  ``core.utility_rows`` is the mask-indexed form of
 ``Instance.utility``, built once per instance."""
 
 import pytest
@@ -38,7 +38,7 @@ def _corpus():
 def test_layer_walk_equals_the_reference_states():
     compared = 0
     for instance in _corpus():
-        states = list(core._conditioned_states(instance))
+        states = list(core.conditioned_states(instance))
         reference = list(reference_conditioned_states(instance))
         assert [s.pairs for s in states] == [psi.pairs for psi, _, _ in reference]
         for state, (psi, vs, gains) in zip(states, reference):
@@ -50,11 +50,30 @@ def test_layer_walk_equals_the_reference_states():
     assert compared > 5_000
 
 
+@pytest.mark.parametrize("instance", [
+    a.gen_random(3, 2, 4), a.gen_random(3, 2, 4, monotone=False),
+    a.gen_random(2, 3, 1), a.gen_random(2, 3, 1, monotone=False),
+    a.gen_random(4, 2, 7, monotone=False), zero_prior_instance(3),
+], ids=["3x2", "3x2-non-monotone", "2x3", "2x3-non-monotone",
+        "4x2-non-monotone", "zero-prior"])
+def test_bounded_walk_is_the_prefix_up_to_max_size(instance):
+    full = list(core.conditioned_states(instance))
+    for j in [*range(instance.num_elements + 1), None]:
+        bounded = list(core.conditioned_states(instance, max_size=j))
+        prefix = [s for s in full if j is None or len(s.pairs) <= j]
+        assert [s.pairs for s in bounded] == [s.pairs for s in prefix]
+        assert [s.vs for s in bounded] == [s.vs for s in prefix]
+        assert ([_hexed(s.gains) for s in bounded]
+                == [_hexed(s.gains) for s in prefix])
+        expected = a.positive_partial_realizations(instance, max_size=j)
+        assert [s.pairs for s in bounded] == [psi.pairs for psi in expected]
+
+
 def test_zero_prior_realizations_are_outside_every_support():
     instance = zero_prior_instance(3)
     zero = [i for i, p in enumerate(instance.prior) if p == 0.0]
     assert zero
-    for state in core._conditioned_states(instance):
+    for state in core.conditioned_states(instance):
         assert all(not state.support >> i & 1 for i in zero)
 
 
