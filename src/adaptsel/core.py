@@ -511,12 +511,10 @@ def conditioned_states(
     states of at most n observations."""
     bits = state_bitsets(instance)
     layer = [path_state(instance, EMPTY)]
-    size = 0
     while layer:
         yield from layer
-        if max_size is not None and size >= max_size:
+        if max_size is not None and len(layer[0].pairs) >= max_size:
             return
-        size += 1
         below = []
         for dom, group in itertools.groupby(layer, key=attrgetter("dom")):
             group = list(group)
