@@ -482,8 +482,10 @@ def positive_partial_realizations(
 
     Enumerates, for every subset of elements up to ``max_size``, the
     observation patterns realized by at least one positive-probability
-    realization.
+    realization.  ``max_size`` is None or an int >= 0, checked by
+    :func:`_require_size` when iteration starts.
     """
+    _require_size(max_size)
     n = instance.num_elements
     limit = n if max_size is None else min(max_size, n)
     positive = [
@@ -494,6 +496,15 @@ def positive_partial_realizations(
             patterns = {tuple(phi[e] for e in dom) for phi in positive}
             for pattern in sorted(patterns):
                 yield PartialRealization(tuple(zip(dom, pattern)))
+
+
+def _require_size(max_size: Optional[int]) -> None:
+    """Raise ValueError unless ``max_size`` is None or an int >= 0; a bool
+    is not an int."""
+    if max_size is not None:
+        require_int(max_size=max_size)
+        if max_size < 0:
+            raise ValueError(f"max_size must be non-negative, got {max_size}")
 
 
 def conditioned_states(
@@ -508,7 +519,9 @@ def conditioned_states(
     keeps every layer in that order.  Unlike :meth:`PathState.split`, parents
     share their domain's gain rows and keep no ``after`` (BENCH_12.json).
     The adaptive checks walk every layer; ``gamma`` roots its trees at the
-    states of at most n observations."""
+    states of at most n observations.  ``max_size`` is None or an int >= 0,
+    checked by :func:`_require_size` when iteration starts."""
+    _require_size(max_size)
     bits = state_bitsets(instance)
     layer = [path_state(instance, EMPTY)]
     while layer:

@@ -290,6 +290,10 @@ def gamma(
     random policies per psi', drawn in psi' order from one ``seed``, the
     same way, and therefore returns an upper bound on gamma, labeled as
     such.
+
+    Each instance computes each (n, k, mode, samples, seed, tol) once and
+    returns the same result object on a repeated call; the ``enum_budget``
+    gate is checked on every call, cached or not.
     """
     require_int(n=n, k=k)
     if n < 1 or k < 1:
@@ -301,8 +305,16 @@ def gamma(
         if samples < 1:
             raise ValueError(f"sampled gamma needs samples >= 1, got {samples}")
 
+    cache = instance.__dict__  # not a field: kept out of ==, repr and the JSON
+    solved = cache.setdefault("_gamma", {})
+    key = (n, k, mode, samples, seed, tol)
+    if key in solved:
+        total, result = solved[key]
+        _check_gamma_budget(total, enum_budget)
+        return result
     walk = _GammaWalk(instance)
     roots = walk.roots(n)
+    total = 0  # sampled mode enumerates nothing
     if mode == "exact":
         total = sum(
             count_policies(
@@ -310,11 +322,7 @@ def gamma(
             )
             for root in roots
         )
-        if total > enum_budget:
-            raise GammaBudgetExceeded(
-                f"exact gamma would evaluate {total} policies "
-                f"(budget {enum_budget}); use sampled mode"
-            )
+        _check_gamma_budget(total, enum_budget)
 
     lows: list[float] = []  # each psi''s own minimum, in walk order
     if mode == "exact":
@@ -350,11 +358,24 @@ def gamma(
     if raw_min == math.inf:
         # Every candidate policy had zero gain: the constraint set is empty
         # and the function is vacuously submodular.
-        return GammaResult(1.0, label, 1.0, n, k)
-    first = roots[lows.index(raw_min)]
-    witness = {"psi": instance.describe_psi(PartialRealization(first.pairs))}
-    value = min(1.0, max(0.0, raw_min))
-    return GammaResult(value, label, raw_min, n, k, witness, raw_min < -tol)
+        result = GammaResult(1.0, label, 1.0, n, k)
+    else:
+        first = roots[lows.index(raw_min)]
+        witness = {"psi": instance.describe_psi(PartialRealization(first.pairs))}
+        value = min(1.0, max(0.0, raw_min))
+        result = GammaResult(value, label, raw_min, n, k, witness, raw_min < -tol)
+    solved[key] = total, result
+    return result
+
+
+def _check_gamma_budget(total: int, enum_budget: int) -> None:
+    """Refuse an exact gamma that would evaluate ``total`` policies, more
+    than ``enum_budget``."""
+    if total > enum_budget:
+        raise GammaBudgetExceeded(
+            f"exact gamma would evaluate {total} policies "
+            f"(budget {enum_budget}); use sampled mode"
+        )
 
 
 # -- discrete covering parameters ------------------------------------------

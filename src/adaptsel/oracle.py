@@ -6,6 +6,12 @@ drives the utility to its maximum on every branch, and a generator for
 every deterministic tree of bounded height.  A budget check bounds the
 DP memo keys or counts the policies before running and refuses beyond the
 configured limit rather than hanging.
+
+Nothing here refers to itself: the enumerator recurses through a module-level
+generator, and each DP drops its recursive ``solve`` once the root is solved.
+A self-referencing closure is a reference cycle, which would keep the memo and
+the instance it holds alive until the cyclic collector ran; without one,
+reference counting frees them as the call returns.
 """
 
 from __future__ import annotations
@@ -63,18 +69,18 @@ def enumerate_policies(
         raise EnumerationBudgetExceeded(
             f"{total} policies exceed the enumeration budget {enum_budget}"
         )
-    num_states = instance.num_states
+    return _generate(available, height, instance.num_states)
 
-    def generate(avail: tuple[int, ...], h: int) -> Iterator[Node]:
-        yield TERMINAL
-        if h <= 0:
-            return
-        for v in avail:
-            rest = tuple(x for x in avail if x != v)
-            for children in product(generate(rest, h - 1), repeat=num_states):
-                yield Select(v, children)
 
-    return generate(available, height)
+def _generate(avail: tuple[int, ...], h: int, num_states: int) -> Iterator[Node]:
+    """The trees of :func:`enumerate_policies` over ``avail``, height <= h."""
+    yield TERMINAL
+    if h <= 0:
+        return
+    for v in avail:
+        rest = tuple(x for x in avail if x != v)
+        for children in product(_generate(rest, h - 1, num_states), repeat=num_states):
+            yield Select(v, children)
 
 
 def random_policy_over(
@@ -169,7 +175,10 @@ def optimal_budget(
         return result
 
     root = version_space(instance, EMPTY)
-    value, tree = solve(0, sum(1 << i for i in root.support), root)
+    try:
+        value, tree = solve(0, sum(1 << i for i in root.support), root)
+    finally:
+        del solve  # solve's cell holds solve: free the memo without the collector
     return tree, value
 
 
@@ -291,6 +300,9 @@ def optimal_coverage(
         return result
 
     root = sum([1 << i for i in positive])
-    cost, tree = solve(0, root) if root & uncovered[0] else (0.0, TERMINAL)
+    try:
+        cost, tree = solve(0, root) if root & uncovered[0] else (0.0, TERMINAL)
+    finally:
+        del solve  # solve's cell holds solve: free the memo without the collector
     solved[q, pruned, tol] = result = (tree, cost)
     return result

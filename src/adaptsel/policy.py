@@ -11,7 +11,11 @@ per-decision) randomization is what makes the average cost of the mixture
 exactly the two-point interpolation used by the threshold-pair construction.
 
 Conditioning lives in ``core``: tree walks take each node's conditional prior,
-gains and split from the instance's path cache, ``core.path_root``.
+gains and split from the instance's path cache, ``core.path_root``.  Every
+walker recurses through a module-level function with explicit arguments, never
+through a closure that names itself: such a closure is a reference cycle that
+would keep the instance and its path cache alive until the cyclic collector
+ran, where reference counting frees them once the caller drops the instance.
 """
 
 from __future__ import annotations
@@ -111,22 +115,23 @@ def validate_policy(instance: Instance, policy: Policy) -> None:
     if isinstance(policy, ThresholdSubPolicy):
         validate_policy(instance, policy.base)
         return
+    _validate(instance, policy, frozenset())
 
-    def walk(node: Node, path: frozenset[int]) -> None:
-        if isinstance(node, Terminal):
-            return
-        if not 0 <= node.element < instance.num_elements:
-            raise MalformedPolicy(f"element index {node.element} outside ground set")
-        if node.element in path:
-            raise MalformedPolicy(
-                f"element {instance.elements[node.element]!r} repeats on a path"
-            )
-        if len(node.children) != instance.num_states:
-            raise MalformedPolicy("children do not cover every state")
-        for child in node.children:
-            walk(child, path | {node.element})
 
-    walk(policy, frozenset())
+def _validate(instance: Instance, node: Node, path: frozenset[int]) -> None:
+    """:func:`validate_policy` below a node reached by selecting ``path``."""
+    if isinstance(node, Terminal):
+        return
+    if not 0 <= node.element < instance.num_elements:
+        raise MalformedPolicy(f"element index {node.element} outside ground set")
+    if node.element in path:
+        raise MalformedPolicy(
+            f"element {instance.elements[node.element]!r} repeats on a path"
+        )
+    if len(node.children) != instance.num_states:
+        raise MalformedPolicy("children do not cover every state")
+    for child in node.children:
+        _validate(instance, child, path | {node.element})
 
 
 def chain_policy(instance: Instance, element_indices: list[int]) -> Node:
@@ -177,21 +182,23 @@ def cut_tree(instance: Instance, base: Node, tau: float, strict: bool) -> Node:
     Branches with zero prior mass are cut to terminals, since no gain is
     defined there and no expectation ever reaches them.
     """
-    stops = _stop_rule(tau, strict)
+    return _cut(instance, base, path_root(instance), _stop_rule(tau, strict))
 
-    def build(node: Node, state: PathState) -> Node:
-        if isinstance(node, Terminal):
-            return TERMINAL
-        if stops(max(state.gains.values(), default=0.0)):
-            return TERMINAL
-        parts = state.split(instance, node.element)
-        children = tuple(
-            build(node.children[y], parts[y][1]) if y in parts else TERMINAL
-            for y in range(instance.num_states)
-        )
-        return Select(node.element, children)
 
-    return build(base, path_root(instance))
+def _cut(instance: Instance, node: Node, state: PathState,
+         stops: Callable[[float], bool]) -> Node:
+    """:func:`cut_tree` of the subtree ``node`` at ``state``."""
+    if isinstance(node, Terminal):
+        return TERMINAL
+    if stops(max(state.gains.values(), default=0.0)):
+        return TERMINAL
+    parts = state.split(instance, node.element)
+    children = tuple(
+        _cut(instance, node.children[y], parts[y][1], stops) if y in parts
+        else TERMINAL
+        for y in range(instance.num_states)
+    )
+    return Select(node.element, children)
 
 
 def components(instance: Instance, policy: Policy) -> list[tuple[float, Node]]:
@@ -254,19 +261,22 @@ class AnnotatedNode:
 def annotate_tree(instance: Instance, tree: Node) -> AnnotatedNode:
     """Precompute reach probabilities and gain tables for every
     positive-mass node of a deterministic tree."""
+    return _annotate(instance, tree, path_root(instance), 1.0)
 
-    def build(node: Node, state: PathState, mass: float) -> AnnotatedNode:
-        node_gains = state.gains
-        gmax = max(node_gains.values(), default=0.0)
-        if isinstance(node, Terminal):
-            return AnnotatedNode(state.pairs, mass, node_gains, gmax, None, ())
-        children = tuple(
-            build(node.children[y], child, mass * p_y)
-            for y, (p_y, child) in state.split(instance, node.element).items()
-        )
-        return AnnotatedNode(state.pairs, mass, node_gains, gmax, node.element, children)
 
-    return build(tree, path_root(instance), 1.0)
+def _annotate(instance: Instance, node: Node, state: PathState,
+              mass: float) -> AnnotatedNode:
+    """:func:`annotate_tree` of the subtree ``node`` at ``state``, reached
+    with probability ``mass``."""
+    node_gains = state.gains
+    gmax = max(node_gains.values(), default=0.0)
+    if isinstance(node, Terminal):
+        return AnnotatedNode(state.pairs, mass, node_gains, gmax, None, ())
+    children = tuple(
+        _annotate(instance, node.children[y], child, mass * p_y)
+        for y, (p_y, child) in state.split(instance, node.element).items()
+    )
+    return AnnotatedNode(state.pairs, mass, node_gains, gmax, node.element, children)
 
 
 def cut_nodes(
@@ -326,23 +336,24 @@ def build_greedy(instance: Instance) -> Node:
     maximal expected marginal gain (within ``TOL``); construction stops
     once no remaining element has positive gain.
     """
+    return _greedy(instance, path_root(instance))
 
-    def build(state: PathState) -> Node:
-        node_gains = state.gains
-        if not node_gains:
-            return TERMINAL
-        gmax = max(node_gains.values())
-        if gmax <= GREEDY_STOP:
-            return TERMINAL
-        element = min(v for v, g in node_gains.items() if g >= gmax - TOL)
-        parts = state.split(instance, element)
-        children = tuple(
-            build(parts[y][1]) if y in parts else TERMINAL
-            for y in range(instance.num_states)
-        )
-        return Select(element, children)
 
-    return build(path_root(instance))
+def _greedy(instance: Instance, state: PathState) -> Node:
+    """:func:`build_greedy` below ``state``."""
+    node_gains = state.gains
+    if not node_gains:
+        return TERMINAL
+    gmax = max(node_gains.values())
+    if gmax <= GREEDY_STOP:
+        return TERMINAL
+    element = min(v for v, g in node_gains.items() if g >= gmax - TOL)
+    parts = state.split(instance, element)
+    children = tuple(
+        _greedy(instance, parts[y][1]) if y in parts else TERMINAL
+        for y in range(instance.num_states)
+    )
+    return Select(element, children)
 
 
 # -- threshold pairs (existence/uniqueness construction) -------------------

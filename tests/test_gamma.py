@@ -163,3 +163,46 @@ def test_walk_terms_equal_reference_terms(num_elements, num_states, seed,
         ref_numerator, ref_denominator = reference_terms(instance, psi, tree)
         assert abs(numerator - ref_numerator) <= 1e-12
         assert abs(denominator - ref_denominator) <= 1e-12
+
+
+def test_verify_computes_gamma_once_per_instance_and_arguments(monkeypatch):
+    """thm1 and eq2 price the same (n, k) on each corpus instance: 40 calls
+    to ``gamma`` on the CI's verify call, 20 computations."""
+    from click.testing import CliRunner
+
+    from adaptsel import bounds
+    from adaptsel.cli import main
+
+    calls, computed = [], []
+    gamma, roots = metrics.gamma, metrics.conditioned_states
+
+    def counted_gamma(*args, **kwargs):
+        calls.append(1)
+        return gamma(*args, **kwargs)
+
+    def counted_roots(*args, **kwargs):
+        computed.append(1)
+        return roots(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "gamma", counted_gamma)
+    monkeypatch.setattr(metrics, "conditioned_states", counted_roots)
+    result = CliRunner().invoke(main, [
+        "--json", "verify", "--corpus", "0..20",
+        "--bounds", "thm1,eq1,eq2,eq3,lemma2", "--l", "2"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 40
+    assert len(computed) == 20
+
+
+def test_a_cached_gamma_still_checks_the_enumeration_budget():
+    instance = corpus_instance(0, num_elements=4)
+    first = a.gamma(instance, 1, 2)
+    assert a.gamma(instance, 1, 2) is first
+    with pytest.raises(metrics.GammaBudgetExceeded):
+        a.gamma(instance, 1, 2, enum_budget=10)
+    assert a.gamma(instance, 1, 2, enum_budget=10**6) is first
+    sampled = a.gamma(instance, 1, 2, mode="sampled", samples=20, seed=3)
+    assert sampled is not first
+    assert a.gamma(instance, 1, 2, mode="sampled", samples=20, seed=3,
+                   enum_budget=0) is sampled
+    assert a.gamma(instance, 1, 2, mode="sampled", samples=20, seed=4) is not sampled

@@ -128,3 +128,13 @@ def test_utility_rows_need_a_table():
         core.utility_rows(bare)
     with pytest.raises(ValueError, match="no utility table"):
         bare.value((), 0)
+
+
+@pytest.mark.parametrize("max_size", [-1, 1.5, True, False, "2"],
+                         ids=["negative", "float", "true", "false", "str"])
+@pytest.mark.parametrize("walk", [core.conditioned_states,
+                                  a.positive_partial_realizations],
+                         ids=["conditioned_states", "positive_partial_realizations"])
+def test_both_walks_refuse_a_bad_max_size(walk, max_size):
+    with pytest.raises(ValueError, match="max_size"):
+        list(walk(a.gen_random(3, 2, 1), max_size=max_size))
