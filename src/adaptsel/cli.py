@@ -222,13 +222,16 @@ def params(ctx, instance_path, policy_path, greedy, n, k, gamma_mode):
 
 
 def _emit_policy(ctx, instance: Instance, policy: Policy, rows, out) -> None:
-    """Write ``policy`` to ``out`` when one is given, then print ``rows``:
-    as a table, or under ``--json`` after the policy tree."""
+    """Write ``policy`` to ``out`` when one is given, then print ``rows``
+    with a policy row, as a table or under ``--json`` as one object.  The
+    policy row names ``out``; without it, ``--json`` prints the tree there."""
     if out:
         fileio.save_policy(out, instance, policy)
         rows.append(("policy", out))
     if ctx.obj["json"]:
-        _echo_json({"policy": fileio.policy_to_dict(instance, policy), **dict(rows)})
+        if not out:
+            rows.append(("policy", fileio.policy_to_dict(instance, policy)))
+        _echo_json(dict(rows))
     else:
         _echo(_table(rows))
 

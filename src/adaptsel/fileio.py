@@ -55,7 +55,10 @@ def _number(value, where) -> float:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{where}: {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(f"{where}: integer too large for a float")
 
 
 # -- instances -------------------------------------------------------------
@@ -66,7 +69,10 @@ def _builtin_utility(instance: Instance, name: str, params: dict) -> UtilityTabl
 
     if name == "coverage":
         prior = instance.prior
-        if params.get("modified", False):
+        modified = params.get("modified", False)
+        if type(modified) is not bool:
+            _fail("builtin coverage needs params.modified to be true or false")
+        if modified:
             prior = learn.modified_prior(prior)
         return learn.coverage_utility(instance, prior)
     if name == "theorem5":
@@ -170,13 +176,14 @@ def instance_from_dict(data: dict) -> Instance:
         _number(p, "instance: prior entry")
         for p in _expect(data, "prior", list, "instance")
     )
+    name = _expect(data, "name", str, "instance") if "name" in data else ""
     try:
         instance = Instance(
             elements=elements,
             states=states,
             realizations=tuple(realizations),
             prior=prior,
-            name=str(data.get("name", "")),
+            name=name,
         )
         if "utility" in data and data["utility"] is not None:
             instance = instance.with_utility(
@@ -337,12 +344,67 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to read
         _fail(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        _fail(f"{path} nests too deeply to read")
+
+
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _encode(value, out: list, indent: str) -> None:
+    """Append to ``out`` the pieces of ``json.dumps(value, indent=2,
+    sort_keys=True)``, testing types in the stdlib encoder's order so that
+    int and float subclasses print as plain numbers; ``indent`` is the
+    newline and spaces before the enclosing container's items.  Dict keys
+    must be strings and floats finite, as :func:`jsonable` leaves them."""
+    if isinstance(value, str):
+        out.append(_encode_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            separator = "," + inner
+            _encode(item, out, inner)
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(separator + _encode_string(key) + ": ")
+            separator = "," + inner
+            _encode(item, out, inner)
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        f"is not JSON serializable")
 
 
 def dumps(data) -> str:
-    return json.dumps(jsonable(data), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(jsonable(data), indent=2, sort_keys=True) + "\\n"``,
+    written in one pass."""
+    out: list[str] = []
+    _encode(jsonable(data), out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def save(path: str, data) -> None:

@@ -5,7 +5,9 @@ for the best height-k policy, a coverage DP for the cheapest policy that
 drives the utility to its maximum on every branch, and a generator for
 every deterministic tree of bounded height.  A budget check bounds the
 DP memo keys or counts the policies before running and refuses beyond the
-configured limit rather than hanging.
+configured limit rather than hanging.  Each DP memoizes state values only,
+records the element each selecting state picks, and builds the returned tree
+from those choices once the root is solved.
 
 Nothing here refers to itself: the enumerator recurses through a module-level
 generator, and each DP drops its recursive ``solve`` once the root is solved.
@@ -147,39 +149,38 @@ def optimal_budget(
     rows = utility_rows(instance)
     _check_memo_keys(instance, k, enum_budget)
     bits = state_bitsets(instance)
-    memo: dict[tuple[int, int], tuple[float, Node]] = {}
+    memo: dict[tuple[int, int], float] = {}
+    choice: dict[tuple[int, int], int] = {}
 
-    def solve(dom: int, support: int, vs: ConditionalPrior) -> tuple[float, Node]:
+    def solve(dom: int, support: int, vs: ConditionalPrior) -> float:
         row = rows[dom].__getitem__
         best_value = sum(map(mul, vs.weights, map(row, vs.support)))
-        best_node: Node = TERMINAL
         if dom.bit_count() < k:
             for v in range(n):
                 if dom >> v & 1:
                     continue
                 observed = dom | 1 << v
                 value = 0.0
-                children: list[Node] = [TERMINAL] * instance.num_states
                 for y, (part, weights) in partition(instance, vs, v).items():
                     mass = sum(weights)
                     child = support & bits[v][y]
                     found = memo.get((observed, child))
                     if found is None:
                         found = solve(observed, child, renormalize(part, weights, mass))
-                    value += mass * found[0]
-                    children[y] = found[1]
+                    value += mass * found
                 if value > best_value:
                     best_value = value
-                    best_node = Select(v, tuple(children))
-        memo[dom, support] = result = (best_value, best_node)
-        return result
+                    choice[dom, support] = v
+        memo[dom, support] = best_value
+        return best_value
 
     root = version_space(instance, EMPTY)
+    support = sum(1 << i for i in root.support)
     try:
-        value, tree = solve(0, sum(1 << i for i in root.support), root)
+        value = solve(0, support, root)
     finally:
         del solve  # solve's cell holds solve: free the memo without the collector
-    return tree, value
+    return _chosen_tree(choice, bits, 0, support, {}), value
 
 
 # -- minimum cost coverage -------------------------------------------------
@@ -241,7 +242,8 @@ def optimal_coverage(
     bits = state_bitsets(instance)
     uncovered = [sum([1 << i for i, value in enumerate(row) if abs(value - q) > tol])
                  for row in rows]
-    memo: dict[tuple[int, int], tuple[float, Node]] = {}
+    memo: dict[tuple[int, int], float] = {}
+    choice: dict[tuple[int, int], int] = {}
 
     def mass(support: int) -> float:
         found = masses.get(support)
@@ -277,9 +279,9 @@ def optimal_coverage(
         # back to everything if the heuristic filters them all out.
         return keep or options
 
-    def solve(dom: int, support: int) -> tuple[float, Node]:
-        """The memo entry of an uncovered state not yet in the memo; covered
-        children cost 0 and are left out of the memo."""
+    def solve(dom: int, support: int) -> float:
+        """The cost of an uncovered state not yet in the memo, at least 1;
+        covered children cost 0 and are left out of the memo."""
         total = mass(support)
         best_cost = math.inf
         for v, outcomes in candidates(dom, support):
@@ -289,20 +291,43 @@ def optimal_coverage(
             for _, _, child in outcomes:
                 if child & unmet:
                     found = memo.get((observed, child)) or solve(observed, child)
-                    cost += (masses.get(child) or mass(child)) / total * found[0]
+                    cost += (masses.get(child) or mass(child)) / total * found
             if cost < best_cost - tol:
-                best_cost, best = cost, (v, outcomes)
-        v, outcomes = best
-        children: list[Node] = [TERMINAL] * instance.num_states
-        for _, y, child in outcomes:
-            children[y] = memo.get((dom | 1 << v, child), (0.0, TERMINAL))[1]
-        memo[dom, support] = result = (best_cost, Select(v, tuple(children)))
-        return result
+                best_cost, best = cost, v
+        choice[dom, support] = best
+        memo[dom, support] = best_cost
+        return best_cost
 
     root = sum([1 << i for i in positive])
     try:
-        cost, tree = solve(0, root) if root & uncovered[0] else (0.0, TERMINAL)
+        cost = solve(0, root) if root & uncovered[0] else 0.0
     finally:
         del solve  # solve's cell holds solve: free the memo without the collector
-    solved[q, pruned, tol] = result = (tree, cost)
+    solved[q, pruned, tol] = result = (_chosen_tree(choice, bits, 0, root, {}), cost)
     return result
+
+
+def _chosen_tree(
+    choice: dict[tuple[int, int], int],
+    bits: tuple[tuple[int, ...], ...],
+    dom: int,
+    support: int,
+    built: dict[tuple[int, int], Node],
+) -> Node:
+    """The tree a DP chose from state (``dom``, ``support``): a state in
+    ``choice`` selects its element and branches on its states' supports
+    (``bits``), any other state stops.  Each state's subtree is built once,
+    kept in ``built``, and shared by every path that reaches the state."""
+    node = built.get((dom, support))
+    if node is None:
+        v = choice.get((dom, support))
+        if v is None:
+            node = TERMINAL
+        else:
+            observed = dom | 1 << v
+            node = Select(v, tuple([
+                _chosen_tree(choice, bits, observed, support & b, built)
+                for b in bits[v]
+            ]))
+        built[dom, support] = node
+    return node

@@ -7,6 +7,7 @@ import io
 import json
 import weakref
 
+import pytest
 from click.testing import CliRunner
 
 import adaptsel as a
@@ -133,6 +134,39 @@ def test_solve_coverage_demo(tmp_path):
                      "coverage"])
     assert result.exit_code == 0
     assert "cost       1" in result.output
+
+
+@pytest.mark.parametrize("objective", ["budget", "coverage"])
+def test_solve_out_writes_the_policy_it_prints(tmp_path, objective):
+    """The file holds ``dumps`` of the solved tree and stdout names it;
+    without ``--out``, stdout's policy is the file's object."""
+    path = _theorem5(tmp_path)
+    pout = tmp_path / "opt.json"
+    args = ["--json", "solve", "--instance", str(path), "--objective",
+            objective, "--k", "2"]
+    written = invoke([*args, "--out", str(pout)])
+    printed = invoke(args)
+    assert written.exit_code == printed.exit_code == 0
+    instance = fileio.load_instance(path)
+    if objective == "budget":
+        tree = a.optimal_budget(instance, 2)[0]
+    else:
+        tree = a.optimal_coverage(instance)[0]
+    text = pout.read_text()
+    assert text == fileio.dumps(fileio.policy_to_dict(instance, tree))
+    assert json.loads(written.output)["policy"] == str(pout)
+    assert json.loads(printed.output)["policy"] == json.loads(text)
+
+
+def test_an_integer_too_large_for_a_float_is_a_typed_error(tmp_path):
+    data = fileio.instance_to_dict(a.gen_random(2, 2, 0))
+    data["utility"]["entries"][-1]["value"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    result = invoke(["solve", "--instance", str(path), "--objective", "budget",
+                     "--k", "1"])
+    assert result.exit_code == 1
+    assert "utility entry value: integer too large for a float" in result.output
 
 
 def test_verify_instance_mode_exit_zero(tmp_path):

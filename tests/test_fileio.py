@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import enum
 import json
 import random
 import re
@@ -457,3 +458,143 @@ def test_jsonable_writes_the_bytes_of_the_reference():
     expected = json.dumps(reference_jsonable(value), indent=2, sort_keys=True) + "\n"
     assert fileio.dumps(value) == expected
     assert fileio.jsonable(value) == reference_jsonable(value)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+_CHARS = ['"', "\\", "/", "\n", "\t", "\b", "\f", "\r", "\x00", "\x1f", "\x7f",
+          " ", "a", "Z", "\u00e9", "\u2028", "\U0001f600"]
+_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+           0.1, 1e16, 1e-7, -2.5, float("inf"), float("-inf"), float("nan")]
+_INTS = [0, -3, 2**70, -(2**70), _Level.LOW, _Level.HIGH]
+
+
+def _random_value(rng, depth):
+    """A nested value of JSON leaves, lists, tuples, str-keyed dicts,
+    namedtuples, OrderedDicts and dataclasses, empty containers included."""
+    def text():
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(5)))
+
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([
+            text, lambda: None, lambda: True, lambda: False,
+            lambda: rng.choice(_INTS), lambda: rng.randrange(-10**6, 10**6),
+            lambda: rng.choice(_FLOATS), rng.random,
+        ])()
+    size = rng.randrange(4)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return [_random_value(rng, depth - 1) for _ in range(size)]
+    if kind == 1:
+        return tuple(_random_value(rng, depth - 1) for _ in range(size))
+    if kind == 2:
+        return {text(): _random_value(rng, depth - 1) for _ in range(size)}
+    if kind == 3:
+        return OrderedDict((text(), _random_value(rng, depth - 1))
+                           for _ in range(size))
+    if kind == 4:
+        return namedtuple("Pair", "left right")(_random_value(rng, depth - 1),
+                                                _random_value(rng, depth - 1))
+    return _Leaf(rng.choice(_FLOATS), tuple(_random_value(rng, depth - 1)
+                                            for _ in range(size)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dumps_writes_the_bytes_of_json_dumps(seed):
+    """The one-pass writer gives ``json.dumps(..., indent=2, sort_keys=True)``
+    byte for byte: escapes, astral characters, -0.0, subnormals, huge ints,
+    int subclasses, empty containers and non-finite floats."""
+    rng = random.Random(seed)
+    for _ in range(250):
+        value = _random_value(rng, 4)
+        expected = json.dumps(reference_jsonable(value), indent=2,
+                              sort_keys=True) + "\n"
+        assert fileio.dumps(value) == expected
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, b"x", object(), 1j])
+def test_dumps_rejects_what_json_rejects(bad):
+    with pytest.raises(TypeError):
+        json.dumps(reference_jsonable({"x": [bad]}))
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        fileio.dumps({"x": [bad]})
+
+
+_HUGE = 10**400  # a JSON integer beyond the largest float
+
+
+@pytest.mark.parametrize("field, message", [
+    ("prior", "instance: prior entry"),
+    ("value", "utility entry value"),
+    ("hypotheses", "hypotheses: prior entry"),
+    ("tau", "policy: field 'tau'"),
+    ("rho", "policy: field 'rho'"),
+])
+def test_an_integer_too_large_for_a_float_is_named(tmp_path, field, message):
+    load = fileio.load_instance
+    if field in ("prior", "value"):
+        data = fileio.instance_to_dict(corpus_instance(0))
+        if field == "prior":
+            data["prior"][0] = _HUGE
+        else:
+            data["utility"]["entries"][-1]["value"] = _HUGE
+    elif field == "hypotheses":
+        data = {"examples": ["x1"], "labels": [["0"], ["1"]],
+                "prior": [_HUGE, 0.5]}
+        load = fileio.load_hypotheses
+    else:
+        instance, chain = a.gen_theorem5(3, 0.5)
+        data = fileio.policy_to_dict(instance, a.ThresholdSubPolicy(chain, 0.25, 0.5))
+        data[field] = _HUGE
+        load = lambda path: fileio.load_policy(path, instance)  # noqa: E731
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(a.ParseError,
+                       match=f"{message}: integer too large for a float"):
+        load(path)
+
+
+def test_an_integer_too_long_to_read_is_a_parse_error(tmp_path):
+    """Beyond 4,300 digits ``json`` refuses the integer; an interpreter
+    without that limit reads it, and ``_number`` refuses it."""
+    data = fileio.instance_to_dict(corpus_instance(0))
+    data["prior"][0] = 0.5
+    text = json.dumps(data).replace('"prior": [0.5', '"prior": [' + "1" * 5000, 1)
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    with pytest.raises(a.ParseError,
+                       match="is not valid JSON|integer too large for a float"):
+        fileio.load_instance(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    (b'{"name": "\xff"}', "is not valid JSON: 'utf-8' codec"),
+    (b"[" * 100000 + b"]" * 100000, "nests too deeply to read"),
+], ids=["bad-utf8", "deep-nesting"])
+def test_an_unreadable_file_is_a_parse_error(tmp_path, text, message):
+    path = tmp_path / "in.json"
+    path.write_bytes(text)
+    with pytest.raises(a.ParseError, match=message):
+        fileio.load_instance(path)
+
+
+@pytest.mark.parametrize("bad", ["false", "true", 0, 1, None, []])
+def test_builtin_coverage_modified_must_be_a_bool(demo_hypotheses, bad):
+    data = fileio.instance_to_dict(a.instance_from_hypotheses(demo_hypotheses))
+    data["utility"] = {"kind": "builtin", "name": "coverage",
+                       "params": {"modified": bad}}
+    with pytest.raises(a.ParseError, match="params.modified to be true or false"):
+        fileio.instance_from_dict(data)
+
+
+@pytest.mark.parametrize("bad", [["x"], 1, None, {"x": 1}])
+def test_instance_name_must_be_a_string(bad):
+    data = fileio.instance_to_dict(corpus_instance(0))
+    data["name"] = "x"
+    assert fileio.instance_from_dict(data).name == "x"
+    data["name"] = bad
+    with pytest.raises(a.ParseError, match="instance: field 'name' has the wrong type"):
+        fileio.instance_from_dict(data)
