@@ -8,11 +8,23 @@ requested bounds hold), ``active-learning`` (the hypothesis-class pipeline).
 Every command is deterministic given its arguments and input files; floats
 are printed at 12 significant digits, and ``--json`` output is
 stable-ordered.
+
+Each command runs its work through ``_run``, which pauses the cyclic garbage
+collector for the command and then restores the state it found.  That is
+safe because no part of ``adaptsel`` makes a reference cycle: a command's
+working set (decoded files, instances with their caches, memos and trees)
+is freed by reference counting as soon as the command drops it, so the
+collector would find nothing and only traverse live data, such as a decoded
+utility table.  ``tests/test_reclaim.py`` keeps it so: every command, and
+every typed-error route, leaves nothing for a collection run right after
+it.  A library caller running a batch of calls may pause the collector
+around the batch in the same way.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import sys
 from typing import Optional
@@ -87,6 +99,10 @@ def main(ctx, as_json, tolerance, enum_budget):
 
 
 def _run(ctx, fn):
+    """Run a command's work with the cyclic collector paused (see the module
+    docstring), then restore the state found."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         fn()
     except metrics.GammaBudgetExceeded as exc:
@@ -97,6 +113,9 @@ def _run(ctx, fn):
         raise click.ClickException(f"{exc} (raise --enum-budget)")
     except AdaptselError as exc:
         raise click.ClickException(str(exc))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def demo_hypotheses() -> "learn.HypothesisClass":
@@ -337,9 +356,18 @@ def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
            corpus, corpus_elements, hypotheses_path):
     """Check approximation guarantees numerically; exit 0 iff all hold."""
     bound_ids = [b.strip().lower() for b in bound_spec.split(",") if b.strip()]
+    if not bound_ids:
+        raise click.BadParameter(f"{bound_spec!r} names no bound id",
+                                 param_hint="'--bounds'")
     for bound_id in bound_ids:
         if bound_id not in bounds_mod.BOUND_IDS:
             raise click.ClickException(f"unknown bound id {bound_id!r}")
+    if corpus is None and instance_path is None and hypotheses_path is not None:
+        tabled = [b for b in bound_ids if b != "eq5"]
+        if tabled:
+            raise click.UsageError(
+                f"--bounds {','.join(tabled)} needs a utility table: give "
+                f"--instance or --corpus (--hypotheses alone serves eq5 only)")
     if policy_path == "greedy":
         policy_path = None
     all_hold = True

@@ -200,6 +200,26 @@ def test_verify_unknown_bound_rejected():
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("bound_id", [b for b in a.BOUND_IDS if b != "eq5"])
+def test_verify_hypotheses_alone_serves_eq5_only(tmp_path, bound_id):
+    hpath = tmp_path / "h.json"
+    invoke(["generate", "hypotheses-demo", "--out", str(hpath)])
+    result = CliRunner().invoke(main, ["verify", "--bounds", f"eq5,{bound_id}",
+                                       "--hypotheses", str(hpath)])
+    assert result.exit_code == 2, result.output
+    assert f"--bounds {bound_id} " in result.output
+    assert "--instance" in result.output
+    assert "holds" not in result.output
+    assert "Traceback" not in result.output
+
+
+def test_verify_bounds_must_name_a_bound(tmp_path):
+    path = _random_instance(tmp_path)
+    for spec in (",", "", " , "):
+        _usage_error(["verify", "--bounds", spec, "--instance", path],
+                     "--bounds")
+
+
 def test_verify_json_output_is_stable(tmp_path):
     out = _theorem5(tmp_path)
     args = ["--json", "verify", "--bounds", "lemma2", "--instance", str(out),

@@ -4,28 +4,28 @@ No function of ``adaptsel`` keeps a reference cycle through an instance: the
 DPs drop their recursive ``solve`` once the root is solved, and the
 enumerator and the tree walkers recurse through module-level functions.  So,
 with the cyclic collector paused, an instance (with its path cache, memos and
-trees) is gone as soon as the caller drops it, and a CLI request leaves no
-object of an ``adaptsel`` type or function for the collector to reclaim.
+trees) is gone as soon as the caller drops it, and a CLI request, whether it
+succeeds or ends in a typed error, leaves nothing at all for the collector.
+That is what lets ``cli._run`` pause the collector for each command.
 """
 
-import collections
 import contextlib
 import gc
 import io
 import weakref
 
+import click
 import pytest
 
 import adaptsel as a
-from adaptsel import fileio, policy
+from adaptsel import cli, fileio, metrics, policy
 from adaptsel.bounds import BOUND_IDS
 from adaptsel.cli import main
+from adaptsel.errors import EnumerationBudgetExceeded, ParseError
 
 
 def _name(obj) -> str:
-    """A function's or a class's qualified name, else its type's: cells,
-    tuples and dicts name ``builtins``, and the stdlib JSON encoder's
-    closures name ``json.encoder``."""
+    """A function's or a class's qualified name, else its type's."""
     if callable(obj) and hasattr(obj, "__qualname__"):
         return f"{obj.__module__}.{obj.__qualname__}"
     return f"{type(obj).__module__}.{type(obj).__qualname__}"
@@ -34,7 +34,7 @@ def _name(obj) -> str:
 @contextlib.contextmanager
 def nothing_left_for_the_collector():
     """Run the block with the cyclic collector paused, then check that a
-    collection finds no ``adaptsel`` object or function in a cycle."""
+    collection finds nothing in a cycle."""
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -42,14 +42,13 @@ def nothing_left_for_the_collector():
     try:
         yield
         gc.collect()
-        ours = collections.Counter(name for name in map(_name, gc.garbage)
-                                   if name.startswith("adaptsel."))
+        left = sorted(map(_name, gc.garbage))
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         if enabled:
             gc.enable()
-    assert not ours
+    assert not left
 
 
 def _check_freed(make, call):
@@ -128,7 +127,8 @@ def test_verify_frees_the_instance_for_every_bound(bound_id):
 @pytest.fixture
 def cli_files(tmp_path):
     paths = {name: str(tmp_path / f"{name}.json")
-             for name in ("random", "t5", "t5p", "hypotheses", "out")}
+             for name in ("random", "t5", "t5p", "hypotheses", "out",
+                          "policy-out", "truncated")}
     fileio.save_instance(paths["random"], a.gen_random(3, 2, 1))
     instance, chain = a.gen_theorem5(3, 0.5)
     fileio.save_instance(paths["t5"], instance)
@@ -136,11 +136,18 @@ def cli_files(tmp_path):
     fileio.save(paths["hypotheses"], fileio.hypotheses_to_dict(a.HypothesisClass(
         examples=("x1", "x2"), labels=(("0", "0"), ("0", "1"), ("1", "1")),
         prior=(0.5, 0.3, 0.2))))
+    with open(paths["truncated"], "w", encoding="utf-8") as handle:
+        handle.write('{"kind": "instance"')
     return paths
 
 
 REQUESTS = {
     "generate": ["generate", "random", "--elements", "3", "--out", "{out}"],
+    "generate-theorem4": ["generate", "theorem4", "--out", "{out}",
+                          "--policy-out", "{policy-out}"],
+    "generate-theorem5": ["generate", "theorem5", "--out", "{out}",
+                          "--policy-out", "{policy-out}"],
+    "generate-hypotheses-demo": ["generate", "hypotheses-demo", "--out", "{out}"],
     "params-exact": ["params", "--instance", "{random}", "--greedy"],
     "params-sampled": ["params", "--instance", "{random}", "--greedy",
                        "--gamma-mode", "sampled"],
@@ -150,6 +157,8 @@ REQUESTS = {
     "verify-coverage": ["verify", "--instance", "{t5}",
                         "--bounds", "thm2,thm6,eq4,lemma3"],
     "verify-eq5": ["verify", "--hypotheses", "{hypotheses}", "--bounds", "eq5"],
+    "verify-corpus": ["verify", "--corpus", "0..3", "--l", "2",
+                      "--bounds", "thm1,eq1,eq2,eq3,lemma2"],
     "solve-budget": ["solve", "--objective", "budget", "--k", "3",
                      "--instance", "{random}", "--out", "{out}"],
     "solve-coverage": ["solve", "--objective", "coverage",
@@ -158,10 +167,77 @@ REQUESTS = {
                         "--out", "{out}"],
 }
 
+#: Requests that end in a typed error, with a piece of the message it gives.
+ERRORS = {
+    "parse-error": (["params", "--instance", "{truncated}"],
+                    "is not valid JSON"),
+    "gamma-refusal": (["--enum-budget", "0", "params", "--instance", "{random}",
+                       "--greedy"], "--gamma-mode sampled"),
+    "dp-refusal": (["--enum-budget", "0", "solve", "--objective", "budget",
+                    "--k", "3", "--instance", "{random}"], "DP memo keys"),
+    "coverage-unreachable": (["solve", "--objective", "coverage",
+                              "--instance", "{random}"],
+                             "with every element selected"),
+}
+
+
+def _send(cli_files, request):
+    """Send ``--json`` plus ``request`` in-process, as the benchmark does;
+    returns the ``ClickException`` message, or None on success."""
+    args = ["--json", *(arg.format_map(cli_files) for arg in request)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main(args, standalone_mode=False)
+        except click.ClickException as exc:
+            return exc.message
+    return None
+
 
 @pytest.mark.parametrize("request_id", list(REQUESTS))
 def test_a_cli_request_leaves_nothing_of_ours_for_the_collector(cli_files, request_id):
-    args = ["--json", *(arg.format_map(cli_files) for arg in REQUESTS[request_id])]
     with nothing_left_for_the_collector():
-        with contextlib.redirect_stdout(io.StringIO()):
-            main(args, standalone_mode=False)
+        assert _send(cli_files, REQUESTS[request_id]) is None
+
+
+@pytest.mark.parametrize("request_id", list(ERRORS))
+def test_a_refused_cli_request_leaves_nothing_for_the_collector(cli_files, request_id):
+    request, message = ERRORS[request_id]
+    with nothing_left_for_the_collector():
+        error = _send(cli_files, request)
+    assert message in error
+
+
+#: How a command's work ends inside ``cli._run``: the exception it raises
+#: (None for success) and the one ``_run`` passes on.
+ENDINGS = {
+    "success": (None, None),
+    "gamma-budget": (metrics.GammaBudgetExceeded, click.ClickException),
+    "enumeration-budget": (EnumerationBudgetExceeded, click.ClickException),
+    "typed-error": (ParseError, click.ClickException),
+    "click-exception": (click.ClickException, click.ClickException),
+    "other-exception": (ValueError, ValueError),
+}
+
+
+@pytest.mark.parametrize("ending", list(ENDINGS))
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_pauses_the_collector_and_restores_what_it_found(enabled, ending):
+    raised, passed_on = ENDINGS[ending]
+    seen = []
+
+    def work():
+        seen.append(gc.isenabled())
+        if raised is not None:
+            raise raised("stop")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with (contextlib.nullcontext() if passed_on is None
+              else pytest.raises(passed_on)):
+            cli._run(None, work)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+    assert after is enabled
