@@ -179,7 +179,7 @@ def _verify_thm1(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     n = max(policy_height(instance, sub), 1)
     k = max(policy_height(instance, opt_policy), 1)
     b = beta(instance, sub).value
-    g = gamma(instance, n, k, gamma_mode, enum_budget, tol=tol)
+    g = gamma(instance, n, k, gamma_mode, enum_budget)
     c_star = c_avg(instance, opt_policy)
     f_star = f_avg(instance, opt_policy)
     factor = _cap_factor(float(l), _ratio_over_gamma(b, g.value), c_star)
@@ -220,7 +220,7 @@ def _verify_eq2(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     a = alpha(instance, policy)
     height = max(policy_height(instance, policy), 1)
     k = max(policy_height(instance, opt_policy), 1)
-    g = gamma(instance, height, k, gamma_mode, enum_budget, tol=tol)
+    g = gamma(instance, height, k, gamma_mode, enum_budget)
     f_star = f_avg(instance, opt_policy)
     lhs = f_avg(instance, policy)
     rhs = (1.0 - math.exp(-g.value * height / k)) * f_star
@@ -250,13 +250,19 @@ def _verify_eq3(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
 
 
 def _coverage_common(instance, policy, opt_policy, tol, prior=None):
+    """(Q, eta) under ``prior`` (the instance's if None), once pi* is known
+    to reach a positive Q on every realization that counts: those of
+    positive mass under the instance's prior, or all of them if a prior is
+    given."""
     _require(policy is not None and opt_policy is not None,
              "policy and baseline are required")
     q, eta = covering_params(instance, prior=prior, tol=tol)
     _require(q > tol, "covering bounds need a positive maximal utility Q")
+    every = prior is not None
     _require(
-        _check_covering(instance, opt_policy, q, include_zero_mass=False, tol=tol),
-        "pi* does not reach Q on every positive-mass realization",
+        _check_covering(instance, opt_policy, q, include_zero_mass=every, tol=tol),
+        "pi* does not reach Q on every realization" if every
+        else "pi* does not reach Q on every positive-mass realization",
     )
     return q, eta
 
@@ -269,7 +275,7 @@ def _verify_thm2(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     _require(n >= 1, "the policy must be able to select at least one element")
     k = max(policy_height(instance, opt_policy), 1)
     b = beta(instance, policy).value
-    g = gamma(instance, n, k, gamma_mode, enum_budget, tol=tol)
+    g = gamma(instance, n, k, gamma_mode, enum_budget)
     c_star = c_avg(instance, opt_policy)
     ratio = _ratio_over_gamma(b, g.value)
     rhs = (ratio * c_star + 1.0) * math.log(n * q / eta) + 2.0
@@ -296,18 +302,11 @@ def _verify_eq4(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
 
 
 def _verify_thm6(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
-    _require(policy is not None and opt_policy is not None,
-             "policy and baseline are required")
     monotone = check_adaptive_monotone(instance, tol)
     _require(monotone.ok, f"utility is not adaptive monotone: {monotone.witness}")
     p_mod = modified_prior(instance.prior)
+    q, eta = _coverage_common(instance, policy, opt_policy, tol, prior=p_mod)
     lifted = instance.with_prior(p_mod)
-    q, eta = covering_params(instance, prior=p_mod, tol=tol)
-    _require(q > tol, "covering bounds need a positive maximal utility Q")
-    _require(
-        _check_covering(instance, opt_policy, q, include_zero_mass=True, tol=tol),
-        "pi* does not reach Q on every realization",
-    )
     k = policy_height(instance, opt_policy)
     _require(
         k <= instance.num_realizations,
@@ -317,7 +316,7 @@ def _verify_thm6(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     _require(n >= 1, "the policy must be able to select at least one element")
     b = beta(lifted, policy).value
     _require(b >= -TOL, f"beta on the modified prior is negative: {b}")
-    g = gamma(lifted, n, max(k, 1), gamma_mode, enum_budget, tol=tol)
+    g = gamma(lifted, n, max(k, 1), gamma_mode, enum_budget)
     c_star = c_avg(instance, opt_policy)  # cost under the original prior
     ratio = _ratio_over_gamma(b, g.value)
     rhs = 2.0 * (ratio * (c_star + 1.0) + 1.0) * math.log(n * q / eta) + 4.0

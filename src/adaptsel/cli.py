@@ -9,16 +9,17 @@ Every command is deterministic given its arguments and input files; floats
 are printed at 12 significant digits, and ``--json`` output is
 stable-ordered.
 
-Each command runs its work through ``_run``, which pauses the cyclic garbage
-collector for the command and then restores the state it found.  That is
-safe because no part of ``adaptsel`` makes a reference cycle: a command's
-working set (decoded files, instances with their caches, memos and trees)
-is freed by reference counting as soon as the command drops it, so the
-collector would find nothing and only traverse live data, such as a decoded
-utility table.  ``tests/test_reclaim.py`` keeps it so: every command, and
-every typed-error route, leaves nothing for a collection run right after
-it.  A library caller running a batch of calls may pause the collector
-around the batch in the same way.
+Each command body is wrapped in ``_guarded``, which turns library errors
+into click errors and pauses the cyclic garbage collector for the command,
+then restores the state it found.  The pause is safe because no part of
+``adaptsel`` makes a reference cycle: a command's working set (decoded
+files, instances with their caches, memos and trees) is freed by reference
+counting as soon as the command drops it, so the collector would find
+nothing and only traverse live data, such as a decoded utility table.
+``tests/test_reclaim.py`` keeps it so: every command, and every typed-error
+route, leaves nothing for a collection run right after it.  A library
+caller running a batch of calls may pause the collector around the batch
+in the same way.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _corpus(ctx, param, spec: Optional[str]) -> Optional[range]:
 @click.option("--tolerance", type=float, default=TOL, show_default=True,
               callback=_tolerance,
               help="Absolute tolerance of bound slacks and preconditions, "
-                   "Q/eta, the coverage optimum and gamma's anomaly flag; "
+                   "Q/eta and the coverage optimum; "
                    "threshold cuts, and so alpha and beta, always use 1e-9.")
 @click.option("--enum-budget", type=click.IntRange(min=0),
               default=oracle.DEFAULT_ENUM_BUDGET,
@@ -98,24 +99,31 @@ def main(ctx, as_json, tolerance, enum_budget):
     ctx.obj = {"json": as_json, "tol": tolerance, "budget": enum_budget}
 
 
-def _run(ctx, fn):
-    """Run a command's work with the cyclic collector paused (see the module
-    docstring), then restore the state found."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        fn()
-    except metrics.GammaBudgetExceeded as exc:
-        raise click.ClickException(
-            f"{exc} (try --gamma-mode sampled or raise --enum-budget)"
-        )
-    except EnumerationBudgetExceeded as exc:
-        raise click.ClickException(f"{exc} (raise --enum-budget)")
-    except AdaptselError as exc:
-        raise click.ClickException(str(exc))
-    finally:
-        if enabled:
-            gc.enable()
+def _guarded(command):
+    """Wrap a command body so that it runs with the cyclic collector paused
+    (see the module docstring), then restores the state found, and so that
+    a library error ends it as a click error.  Apply it under
+    ``@click.pass_context``."""
+
+    @functools.wraps(command)
+    def guarded(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return command(*args, **kwargs)
+        except metrics.GammaBudgetExceeded as exc:
+            raise click.ClickException(
+                f"{exc} (try --gamma-mode sampled or raise --enum-budget)"
+            )
+        except EnumerationBudgetExceeded as exc:
+            raise click.ClickException(f"{exc} (raise --enum-budget)")
+        except AdaptselError as exc:
+            raise click.ClickException(str(exc))
+        finally:
+            if enabled:
+                gc.enable()
+
+    return guarded
 
 
 def demo_hypotheses() -> "learn.HypothesisClass":
@@ -128,9 +136,7 @@ def demo_hypotheses() -> "learn.HypothesisClass":
 
 
 @main.command()
-@click.argument("family_arg", required=False, type=click.Choice(FAMILIES))
-@click.option("--family", type=click.Choice(FAMILIES), default=None,
-              help="Instance family (alternative to the positional argument).")
+@click.argument("family", required=False, type=click.Choice(FAMILIES))
 @click.option("--k", type=int, default=3, show_default=True,
               help="Ground-set size for the witness families.")
 @click.option("--epsilon", type=float, default=0.5, show_default=True,
@@ -147,38 +153,32 @@ def demo_hypotheses() -> "learn.HypothesisClass":
 @click.option("--policy-out", type=click.Path(dir_okay=False), default=None,
               help="Companion policy output path, for families that define one.")
 @click.pass_context
-def generate(ctx, family_arg, family, k, epsilon, elements, states, seed,
-             monotone, out, policy_out):
+@_guarded
+def generate(ctx, family, k, epsilon, elements, states, seed, monotone, out,
+             policy_out):
     """Write a generated instance (and companion policy) to JSON files."""
-    chosen = family_arg or family
-    if chosen is None:
-        raise click.ClickException(
-            f"specify a family: one of {', '.join(FAMILIES)}"
-        )
-
-    def work():
-        policy = None
-        if chosen == "theorem5":
-            instance, policy = gen.gen_theorem5(k, epsilon)
-        elif chosen == "theorem4":
-            instance, policy = gen.gen_theorem4(k)
-        elif chosen == "random":
-            instance = gen.gen_random(elements, states, seed, monotone)
-        else:  # hypotheses-demo
-            hc = demo_hypotheses()
-            path = out or "hypotheses-demo.json"
-            fileio.save(path, fileio.hypotheses_to_dict(hc))
-            _echo(f"wrote {path}")
-            return
-        path = out or f"{chosen}.json"
-        fileio.save_instance(path, instance)
+    if family is None:
+        raise click.UsageError(f"specify a family: one of {', '.join(FAMILIES)}")
+    policy = None
+    if family == "theorem5":
+        instance, policy = gen.gen_theorem5(k, epsilon)
+    elif family == "theorem4":
+        instance, policy = gen.gen_theorem4(k)
+    elif family == "random":
+        instance = gen.gen_random(elements, states, seed, monotone)
+    else:  # hypotheses-demo
+        hc = demo_hypotheses()
+        path = out or "hypotheses-demo.json"
+        fileio.save(path, fileio.hypotheses_to_dict(hc))
         _echo(f"wrote {path}")
-        if policy is not None:
-            ppath = policy_out or f"{chosen}-policy.json"
-            fileio.save_policy(ppath, instance, policy)
-            _echo(f"wrote {ppath}")
-
-    _run(ctx, work)
+        return
+    path = out or f"{family}.json"
+    fileio.save_instance(path, instance)
+    _echo(f"wrote {path}")
+    if policy is not None:
+        ppath = policy_out or f"{family}-policy.json"
+        fileio.save_policy(ppath, instance, policy)
+        _echo(f"wrote {ppath}")
 
 
 def _policy(instance: Instance, policy_path: Optional[str]) -> Policy:
@@ -201,43 +201,42 @@ def _policy(instance: Instance, policy_path: Optional[str]) -> Policy:
 @click.option("--gamma-mode", type=click.Choice(["exact", "sampled", "skip"]),
               default="exact", show_default=True)
 @click.pass_context
+@_guarded
 def params(ctx, instance_path, policy_path, greedy, n, k, gamma_mode):
     """Compute alpha, beta, gamma, Q, eta for an instance/policy pair."""
-
-    def work():
-        instance = fileio.load_instance(instance_path)
-        policy = _policy(instance, None if greedy else policy_path)
-        report = metrics.param_report(
-            instance, policy, n=n, k=k, gamma_mode=gamma_mode,
-            enum_budget=ctx.obj["budget"], tol=ctx.obj["tol"],
-        )
-        if ctx.obj["json"]:
-            _echo_json(report)
-            return
-        rows = [
-            ("alpha", report.alpha),
-            ("beta", report.beta),
-            ("beta_anomaly", report.beta_anomaly),
-            ("gamma", "skipped" if report.gamma is None else report.gamma),
+    if greedy and policy_path is not None:
+        raise click.UsageError("give --policy or --greedy, not both")
+    instance = fileio.load_instance(instance_path)
+    policy = _policy(instance, policy_path)
+    report = metrics.param_report(
+        instance, policy, n=n, k=k, gamma_mode=gamma_mode,
+        enum_budget=ctx.obj["budget"], tol=ctx.obj["tol"],
+    )
+    if ctx.obj["json"]:
+        _echo_json(report)
+        return
+    rows = [
+        ("alpha", report.alpha),
+        ("beta", report.beta),
+        ("beta_anomaly", report.beta_anomaly),
+        ("gamma", "skipped" if report.gamma is None else report.gamma),
+    ]
+    if report.gamma_mode is not None:
+        rows.append(("gamma_mode", report.gamma_mode))
+        rows.extend([("n", report.n), ("k", report.k)])
+    rows.extend(
+        [
+            ("Q", report.q),
+            ("eta", report.eta),
+            ("f_avg", report.f_avg),
+            ("c_avg", report.c_avg),
+            ("height", report.height),
         ]
-        if report.gamma_mode is not None:
-            rows.append(("gamma_mode", report.gamma_mode))
-            rows.extend([("n", report.n), ("k", report.k)])
-        rows.extend(
-            [
-                ("Q", report.q),
-                ("eta", report.eta),
-                ("f_avg", report.f_avg),
-                ("c_avg", report.c_avg),
-                ("height", report.height),
-            ]
-        )
-        _echo(_table(rows))
-        for name, witness in sorted(report.witnesses.items()):
-            if witness is not None:
-                _echo(f"witness {name}: {witness}")
-
-    _run(ctx, work)
+    )
+    _echo(_table(rows))
+    for name, witness in sorted(report.witnesses.items()):
+        if witness is not None:
+            _echo(f"witness {name}: {witness}")
 
 
 def _emit_policy(ctx, instance: Instance, policy: Policy, rows, out) -> None:
@@ -265,28 +264,25 @@ def _emit_policy(ctx, instance: Instance, policy: Policy, rows, out) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the optimal policy tree here.")
 @click.pass_context
+@_guarded
 def solve(ctx, instance_path, objective, k, out):
     """Compute a brute-force optimal policy and print its value or cost."""
-
-    def work():
-        instance = fileio.load_instance(instance_path)
-        if objective == "budget":
-            if k is None:
-                raise InvalidParams("--k is required for the budget objective")
-            tree, value = oracle.optimal_budget(
-                instance, k, enum_budget=ctx.obj["budget"]
-            )
-            rows = [("objective", "budget"), ("k", k), ("value", value),
-                    ("c_avg", c_avg(instance, tree))]
-        else:
-            tree, cost = oracle.optimal_coverage(
-                instance, tol=ctx.obj["tol"], enum_budget=ctx.obj["budget"]
-            )
-            rows = [("objective", "coverage"), ("cost", cost),
-                    ("f_avg", f_avg(instance, tree))]
-        _emit_policy(ctx, instance, tree, rows, out)
-
-    _run(ctx, work)
+    instance = fileio.load_instance(instance_path)
+    if objective == "budget":
+        if k is None:
+            raise InvalidParams("--k is required for the budget objective")
+        tree, value = oracle.optimal_budget(
+            instance, k, enum_budget=ctx.obj["budget"]
+        )
+        rows = [("objective", "budget"), ("k", k), ("value", value),
+                ("c_avg", c_avg(instance, tree))]
+    else:
+        tree, cost = oracle.optimal_coverage(
+            instance, tol=ctx.obj["tol"], enum_budget=ctx.obj["budget"]
+        )
+        rows = [("objective", "coverage"), ("cost", cost),
+                ("f_avg", f_avg(instance, tree))]
+    _emit_policy(ctx, instance, tree, rows, out)
 
 
 def _verify_one(ctx, instance, bound_ids, policy_path, l, gamma_mode,
@@ -352,6 +348,7 @@ def _render_reports(ctx, label, reports):
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="Hypothesis-class file for eq5.")
 @click.pass_context
+@_guarded
 def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
            corpus, corpus_elements, hypotheses_path):
     """Check approximation guarantees numerically; exit 0 iff all hold."""
@@ -361,8 +358,13 @@ def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
                                  param_hint="'--bounds'")
     for bound_id in bound_ids:
         if bound_id not in bounds_mod.BOUND_IDS:
-            raise click.ClickException(f"unknown bound id {bound_id!r}")
-    if corpus is None and instance_path is None and hypotheses_path is not None:
+            raise click.BadParameter(f"unknown bound id {bound_id!r}",
+                                     param_hint="'--bounds'")
+    if corpus is not None and instance_path is not None:
+        raise click.UsageError("give --instance or --corpus, not both")
+    if corpus is None and instance_path is None:
+        if hypotheses_path is None:
+            raise click.UsageError("provide --instance, --corpus, or --hypotheses")
         tabled = [b for b in bound_ids if b != "eq5"]
         if tabled:
             raise click.UsageError(
@@ -370,37 +372,28 @@ def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
                 f"--instance or --corpus (--hypotheses alone serves eq5 only)")
     if policy_path == "greedy":
         policy_path = None
+    targets = []
+    if corpus is not None:
+        for seed in corpus:
+            targets.append(
+                (f"seed={seed}", gen.gen_random(corpus_elements, 2, seed))
+            )
+    elif instance_path is not None:
+        targets.append((instance_path, fileio.load_instance(instance_path)))
+    hypo_instance = None
+    if hypotheses_path is not None:
+        hc = fileio.load_hypotheses(hypotheses_path)
+        hypo_instance = learn.instance_from_hypotheses(hc)
+        if not targets:
+            targets.append((hypotheses_path, hypo_instance))
     all_hold = True
-
-    def work():
-        nonlocal all_hold
-        targets = []
-        if corpus is not None:
-            for seed in corpus:
-                targets.append(
-                    (f"seed={seed}", gen.gen_random(corpus_elements, 2, seed))
-                )
-        elif instance_path is not None:
-            targets.append((instance_path, fileio.load_instance(instance_path)))
-        elif hypotheses_path is None:
-            raise click.ClickException(
-                "provide --instance, --corpus, or --hypotheses"
-            )
-        hypo_instance = None
-        if hypotheses_path is not None:
-            hc = fileio.load_hypotheses(hypotheses_path)
-            hypo_instance = learn.instance_from_hypotheses(hc)
-            if not targets:
-                targets.append((hypotheses_path, hypo_instance))
-        for label, instance in targets:
-            reports = _verify_one(
-                ctx, instance, bound_ids, policy_path, l, gamma_mode,
-                hypotheses=hypo_instance,
-            )
-            all_hold = all_hold and all(r.holds for r in reports)
-            _render_reports(ctx, label, reports)
-
-    _run(ctx, work)
+    for label, instance in targets:
+        reports = _verify_one(
+            ctx, instance, bound_ids, policy_path, l, gamma_mode,
+            hypotheses=hypo_instance,
+        )
+        all_hold = all_hold and all(r.holds for r in reports)
+        _render_reports(ctx, label, reports)
     if not all_hold:
         sys.exit(1)
 
@@ -411,25 +404,22 @@ def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the GBS policy tree here.")
 @click.pass_context
+@_guarded
 def active_learning(ctx, hypotheses_path, out):
     """Run the GBS pipeline on a hypothesis class and report its costs."""
-
-    def work():
-        hc = fileio.load_hypotheses(hypotheses_path)
-        instance = learn.instance_from_hypotheses(hc)
-        cov_plain = learn.coverage_instance(instance, modified=False)
-        cov_mod = learn.coverage_instance(instance, modified=True)
-        policy = learn.gbs_policy(cov_mod)
-        rows = [
-            ("hypotheses", instance.num_realizations),
-            ("examples", instance.num_elements),
-            ("c_avg_p", c_avg(cov_plain, policy)),
-            ("c_avg_p_modified", c_avg(cov_mod, policy)),
-            ("height", policy_height(cov_mod, policy)),
-        ]
-        _emit_policy(ctx, instance, policy, rows, out)
-
-    _run(ctx, work)
+    hc = fileio.load_hypotheses(hypotheses_path)
+    instance = learn.instance_from_hypotheses(hc)
+    cov_plain = learn.coverage_instance(instance, modified=False)
+    cov_mod = learn.coverage_instance(instance, modified=True)
+    policy = learn.gbs_policy(cov_mod)
+    rows = [
+        ("hypotheses", instance.num_realizations),
+        ("examples", instance.num_elements),
+        ("c_avg_p", c_avg(cov_plain, policy)),
+        ("c_avg_p_modified", c_avg(cov_mod, policy)),
+        ("height", policy_height(cov_mod, policy)),
+    ]
+    _emit_policy(ctx, instance, policy, rows, out)
 
 
 if __name__ == "__main__":

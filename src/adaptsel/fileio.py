@@ -20,8 +20,10 @@ A table is read in one pass; each entry's set, realization, value and
 uniqueness are checked in that order, then missing subsets.  An entry whose
 set list equals an earlier entry's all-name list reuses its subset and row.
 
-All writers emit stable-ordered (sorted-key) JSON so identical inputs give
-byte-identical files.
+Every file and ``--json`` answer is written by :func:`dumps` in one walk:
+dataclasses become objects of their fields, tuples lists, keys strings and
+non-finite floats their ``repr`` strings, in stable-ordered (sorted-key)
+JSON, so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -235,7 +237,9 @@ def policy_from_dict(instance: Instance, data) -> Policy:
     return _tree_from_dict(instance, data)
 
 
-def _tree_from_dict(instance: Instance, data) -> Node:
+def _tree_from_dict(instance: Instance, data, seen: int = 0) -> Node:
+    """The tree ``data`` describes, below a node reached by selecting the
+    elements of the mask ``seen``."""
     if data == "terminal":
         return TERMINAL
     if not isinstance(data, dict) or "select" not in data:
@@ -248,8 +252,10 @@ def _tree_from_dict(instance: Instance, data) -> Node:
         index = instance.element_index(element)
     except KeyError:
         _fail(f"policy: unknown element {element!r}")
+    if seen >> index & 1:
+        _fail(f"policy: {element!r} is selected again below itself")
     children = tuple(
-        _tree_from_dict(instance, children_spec[state])
+        _tree_from_dict(instance, children_spec[state], seen | 1 << index)
         for state in instance.states
     )
     return Select(index, children)
@@ -309,32 +315,6 @@ def hypotheses_to_dict(hc) -> dict:
     }
 
 
-# -- reports ---------------------------------------------------------------
-
-
-def jsonable(value):
-    """Recursively convert dataclasses/tuples to plain JSON values, mapping
-    non-finite floats to strings so the output is strict JSON.  Builtin
-    leaves and containers are tested by exact type first: none of them is a
-    dataclass."""
-    kind = type(value)
-    if kind is str or kind is int or kind is bool or value is None:
-        return value
-    if (kind not in (float, dict, list, tuple) and dataclasses.is_dataclass(value)
-            and not isinstance(value, type)):
-        return {
-            f.name: jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    return value
-
-
 # -- files -----------------------------------------------------------------
 
 
@@ -352,13 +332,22 @@ def _load_json(path: str) -> dict:
 
 _encode_string = json.encoder.encode_basestring_ascii
 
+#: The exact types that are never dataclasses, so :func:`_encode` skips
+#: ``dataclasses.is_dataclass`` on them.
+_PLAIN = frozenset((str, int, float, bool, type(None), list, tuple, dict))
+
 
 def _encode(value, out: list, indent: str) -> None:
     """Append to ``out`` the pieces of ``json.dumps(value, indent=2,
-    sort_keys=True)``, testing types in the stdlib encoder's order so that
-    int and float subclasses print as plain numbers; ``indent`` is the
-    newline and spaces before the enclosing container's items.  Dict keys
-    must be strings and floats finite, as :func:`jsonable` leaves them."""
+    sort_keys=True)`` after a dataclass becomes an object of its fields, a
+    tuple a list, a dict key ``str(key)`` (of keys with equal strings the
+    later wins) and a non-finite float its ``repr`` string.  Other types are
+    tested in the stdlib encoder's order, so int and float subclasses print
+    as plain numbers; ``indent`` is the newline and spaces before the
+    enclosing container's items."""
+    if (type(value) not in _PLAIN and dataclasses.is_dataclass(value)
+            and not isinstance(value, type)):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, str):
         out.append(_encode_string(value))
     elif value is None:
@@ -370,7 +359,8 @@ def _encode(value, out: list, indent: str) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
-        out.append(float.__repr__(value))
+        out.append(float.__repr__(value) if math.isfinite(value)
+                   else _encode_string(repr(value)))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -388,7 +378,7 @@ def _encode(value, out: list, indent: str) -> None:
             return
         inner = indent + "  "
         separator = "{" + inner
-        for key, item in sorted(value.items()):
+        for key, item in sorted({str(k): v for k, v in value.items()}.items()):
             out.append(separator + _encode_string(key) + ": ")
             separator = "," + inner
             _encode(item, out, inner)
@@ -399,10 +389,10 @@ def _encode(value, out: list, indent: str) -> None:
 
 
 def dumps(data) -> str:
-    """``json.dumps(jsonable(data), indent=2, sort_keys=True) + "\\n"``,
-    written in one pass."""
+    """``data`` as indent-2, sorted-key JSON plus a newline, written in one
+    walk by :func:`_encode`."""
     out: list[str] = []
-    _encode(jsonable(data), out, "\n")
+    _encode(data, out, "\n")
     out.append("\n")
     return "".join(out)
 

@@ -269,7 +269,6 @@ def gamma(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
     samples: int = 200,
     seed: int = 0,
-    tol: float = TOL,
 ) -> GammaResult:
     """Adaptive submodularity ratio gamma^s_{n,k}.
 
@@ -278,7 +277,7 @@ def gamma(
     elements, the ratio of summed per-element gains (weighted by selection
     probability) to the policy's expected gain.  Terms whose denominator is
     within ``GAMMA_DENOMINATOR_FLOOR`` of 0 are skipped, and the result is
-    clamped to [0, 1]; a raw minimum meaningfully below 0 is reported as an
+    clamped to [0, 1]; a raw minimum below -``TOL`` is reported as an
     anomaly.  ``n`` and ``k`` must be ints >= 1.
 
     The psi' come from :func:`~adaptsel.core.conditioned_states`, in its
@@ -291,7 +290,7 @@ def gamma(
     same way, and therefore returns an upper bound on gamma, labeled as
     such.
 
-    Each instance computes each (n, k, mode, samples, seed, tol) once and
+    Each instance computes each (n, k, mode, samples, seed) once and
     returns the same result object on a repeated call; the ``enum_budget``
     gate is checked on every call, cached or not.
     """
@@ -307,7 +306,7 @@ def gamma(
 
     cache = instance.__dict__  # not a field: kept out of ==, repr and the JSON
     solved = cache.setdefault("_gamma", {})
-    key = (n, k, mode, samples, seed, tol)
+    key = (n, k, mode, samples, seed)
     if key in solved:
         total, result = solved[key]
         _check_gamma_budget(total, enum_budget)
@@ -363,7 +362,7 @@ def gamma(
         first = roots[lows.index(raw_min)]
         witness = {"psi": instance.describe_psi(PartialRealization(first.pairs))}
         value = min(1.0, max(0.0, raw_min))
-        result = GammaResult(value, label, raw_min, n, k, witness, raw_min < -tol)
+        result = GammaResult(value, label, raw_min, n, k, witness, raw_min < -TOL)
     solved[key] = total, result
     return result
 
@@ -445,7 +444,7 @@ def param_report(
     most expensive number).  ``n`` defaults to the policy height, ``k`` to
     the number of elements.  alpha, beta and its witnesses are read off one
     threshold ladder of the base tree, cut at ``TOL`` like every threshold
-    cut; ``tol`` sets only Q/eta's value grouping and gamma's anomaly flag.
+    cut; ``tol`` sets only Q/eta's value grouping.
     """
     height = policy_height(instance, policy)
     if n is None:
@@ -479,7 +478,7 @@ def param_report(
     g_value = None
     g_mode = None
     if gamma_mode != "skip":
-        g = gamma(instance, n, k, gamma_mode, enum_budget, tol=tol)
+        g = gamma(instance, n, k, gamma_mode, enum_budget)
         g_value = g.value
         g_mode = g.mode
         witnesses["gamma"] = g.witness

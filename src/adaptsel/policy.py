@@ -104,10 +104,12 @@ class RunTrace:
 
 
 def tree_height(node: Node) -> int:
-    """Maximal number of selections on any root-to-leaf path."""
+    """Maximal number of selections on any root-to-leaf path.  A node
+    without children counts as a selection; the walks that price a tree
+    refuse it."""
     if isinstance(node, Terminal):
         return 0
-    return 1 + max(tree_height(child) for child in node.children)
+    return 1 + max((tree_height(child) for child in node.children), default=0)
 
 
 def validate_policy(instance: Instance, policy: Policy) -> None:
@@ -115,23 +117,32 @@ def validate_policy(instance: Instance, policy: Policy) -> None:
     if isinstance(policy, ThresholdSubPolicy):
         validate_policy(instance, policy.base)
         return
-    _validate(instance, policy, frozenset())
+    _validate(instance, policy, 0)
 
 
-def _validate(instance: Instance, node: Node, path: frozenset[int]) -> None:
-    """:func:`validate_policy` below a node reached by selecting ``path``."""
+def _validate(instance: Instance, node: Node, seen: int) -> None:
+    """:func:`validate_policy` below a node reached by selecting the
+    elements of the mask ``seen``."""
     if isinstance(node, Terminal):
         return
-    if not 0 <= node.element < instance.num_elements:
-        raise MalformedPolicy(f"element index {node.element} outside ground set")
-    if node.element in path:
-        raise MalformedPolicy(
-            f"element {instance.elements[node.element]!r} repeats on a path"
-        )
-    if len(node.children) != instance.num_states:
-        raise MalformedPolicy("children do not cover every state")
+    e = node.element
+    if (not 0 <= e < instance.num_elements or seen >> e & 1
+            or len(node.children) != instance.num_states):
+        raise _malformed(instance, node, seen)
     for child in node.children:
-        _validate(instance, child, path | {node.element})
+        _validate(instance, child, seen | 1 << e)
+
+
+def _malformed(instance: Instance, node: Select, seen: int) -> MalformedPolicy:
+    """The error of a node, reached by selecting the elements of the mask
+    ``seen``, that selects an element outside the ground set or in ``seen``,
+    or that lacks one child per state."""
+    e = node.element
+    if not 0 <= e < instance.num_elements:
+        return MalformedPolicy(f"element index {e} outside ground set")
+    if seen >> e & 1:
+        return MalformedPolicy(f"element {instance.elements[e]!r} re-selected")
+    return MalformedPolicy("children do not cover every state")
 
 
 def chain_policy(instance: Instance, element_indices: list[int]) -> Node:
@@ -151,13 +162,12 @@ def selected_elements(instance: Instance, tree: Node, phi_index: int) -> tuple[i
     """The elements a deterministic tree selects on realization
     ``phi_index``, in selection order, read by descending to its leaf."""
     phi = instance.realizations[phi_index]
+    n, arity = instance.num_elements, instance.num_states
     seen, selected, node = 0, [], tree
     while isinstance(node, Select):
         e = node.element
-        if not 0 <= e < instance.num_elements:
-            raise MalformedPolicy(f"element index {e} outside ground set")
-        if seen >> e & 1:
-            raise MalformedPolicy(f"element {instance.elements[e]!r} re-selected")
+        if not 0 <= e < n or seen >> e & 1 or len(node.children) != arity:
+            raise _malformed(instance, node, seen)
         seen |= 1 << e
         selected.append(e)
         node = node.children[phi[e]]
@@ -180,7 +190,8 @@ def cut_tree(instance: Instance, base: Node, tau: float, strict: bool) -> Node:
     ``tau`` under one coin outcome, by :func:`_stop_rule`.
 
     Branches with zero prior mass are cut to terminals, since no gain is
-    defined there and no expectation ever reaches them.
+    defined there and no expectation ever reaches them.  A malformed node
+    that the cut reaches raises :class:`MalformedPolicy`.
     """
     return _cut(instance, base, path_root(instance), _stop_rule(tau, strict))
 
@@ -192,6 +203,8 @@ def _cut(instance: Instance, node: Node, state: PathState,
         return TERMINAL
     if stops(max(state.gains.values(), default=0.0)):
         return TERMINAL
+    if node.element not in state.gains or len(node.children) != instance.num_states:
+        raise _malformed(instance, node, state.dom)
     parts = state.split(instance, node.element)
     children = tuple(
         _cut(instance, node.children[y], parts[y][1], stops) if y in parts
@@ -260,7 +273,8 @@ class AnnotatedNode:
 
 def annotate_tree(instance: Instance, tree: Node) -> AnnotatedNode:
     """Precompute reach probabilities and gain tables for every
-    positive-mass node of a deterministic tree."""
+    positive-mass node of a deterministic tree, raising
+    :class:`MalformedPolicy` at a malformed one."""
     return _annotate(instance, tree, path_root(instance), 1.0)
 
 
@@ -272,6 +286,8 @@ def _annotate(instance: Instance, node: Node, state: PathState,
     gmax = max(node_gains.values(), default=0.0)
     if isinstance(node, Terminal):
         return AnnotatedNode(state.pairs, mass, node_gains, gmax, None, ())
+    if node.element not in node_gains or len(node.children) != instance.num_states:
+        raise _malformed(instance, node, state.dom)
     children = tuple(
         _annotate(instance, node.children[y], child, mass * p_y)
         for y, (p_y, child) in state.split(instance, node.element).items()

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import adaptsel as a
-from adaptsel import fileio
+from adaptsel import fileio, gen
 from adaptsel.cli import main
 
 
@@ -43,15 +43,19 @@ def test_generate_theorem5_writes_instance_and_policy(tmp_path):
     assert a.tree_height(policy) == 3
 
 
-def test_generate_family_flag_and_random(tmp_path):
+def test_generate_random_takes_its_family_positionally(tmp_path):
     out = tmp_path / "r.json"
     result = invoke(
-        ["generate", "--family", "random", "--elements", "4", "--states", "2",
+        ["generate", "random", "--elements", "4", "--states", "2",
          "--seed", "7", "--monotone", "--out", str(out)]
     )
     assert result.exit_code == 0
     loaded = fileio.load_instance(out)
     assert loaded.prior == a.gen_random(4, 2, 7).prior
+    refused = CliRunner().invoke(
+        main, ["generate", "random", "--family", "theorem5"])
+    assert refused.exit_code == 2
+    assert "--family" in refused.output
 
 
 def test_generate_requires_a_family():
@@ -89,6 +93,28 @@ def test_params_prints_the_beta_anomaly_flag(tmp_path):
     assert abs(report["beta"] - -28.99117028157291) <= 1e-9
     table = invoke(args).output.splitlines()
     assert any(line.split() == ["beta_anomaly", "True"] for line in table)
+
+
+def test_params_refuses_a_policy_file_with_greedy(tmp_path):
+    out = _theorem5(tmp_path)
+    result = CliRunner().invoke(main, [
+        "params", "--instance", str(out), "--policy", str(tmp_path / "t5p.json"),
+        "--greedy"])
+    assert result.exit_code == 2, result.output
+    assert "give --policy or --greedy, not both" in result.output
+
+
+@pytest.mark.parametrize("command", [["params"], ["verify", "--bounds", "eq1"]])
+def test_a_policy_that_reselects_an_element_is_refused_on_load(tmp_path, command):
+    leaf = {"0": "terminal", "1": "terminal"}
+    policy = tmp_path / "rep.json"
+    policy.write_text(json.dumps({"select": "v1", "children": {
+        "0": {"select": "v1", "children": leaf}, "1": "terminal"}}))
+    result = CliRunner().invoke(main, command + [
+        "--instance", _random_instance(tmp_path), "--policy", str(policy)])
+    assert result.exit_code == 1, result.output
+    assert "policy: 'v1' is selected again below itself" in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_params_greedy_flag(tmp_path):
@@ -198,6 +224,28 @@ def test_verify_unknown_bound_rejected():
     result = runner.invoke(main, ["verify", "--bounds", "thm9",
                                   "--corpus", "0..1"])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--bounds", "lemma2"], "provide --instance, --corpus, or --hypotheses"),
+    (["--bounds", "lemma2,thm9", "--corpus", "0..1"], "unknown bound id 'thm9'"),
+    (["--bounds", "lemma2", "--corpus", "0..1", "--instance", "{instance}"],
+     "give --instance or --corpus, not both"),
+])
+def test_verify_argument_errors_are_usage_errors_before_any_work(
+        monkeypatch, tmp_path, args, message):
+    path = _random_instance(tmp_path)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an instance was loaded or generated")
+
+    monkeypatch.setattr(fileio, "load_instance", refuse)
+    monkeypatch.setattr(gen, "gen_random", refuse)
+    result = CliRunner().invoke(
+        main, ["verify"] + [arg.format(instance=path) for arg in args])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("bound_id", [b for b in a.BOUND_IDS if b != "eq5"])

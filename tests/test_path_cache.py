@@ -198,9 +198,9 @@ def test_walkers_on_a_warmed_instance_equal_a_fresh_instance():
 
 def test_the_cache_is_not_part_of_the_instance_value():
     instance = corpus_instance(4)
-    before = (repr(instance), fileio.jsonable(instance))
+    before = (repr(instance), fileio.dumps(instance))
     _warm(instance, 4)
-    assert (repr(instance), fileio.jsonable(instance)) == before
+    assert (repr(instance), fileio.dumps(instance)) == before
     assert instance == _fresh(instance)
     assert [f.name for f in dataclasses.fields(instance)] == [
         "elements", "states", "realizations", "prior", "utility", "name"]

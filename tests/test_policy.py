@@ -220,6 +220,49 @@ def test_mixture_affinity_of_c_avg():
             assert abs(mixed - ((1 - rho) * weak + rho * strict)) <= TOL
 
 
+_LEAF = (a.TERMINAL, a.TERMINAL)
+
+#: Trees for a 3-element, 2-state instance, each with one malformed node
+#: below the root, and the error each must raise.
+MALFORMED = {
+    "child-count": (a.Select(0, (a.Select(1, (a.TERMINAL,)), a.Select(1, _LEAF))),
+                    "children do not cover every state"),
+    "no-children": (a.Select(0, (a.Select(1, ()), a.Select(1, _LEAF))),
+                    "children do not cover every state"),
+    "element-range": (a.Select(0, (a.Select(3, _LEAF),) * 2),
+                      "element index 3 outside ground set"),
+    "repeat": (a.Select(0, (a.Select(1, (a.Select(0, _LEAF),) * 2),) * 2),
+               "element 'v1' re-selected"),
+}
+
+READERS = {
+    "alpha": a.alpha,
+    "beta": a.beta,
+    "f_avg": a.f_avg,
+    "c_avg": a.c_avg,
+    "param_report": lambda instance, tree: a.param_report(
+        instance, tree, gamma_mode="skip"),
+    "lemma2": lambda instance, tree: a.verify(instance, "lemma2", policy=tree),
+    "thm2": lambda instance, tree: a.verify(
+        instance, "thm2", policy=tree, opt_policy=a.optimal_coverage(instance)[0]),
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+@pytest.mark.parametrize("fault", list(MALFORMED))
+def test_every_reader_refuses_a_malformed_tree_with_a_typed_error(fault, reader):
+    """The walks that visit each node (annotation, threshold cuts and the
+    descent by realization) raise MalformedPolicy, never IndexError,
+    KeyError or, from the height of a node without children, ValueError."""
+    instance, _chain = a.gen_theorem5(3, 0.5)  # Q is reachable, as thm2 needs
+    assert all(p > 0.0 for p in instance.prior)
+    tree, message = MALFORMED[fault]
+    with pytest.raises(a.MalformedPolicy, match=message):
+        READERS[reader](instance, tree)
+    with pytest.raises(a.MalformedPolicy, match=message):
+        a.validate_policy(instance, tree)
+
+
 def test_validate_policy_rejects_repeats_and_bad_arity(thm5):
     instance, _ = thm5
     repeat = a.Select(0, (a.Select(0, (a.TERMINAL, a.TERMINAL)), a.TERMINAL))

@@ -6,7 +6,7 @@ enumerator and the tree walkers recurse through module-level functions.  So,
 with the cyclic collector paused, an instance (with its path cache, memos and
 trees) is gone as soon as the caller drops it, and a CLI request, whether it
 succeeds or ends in a typed error, leaves nothing at all for the collector.
-That is what lets ``cli._run`` pause the collector for each command.
+That is what lets ``cli._guarded`` pause the collector for each command.
 """
 
 import contextlib
@@ -207,8 +207,8 @@ def test_a_refused_cli_request_leaves_nothing_for_the_collector(cli_files, reque
     assert message in error
 
 
-#: How a command's work ends inside ``cli._run``: the exception it raises
-#: (None for success) and the one ``_run`` passes on.
+#: How a command body ends inside ``cli._guarded``: the exception it raises
+#: (None for success) and the one the guard passes on.
 ENDINGS = {
     "success": (None, None),
     "gamma-budget": (metrics.GammaBudgetExceeded, click.ClickException),
@@ -235,7 +235,7 @@ def test_run_pauses_the_collector_and_restores_what_it_found(enabled, ending):
     try:
         with (contextlib.nullcontext() if passed_on is None
               else pytest.raises(passed_on)):
-            cli._run(None, work)
+            cli._guarded(work)()
         after = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
