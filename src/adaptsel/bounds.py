@@ -393,7 +393,9 @@ def _verify_lemma2(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol
 
 def _verify_lemma3(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol):
     """Pruned and unpruned coverage optima agree, and the pruned tree's
-    height is at most the number of realizations."""
+    height is at most the number of realizations.  Both are claims about
+    identification, where every useful query eliminates a realization; on
+    other instances either can fail, and the report then reads false."""
     tree_pruned, cost_pruned = optimal_coverage(
         instance, pruned=True, tol=tol, enum_budget=enum_budget
     )

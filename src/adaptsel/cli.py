@@ -136,7 +136,8 @@ def demo_hypotheses() -> "learn.HypothesisClass":
 
 
 @main.command()
-@click.argument("family", required=False, type=click.Choice(FAMILIES))
+@click.argument("family", required=False, type=click.Choice(FAMILIES),
+                metavar=f"[{'|'.join(FAMILIES)}]")
 @click.option("--k", type=int, default=3, show_default=True,
               help="Ground-set size for the witness families.")
 @click.option("--epsilon", type=float, default=0.5, show_default=True,
@@ -181,13 +182,6 @@ def generate(ctx, family, k, epsilon, elements, states, seed, monotone, out,
         _echo(f"wrote {ppath}")
 
 
-def _policy(instance: Instance, policy_path: Optional[str]) -> Policy:
-    """The policy in ``policy_path``, or the greedy tree without one."""
-    if policy_path is None:
-        return build_greedy(instance)
-    return fileio.load_policy(policy_path, instance)
-
-
 @main.command()
 @click.option("--instance", "instance_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
@@ -207,7 +201,8 @@ def params(ctx, instance_path, policy_path, greedy, n, k, gamma_mode):
     if greedy and policy_path is not None:
         raise click.UsageError("give --policy or --greedy, not both")
     instance = fileio.load_instance(instance_path)
-    policy = _policy(instance, policy_path)
+    policy = (build_greedy(instance) if policy_path is None
+              else fileio.load_policy(policy_path, instance))
     report = metrics.param_report(
         instance, policy, n=n, k=k, gamma_mode=gamma_mode,
         enum_budget=ctx.obj["budget"], tol=ctx.obj["tol"],
@@ -285,14 +280,16 @@ def solve(ctx, instance_path, objective, k, out):
     _emit_policy(ctx, instance, tree, rows, out)
 
 
-def _verify_one(ctx, instance, bound_ids, policy_path, l, gamma_mode,
+def _verify_one(ctx, instance, bound_ids, policy_file, l, gamma_mode,
                 hypotheses=None):
     """Verify the requested bounds on one instance; returns the reports.
     The policy and each baseline are built once, when a bound first needs
-    them."""
+    them: the policy from ``policy_file()``, the decoded policy file, resolved
+    against ``instance``, or the greedy tree if ``policy_file`` is None."""
     tol = ctx.obj["tol"]
     budget = ctx.obj["budget"]
-    policy = functools.cache(lambda: _policy(instance, policy_path))
+    policy = functools.cache(lambda: build_greedy(instance) if policy_file is None
+                             else fileio.policy_from_dict(instance, policy_file()))
     budget_opt = functools.cache(lambda: oracle.optimal_budget(
         instance, max(int(policy_height(instance, policy()) if l is None else l), 1),
         enum_budget=budget)[0])
@@ -336,14 +333,15 @@ def _render_reports(ctx, label, reports):
               type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--policy", "policy_path", default=None,
               help="Policy file, or the word 'greedy'.")
-@click.option("--l", type=int, default=None,
+@click.option("--l", type=click.IntRange(min=1), default=None,
               help="Budget for the truncation bounds (thm1, eq3).")
 @click.option("--gamma-mode", type=click.Choice(["exact", "sampled"]),
               default="exact", show_default=True)
 @click.option("--corpus", default=None, callback=_corpus,
               help="Seed range like 0..200, end seed excluded: sweep random "
                    "monotone instances.")
-@click.option("--corpus-elements", type=int, default=3, show_default=True)
+@click.option("--corpus-elements", type=click.IntRange(1, 5), default=3,
+              show_default=True)
 @click.option("--hypotheses", "hypotheses_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="Hypothesis-class file for eq5.")
@@ -370,8 +368,9 @@ def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
             raise click.UsageError(
                 f"--bounds {','.join(tabled)} needs a utility table: give "
                 f"--instance or --corpus (--hypotheses alone serves eq5 only)")
-    if policy_path == "greedy":
-        policy_path = None
+    # Decoded at most once per command, when a bound first needs the policy.
+    policy_file = (None if policy_path in (None, "greedy")
+                   else functools.cache(lambda: fileio.load(policy_path)))
     targets = []
     if corpus is not None:
         for seed in corpus:
@@ -389,7 +388,7 @@ def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
     all_hold = True
     for label, instance in targets:
         reports = _verify_one(
-            ctx, instance, bound_ids, policy_path, l, gamma_mode,
+            ctx, instance, bound_ids, policy_file, l, gamma_mode,
             hypotheses=hypo_instance,
         )
         all_hold = all_hold and all(r.holds for r in reports)

@@ -14,7 +14,8 @@ its mass with :func:`renormalize`; :func:`gains` is the only computation of
 the expected marginal gains Delta(v | psi).  Where only the support of a
 conditional prior matters, :func:`state_bitsets` conditions supports without
 weights: a support is a bitset of realization indices, and observing state y
-at element v intersects it with ``state_bitsets(instance)[v][y]``.
+at element v intersects it with ``state_bitsets(instance)[v][y]``; the
+oracles' DPs price each such support from prior masses alone.
 
 A :class:`PathState` (a psi, its conditional prior and gains) is keyed by
 (observed-element mask, support bitset); utilities are read through the

@@ -318,7 +318,9 @@ def hypotheses_to_dict(hc) -> dict:
 # -- files -----------------------------------------------------------------
 
 
-def _load_json(path: str) -> dict:
+def load(path: str):
+    """The JSON value in ``path``, as :func:`save` writes it; a file that
+    cannot be read or decoded raises :class:`ParseError`."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -403,7 +405,7 @@ def save(path: str, data) -> None:
 
 
 def load_instance(path: str) -> Instance:
-    return instance_from_dict(_load_json(path))
+    return instance_from_dict(load(path))
 
 
 def save_instance(path: str, instance: Instance) -> None:
@@ -411,7 +413,7 @@ def save_instance(path: str, instance: Instance) -> None:
 
 
 def load_policy(path: str, instance: Instance) -> Policy:
-    return policy_from_dict(instance, _load_json(path))
+    return policy_from_dict(instance, load(path))
 
 
 def save_policy(path: str, instance: Instance, policy: Policy) -> None:
@@ -419,4 +421,4 @@ def save_policy(path: str, instance: Instance, policy: Policy) -> None:
 
 
 def load_hypotheses(path: str):
-    return hypotheses_from_dict(_load_json(path))
+    return hypotheses_from_dict(load(path))

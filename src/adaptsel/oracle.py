@@ -5,9 +5,10 @@ for the best height-k policy, a coverage DP for the cheapest policy that
 drives the utility to its maximum on every branch, and a generator for
 every deterministic tree of bounded height.  A budget check bounds the
 DP memo keys or counts the policies before running and refuses beyond the
-configured limit rather than hanging.  Each DP memoizes state values only,
-records the element each selecting state picks, and builds the returned tree
-from those choices once the root is solved.
+configured limit rather than hanging.  Each DP prices a state from the
+prior by its (observed elements, support) key alone, memoizes state values
+only, records the element each selecting state picks, and builds the
+returned tree from those choices once the root is solved.
 
 Nothing here refers to itself: the enumerator recurses through a module-level
 generator, and each DP drops its recursive ``solve`` once the root is solved.
@@ -21,22 +22,17 @@ from __future__ import annotations
 import math
 import random
 from itertools import product
-from operator import mul
 from typing import Iterator, Optional
 
 from .core import (
     TOL,
     EMPTY,
-    ConditionalPrior,
     Instance,
     PartialRealization,
     members,
-    partition,
-    renormalize,
     require_int,
     state_bitsets,
     utility_rows,
-    version_space,
 )
 from .errors import CoverageUnreachable, EnumerationBudgetExceeded
 from .policy import Node, Select, TERMINAL
@@ -131,16 +127,14 @@ def optimal_budget(
     budget is k minus the observed count.  ``enum_budget`` bounds the memo
     keys, not the paths to them.
 
-    A state's prior is the :func:`~adaptsel.core.partition` part of the
-    first parent to reach it, renormalized only on a memo miss.  Stopping is
-    the incumbent and elements are tried in index order; one replaces the
-    incumbent only if its value is strictly greater, with no tolerance.
-    Exact ties keep stopping, then the smallest element, but rounding
-    decides mathematical ties, so the summation order is a contract: the
-    stop value sums weight x utility in support order, a mass sums its
-    weights in support order, child weights are parent weight / mass, and an
-    element's value adds mass x child value over outcomes in order of first
-    appearance.
+    A state is priced from its key, weighted by the prior, not conditioned:
+    stopping is worth the sum of p_i x f(dom, i) over the support in index
+    order, so the root's value is the expectation ``f_avg`` takes, and an
+    element the sum of its outcome states' values in state order.  Stopping
+    is the incumbent and elements are tried in index order; one replaces the
+    incumbent only if strictly greater, with no tolerance.  Exact ties keep
+    stopping, then the smallest element, but rounding decides mathematical
+    ties, so that summation order is a contract.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
@@ -148,36 +142,33 @@ def optimal_budget(
     k = min(k, n)
     rows = utility_rows(instance)
     _check_memo_keys(instance, k, enum_budget)
+    prior = instance.prior
     bits = state_bitsets(instance)
     memo: dict[tuple[int, int], float] = {}
     choice: dict[tuple[int, int], int] = {}
 
-    def solve(dom: int, support: int, vs: ConditionalPrior) -> float:
-        row = rows[dom].__getitem__
-        best_value = sum(map(mul, vs.weights, map(row, vs.support)))
+    def solve(dom: int, support: int) -> float:
+        row = rows[dom]
+        best_value = sum([prior[i] * row[i] for i in members(support)])
         if dom.bit_count() < k:
             for v in range(n):
                 if dom >> v & 1:
                     continue
                 observed = dom | 1 << v
                 value = 0.0
-                for y, (part, weights) in partition(instance, vs, v).items():
-                    mass = sum(weights)
-                    child = support & bits[v][y]
-                    found = memo.get((observed, child))
-                    if found is None:
-                        found = solve(observed, child, renormalize(part, weights, mass))
-                    value += mass * found
+                for observed_bits in bits[v]:
+                    if child := support & observed_bits:
+                        found = memo.get((observed, child))
+                        value += solve(observed, child) if found is None else found
                 if value > best_value:
                     best_value = value
                     choice[dom, support] = v
         memo[dom, support] = best_value
         return best_value
 
-    root = version_space(instance, EMPTY)
-    support = sum(1 << i for i in root.support)
+    support = sum(1 << i for i, p in enumerate(prior) if p > 0.0)
     try:
-        value = solve(0, support, root)
+        value = solve(0, support)
     finally:
         del solve  # solve's cell holds solve: free the memo without the collector
     return _chosen_tree(choice, bits, 0, support, {}), value
@@ -189,18 +180,18 @@ def optimal_budget(
 def optimal_coverage(
     instance: Instance,
     q: Optional[float] = None,
-    pruned: bool = True,
+    pruned: bool = False,
     tol: float = TOL,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> tuple[Node, float]:
     """The cheapest policy (by expected selections) that drives the utility
     to Q on every positive-mass branch.
 
-    The pruned pass considers only elements that either shrink the version
-    space or strictly raise the minimal consistent utility, mirroring the
-    argument that an optimal covering policy eliminates a realization per
-    query; ``pruned=False`` considers every unobserved element and exists
-    as a cross-check that both passes agree.
+    The default pass tries every unobserved element and is exact.
+    ``pruned=True`` keeps only elements that shrink the version space or
+    strictly raise the minimal consistent utility: exact for identification,
+    where a query that splits nothing changes no coverage utility, but not in
+    general.  Only lemma 3 runs it, against the exact pass.
 
     A DP state is (observed elements, support), both as bitsets; supports
     are conditioned with :func:`~adaptsel.core.state_bitsets`.  A state is

@@ -80,6 +80,16 @@ def splitting_and_partial():
     return instance.with_utility(table)
 
 
+def complementary_pair():
+    """One realization; u is worth 0.5 alone, v and w nothing alone but 1
+    together.  The cheapest cover selects v then w, at cost 2; a pass that
+    keeps only u, the one element that raises the minimal utility, costs 3."""
+    instance = a.Instance(("u", "v", "w"), ("0",), ((0, 0, 0),), (1.0,))
+    values = {(): 0.0, (0,): 0.5, (1,): 0.0, (2,): 0.0, (0, 1): 0.5,
+              (0, 2): 0.5, (1, 2): 1.0, (0, 1, 2): 1.0}
+    return instance.with_utility({key: (value,) for key, value in values.items()})
+
+
 def zero_gain_chain():
     """theorem5(2, 0.5) reshaped so v2 gains nothing anywhere while v1
     gains 1, and the chain that selects v2 alone."""

@@ -13,8 +13,11 @@ library's bitset refinement must give the same keys in the same order and
 the same floats.
 
 ``reference_optimal_budget`` and ``reference_optimal_coverage`` are the
-budget and coverage DPs keyed by partial realizations, every state
-conditioned with ``core.split``; the two reference checks
+budget and coverage DPs keyed by partial realizations: the budget DP prices
+each state from the prior, the coverage DP conditions every state with
+``core.split``.  ``reference_chained_optimal_budget`` is the budget DP that
+conditioned every state with ``core.split``, the same optimum up to
+rounding.  The two reference checks
 condition every partial realization from scratch with ``version_space`` and
 compare every pair psi subseteq psi' directly.  The library's bitset DPs and
 running-minimum check must return the same trees and witnesses.
@@ -207,14 +210,60 @@ def stops_exhausted(instance, tree, tol=a.TOL):
 
 def reference_optimal_budget(instance, k):
     """Best tree of height <= k by a DP over (partial realization, remaining
-    budget), splitting every state's prior for every element (no
-    enumeration-budget gate).  Elements replace stopping or an earlier
-    element only when strictly better, with no tolerance."""
+    budget), reading the dict table (no enumeration-budget gate).  A state is
+    priced from the prior, not conditioned: stopping is worth the sum of
+    prior x utility over its positive-prior consistent realizations in index
+    order, and an element the sum of its outcomes' values in state order.
+    Elements replace stopping or an earlier element only when strictly
+    better, with no tolerance."""
     if k < 0:
         raise ValueError("budget must be non-negative")
     k = min(k, instance.num_elements)
     if instance.utility is None:
         raise ValueError("instance has no utility table attached")
+    table = instance.utility
+    prior = instance.prior
+    memo = {}
+
+    def solve(psi, budget):
+        key = (psi.key(), budget)
+        if key in memo:
+            return memo[key]
+        dom = psi.dom
+        support = [i for i, phi in enumerate(instance.realizations)
+                   if prior[i] > 0.0 and all(phi[e] == y for e, y in psi.pairs)]
+        row = table[subset_key(dom)]
+        best_value = sum(prior[i] * row[i] for i in support)
+        best_node = a.TERMINAL
+        if budget > 0:
+            for v in range(instance.num_elements):
+                if v in dom:
+                    continue
+                value = 0.0
+                children = [a.TERMINAL] * instance.num_states
+                for y in range(instance.num_states):
+                    if any(instance.realizations[i][v] == y for i in support):
+                        sub_value, children[y] = solve(psi.extended(v, y), budget - 1)
+                        value += sub_value
+                if value > best_value:
+                    best_value = value
+                    best_node = a.Select(v, tuple(children))
+        memo[key] = (best_value, best_node)
+        return memo[key]
+
+    value, tree = solve(EMPTY, k)
+    return tree, value
+
+
+def reference_chained_optimal_budget(instance, k):
+    """The budget DP before it priced states from the prior: a DP over
+    (partial realization, remaining budget) that conditions every state with
+    ``core.split``, so a child's weights are its parent's divided by the
+    outcome mass, and adds mass x child value over outcomes in order of first
+    appearance.  It is the same optimum up to rounding."""
+    if k < 0:
+        raise ValueError("budget must be non-negative")
+    k = min(k, instance.num_elements)
     table = instance.utility
     memo = {}
 

@@ -1,6 +1,7 @@
 """The bitset budget DP against the reference DP over partial realizations:
-the same trees and bit-identical values at every budget; its memo-key gate;
-and one renormalization per memo key."""
+the same trees and bit-identical values at every budget; against the DP
+that conditioned each state, the same optimum up to rounding; its memo-key
+gate; and one solve per memo key."""
 
 import math
 
@@ -9,7 +10,10 @@ import pytest
 import adaptsel as a
 from adaptsel import core, oracle
 from conftest import corpus_instance, zero_prior_instance
-from reference_walks import reference_optimal_budget
+from reference_walks import (
+    reference_chained_optimal_budget,
+    reference_optimal_budget,
+)
 
 
 def budget_cases():
@@ -58,25 +62,21 @@ def test_bitset_dp_is_bit_identical_to_the_reference(name, instance):
         assert float.hex(value) == float.hex(expected_value), (name, k)
 
 
-def test_renormalizing_from_the_prior_fails_the_comparison(monkeypatch):
-    """Conditioning each state as prior[i] / mass(support) instead of
-    chaining parent weight / outcome mass is the same mathematics but other
-    rounding, and the comparison above catches it."""
+def test_pricing_from_the_prior_moves_only_rounding_from_the_chained_dp():
+    """Pricing each state from the prior and conditioning each state along
+    its first path are the same mathematics: the values agree to 1e-12 and
+    the chosen trees have bit-equal f_avg and c_avg.  They round differently,
+    which the bit-identical comparison above would catch."""
     differ = 0
-    for _name, instance in CASES:
-        prior = instance.prior
-
-        def from_prior(support, weights, mass):
-            total = sum([prior[i] for i in support])
-            return core.ConditionalPrior(
-                tuple(support), tuple([prior[i] / total for i in support])
-            )
-
-        monkeypatch.setattr(oracle, "renormalize", from_prior)
+    for name, instance in CASES:
         for k in _budgets(instance):
-            expected_tree, expected_value = reference_optimal_budget(instance, k)
+            chained_tree, chained_value = reference_chained_optimal_budget(
+                instance, k)
             tree, value = a.optimal_budget(instance, k)
-            if tree != expected_tree or value != expected_value:
+            assert abs(value - chained_value) <= 1e-12, (name, k)
+            assert a.f_avg(instance, tree) == a.f_avg(instance, chained_tree), (name, k)
+            assert a.c_avg(instance, tree) == a.c_avg(instance, chained_tree), (name, k)
+            if tree != chained_tree or value != chained_value:
                 differ += 1
     assert differ > 0
 
@@ -115,19 +115,19 @@ def test_gate_admits_budgets_between_the_bound_and_the_path_count():
         a.optimal_coverage(coverage, enum_budget=bound - 1)
 
 
-def test_one_renormalization_per_memo_key(monkeypatch):
-    """The DP conditions a state only on a memo miss, and its memo keys,
-    the positive-mass partial realizations of size <= k, stay within the
-    gate's bound; the coverage DP's keys are among those of size <= |V|."""
+def test_one_solve_per_memo_key(monkeypatch):
+    """The DP solves each state once, on a memo miss, reading its support's
+    members once, and its memo keys, the positive-mass partial realizations
+    of size <= k, stay within the gate's bound; the coverage DP's keys are
+    among those of size <= |V|."""
     calls = []
-    original = core.renormalize
+    original = core.members
 
-    def counted(support, weights, mass):
+    def counted(support):
         calls.append(support)
-        return original(support, weights, mass)
+        return original(support)
 
-    monkeypatch.setattr(core, "renormalize", counted)
-    monkeypatch.setattr(oracle, "renormalize", counted)
+    monkeypatch.setattr(oracle, "members", counted)
     for name, instance in CASES:
         n = instance.num_elements
         keys = len(list(core.positive_partial_realizations(instance, n)))

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 import adaptsel as a
 from adaptsel import fileio, gen
 from adaptsel.cli import main
+from conftest import complementary_pair
 
 
 def invoke(args, **kwargs):
@@ -63,6 +64,14 @@ def test_generate_requires_a_family():
     result = runner.invoke(main, ["generate"])
     assert result.exit_code != 0
     assert "family" in result.output
+
+
+def test_generate_usage_brackets_the_optional_family_once():
+    usage = "generate [OPTIONS] [theorem4|theorem5|random|hypotheses-demo]\n"
+    for args in (["generate", "--help"], ["generate"]):
+        result = CliRunner().invoke(main, args, terminal_width=200)
+        assert usage in result.output, result.output
+        assert "[[" not in result.output
 
 
 def test_params_reports_witness_values(tmp_path):
@@ -162,6 +171,25 @@ def test_solve_coverage_demo(tmp_path):
     assert "cost       1" in result.output
 
 
+def test_solve_coverage_prints_the_exact_optimum(tmp_path):
+    """Where pruning misses the optimum, solve prints the exact cost and
+    lemma 3 reports the disagreement."""
+    path = tmp_path / "pair.json"
+    fileio.save_instance(path, complementary_pair())
+    result = invoke(["--json", "solve", "--instance", str(path), "--objective",
+                     "coverage"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["cost"] == 2.0
+    result = invoke(["--json", "verify", "--bounds", "lemma3", "--instance",
+                     str(path)])
+    assert result.exit_code == 1
+    [report] = json.loads(result.output)["reports"]
+    assert report["holds"] is False
+    assert report["inputs"]["cost_pruned"] == 3.0
+    assert report["inputs"]["cost_unpruned"] == 2.0
+    assert report["diagnostics"] == ["pruned and unpruned optimal costs disagree"]
+
+
 @pytest.mark.parametrize("objective", ["budget", "coverage"])
 def test_solve_out_writes_the_policy_it_prints(tmp_path, objective):
     """The file holds ``dumps`` of the solved tree and stdout names it;
@@ -231,6 +259,10 @@ def test_verify_unknown_bound_rejected():
     (["--bounds", "lemma2,thm9", "--corpus", "0..1"], "unknown bound id 'thm9'"),
     (["--bounds", "lemma2", "--corpus", "0..1", "--instance", "{instance}"],
      "give --instance or --corpus, not both"),
+    (["--bounds", "lemma2", "--corpus", "0..1", "--corpus-elements", "9"],
+     "Invalid value for '--corpus-elements': 9 is not in the range 1<=x<=5"),
+    (["--bounds", "thm1", "--instance", "{instance}", "--l", "0"],
+     "Invalid value for '--l': 0 is not in the range x>=1"),
 ])
 def test_verify_argument_errors_are_usage_errors_before_any_work(
         monkeypatch, tmp_path, args, message):
@@ -478,6 +510,31 @@ def test_verify_builds_the_policy_and_each_baseline_once(monkeypatch, tmp_path):
     invoke(["generate", "hypotheses-demo", "--out", str(hpath)])
     assert invoke(["verify", "--bounds", "eq5", "--hypotheses", str(hpath)]).exit_code == 0
     assert counts == {}
+
+
+def test_verify_decodes_the_policy_file_once(monkeypatch, tmp_path):
+    """A corpus sweep reads --policy once and resolves it on every instance;
+    a run that needs no policy never reads it."""
+    _theorem5(tmp_path)
+    chain = str(tmp_path / "t5p.json")
+    reads = []
+    original = fileio.load
+
+    def counted(path):
+        reads.append(str(path))
+        return original(path)
+
+    monkeypatch.setattr(fileio, "load", counted)
+    result = invoke(["--json", "verify", "--bounds", "lemma2", "--corpus", "0..20",
+                     "--policy", chain])
+    assert result.exit_code == 0
+    assert len(_json_documents(result.output)) == 20
+    assert reads == [chain]
+    reads.clear()
+    path = str(_coverage_instance_file(tmp_path))
+    assert invoke(["verify", "--bounds", "lemma3", "--instance", path,
+                   "--policy", chain]).exit_code == 0
+    assert reads == [path]
 
 
 def test_verify_many_bounds_print_the_single_bound_reports(tmp_path):

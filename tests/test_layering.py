@@ -73,16 +73,16 @@ def private_reach_ins(source, own):
             if module != own and _private(name)]
 
 
-#: Conditioning primitives: ``core`` defines them and ``oracle``'s budget DP
-#: roots at ``version_space`` and renormalizes a ``partition`` part on a memo
-#: miss.  Every other module conditions through ``core.path_root``,
-#: ``core.path_state`` or ``core.conditioned_states``, so none grows its own
+#: Conditioning primitives: only ``core`` uses them.  Every other module
+#: conditions through ``core.path_root``, ``core.path_state`` or
+#: ``core.conditioned_states``, or, as both oracle DPs do, keys a state by
+#: its support bitset and prices it from prior masses, so none grows its own
 #: conditioning code.
 CONDITIONING = {"split", "partition", "renormalize", "version_space"}
 
 #: Modules that may name a conditioning primitive; ``__init__`` re-exports
 #: ``version_space`` as public API.
-CONDITIONING_READERS = {"core", "oracle", "__init__"}
+CONDITIONING_READERS = {"core", "__init__"}
 
 
 def conditioning_reach_ins(source):
@@ -119,7 +119,7 @@ def test_reach_in_detector_flags_each_form():
         assert private_reach_ins(source, "fileio") == [], source
 
 
-def test_only_core_and_oracle_use_the_conditioning_primitives():
+def test_only_core_uses_the_conditioning_primitives():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem not in CONDITIONING_READERS:
             assert conditioning_reach_ins(path.read_text()) == [], path.name

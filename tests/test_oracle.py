@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adaptsel as a
-from conftest import corpus_instance, coverage_demo, splitting_and_partial
+from conftest import (
+    complementary_pair,
+    corpus_instance,
+    coverage_demo,
+    splitting_and_partial,
+)
 from reference_walks import reachable_nodes, reference_enumerate_policies
 
 TOL = 1e-9
@@ -199,6 +204,16 @@ def test_optimal_coverage_pruned_equals_unpruned(demo_hypotheses,
         assert abs(pruned_cost - full_cost) <= TOL
 
 
+def test_optimal_coverage_is_exact_where_pruning_is_not():
+    """Two elements worth nothing alone cover together: the default pass
+    finds the cost-2 optimum that the pruned pass misses."""
+    instance = complementary_pair()
+    tree, cost = a.optimal_coverage(instance)
+    assert cost == 2.0
+    assert tree == a.Select(1, (a.Select(2, (a.TERMINAL,)),))
+    assert a.optimal_coverage(instance, pruned=True)[1] == 3.0
+
+
 @pytest.mark.parametrize("kwargs, name", [
     ({"q": math.nan}, "q"), ({"q": math.inf}, "q"), ({"q": -math.inf}, "q"),
     ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
@@ -213,10 +228,10 @@ def test_optimal_coverage_rejects_non_finite_q_and_bad_tol(
 
 def test_optimal_coverage_solves_once_per_instance_and_arguments():
     instance = splitting_and_partial()
-    calls = [{}, {"pruned": False}, {"tol": 0.95}, {"pruned": False, "tol": 0.95},
+    calls = [{}, {"pruned": True}, {"tol": 0.95}, {"pruned": True, "tol": 0.95},
              {"q": 0.5, "tol": 0.5}, {"q": 1.0, "tol": 0.5}]
     results = [a.optimal_coverage(instance, **kwargs) for kwargs in calls]
-    assert [cost for _tree, cost in results] == [2.0, 2.0, 2.0, 1.0, 0.0, 2.0]
+    assert [cost for _tree, cost in results] == [2.0, 2.0, 1.0, 2.0, 0.0, 2.0]
     assert a.optimal_coverage(instance, q=1.0) is results[0]  # Q resolved
     for kwargs, result in zip(calls, results):
         assert a.optimal_coverage(instance, **kwargs) is result
