@@ -360,6 +360,13 @@ def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
                                      param_hint="'--bounds'")
     if corpus is not None and instance_path is not None:
         raise click.UsageError("give --instance or --corpus, not both")
+    covering = [b for b in bound_ids if b in ("thm2", "thm6", "eq4", "lemma3")]
+    if corpus is not None and covering:
+        # A random instance's realizations never share a maximal utility.
+        raise click.UsageError(
+            f"--bounds {','.join(covering)} needs every realization to reach "
+            f"one maximal utility, which no --corpus instance does: give "
+            f"--instance")
     if corpus is None and instance_path is None:
         if hypotheses_path is None:
             raise click.UsageError("provide --instance, --corpus, or --hypotheses")

@@ -141,18 +141,20 @@ class Instance:
             raise ValueError("duplicate element identifiers")
         if len(set(self.states)) != len(self.states):
             raise ValueError("duplicate state identifiers")
-        for phi in self.realizations:
-            if len(phi) != n:
-                raise ValueError("realization arity does not match elements")
-            if any(not 0 <= y < len(self.states) for y in phi):
-                raise ValueError("realization uses an unknown state index")
+        if any(map(n.__ne__, map(len, self.realizations))):
+            raise ValueError("realization arity does not match elements")
+        indices = list(itertools.chain.from_iterable(self.realizations))
+        if not set(map(type, indices)) <= {int}:  # 1.0 and True are no index
+            raise ValueError("realization state indices must be ints")
+        if not set(indices) <= set(range(len(self.states))):
+            raise ValueError("realization uses an unknown state index")
         if len(set(self.realizations)) != len(self.realizations):
             raise ValueError("duplicate realization maps")
         if len(self.prior) != len(self.realizations):
             raise ValueError("prior length does not match realization list")
-        if not all(math.isfinite(p) for p in self.prior):
+        if not all(map(math.isfinite, self.prior)):
             raise ValueError("non-finite prior probability")
-        if any(p < -TOL for p in self.prior):
+        if min(self.prior, default=0.0) < -TOL:
             raise ValueError("negative prior probability")
         if abs(sum(self.prior) - 1.0) > TOL:
             raise ValueError(f"prior sums to {sum(self.prior)}, not 1")

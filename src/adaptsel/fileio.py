@@ -105,10 +105,16 @@ def _parse_utility(instance: Instance, spec) -> UtilityTable:
     # Key and row of each all-name member list checked so far: 1, True and
     # 1.0 are equal, so a list with any other member is checked every time.
     named: dict[tuple, tuple] = {}
-    last = None  # the previous entry's list, if it was all names
+    unnamed = object()  # equals no entry's set
+    last = unnamed  # the previous entry's list, if it was all names
     for entry in entries:
-        members = entry.get("set") if type(entry) is dict else None
-        if type(members) is not list or members != last:
+        try:
+            members, phi_index, value = (
+                entry["set"], entry["realization"], entry["value"])
+        except (KeyError, TypeError):  # not an object, or a field is missing
+            get = entry.get if type(entry) is dict else {}.get
+            members, phi_index, value = get("set"), get("realization"), get("value")
+        if members != last:
             try:
                 key, row = named[tuple(members) if type(members) is list else None]
             except (KeyError, TypeError):  # a new, unhashable or malformed set
@@ -117,13 +123,11 @@ def _parse_utility(instance: Instance, spec) -> UtilityTable:
                 row = rows.get(key) or rows.setdefault(key, [None] * m)
                 if all(type(x) is str for x in members):
                     named[tuple(members)] = key, row
-            last = members if tuple(members) in named else None
-        phi_index = entry.get("realization")
+            last = members if tuple(members) in named else unnamed
         if type(phi_index) is not int or not 0 <= phi_index < m:
             phi_index = _expect(entry, "realization", int, "utility entry")
             _fail(f"utility entry {entry!r}: realization {phi_index!r} is not "
                   f"an index below {m}")
-        value = entry.get("value")
         if type(value) is not float:
             value = _number(value, "utility entry value")
         if row[phi_index] is not None:
@@ -165,15 +169,20 @@ def instance_from_dict(data: dict) -> Instance:
     states = tuple(_expect(data, "states", list, "instance"))
     if not all(isinstance(x, str) for x in elements + states):
         _fail("instance: elements and states must be strings")
-    state_of = {s: i for i, s in enumerate(states)}
+    state_of = {s: i for i, s in enumerate(states)}.__getitem__
+    names = set(elements)
     realizations = []
-    for row in _expect(data, "realizations", list, "instance"):
-        if not isinstance(row, dict) or set(row) != set(elements):
+    for index, row in enumerate(_expect(data, "realizations", list, "instance")):
+        if not isinstance(row, dict) or row.keys() != names:
             _fail("instance: each realization must map every element to a state")
         try:
-            realizations.append(tuple(state_of[row[e]] for e in elements))
+            realizations.append(tuple(map(state_of, map(row.__getitem__, elements))))
         except KeyError as exc:
             _fail(f"instance: realization uses unknown state {exc.args[0]!r}")
+        except TypeError:  # a list or an object, which cannot be a state
+            element = next(e for e in elements if row[e] not in states)
+            _fail(f"instance: realization {index} maps {element!r} to "
+                  f"{row[element]!r}, which is not a state")
     prior = tuple(
         _number(p, "instance: prior entry")
         for p in _expect(data, "prior", list, "instance")

@@ -1,20 +1,21 @@
 """Brute-force optimal baselines and exhaustive policy enumeration.
 
-Everything here is desk-scale exact computation: a memoized dynamic program
-for the best height-k policy, a coverage DP for the cheapest policy that
-drives the utility to its maximum on every branch, and a generator for
+Everything here is desk-scale exact computation: a bottom-up dynamic program
+for the best height-k policy, a memoized coverage DP for the cheapest policy
+that drives the utility to its maximum on every branch, and a generator for
 every deterministic tree of bounded height.  A budget check bounds the
 DP memo keys or counts the policies before running and refuses beyond the
 configured limit rather than hanging.  Each DP prices a state from the
-prior by its (observed elements, support) key alone, memoizes state values
+prior by its (observed elements, support) key alone, keeps state values
 only, records the element each selecting state picks, and builds the
-returned tree from those choices once the root is solved.
+returned tree from those choices once the root is priced.
 
 Nothing here refers to itself: the enumerator recurses through a module-level
-generator, and each DP drops its recursive ``solve`` once the root is solved.
-A self-referencing closure is a reference cycle, which would keep the memo and
-the instance it holds alive until the cyclic collector ran; without one,
-reference counting frees them as the call returns.
+generator, the budget DP is a loop over domains, and the coverage DP drops its
+recursive ``solve`` once the root is solved.  A self-referencing closure is a
+reference cycle, which would keep the memo and the instance it holds alive
+until the cyclic collector ran; without one, reference counting frees them as
+the call returns.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import product
+from operator import and_, mul
 from typing import Iterator, Optional
 
 from .core import (
@@ -123,55 +125,81 @@ def optimal_budget(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> tuple[Node, float]:
     """The exact best expected utility over policies of height <= k, via a
-    DP memoized on (observed elements, support) bitsets; the remaining
-    budget is k minus the observed count.  ``enum_budget`` bounds the memo
-    keys, not the paths to them.
+    DP over (observed elements, support) bitsets; the remaining budget is k
+    minus the observed count.  ``k`` must be an int.  ``enum_budget`` bounds
+    the states, not the paths to them.
 
-    A state is priced from its key, weighted by the prior, not conditioned:
-    stopping is worth the sum of p_i x f(dom, i) over the support in index
-    order, so the root's value is the expectation ``f_avg`` takes, and an
-    element the sum of its outcome states' values in state order.  Stopping
-    is the incumbent and elements are tried in index order; one replaces the
-    incumbent only if strictly greater, with no tolerance.  Exact ties keep
-    stopping, then the smallest element, but rounding decides mathematical
-    ties, so that summation order is a contract.
+    The DP runs bottom-up over the observed-element masks d with |d| <= k.
+    A depth-first pass finds each d's supports, one per positive
+    realization, from those of d without its top element, and sums their
+    stop values; then the masks are priced largest first, each state of d
+    from the finished tables of the masks one element larger.  A state is
+    priced from its key, weighted by the prior, not conditioned: stopping is
+    worth the sum of p_i x f(d, i) over the support in index order, so the
+    root's value is the expectation ``f_avg`` takes, and an element the sum
+    of its outcome states' values in state order.  Stopping is the incumbent
+    and elements are tried in index order; one replaces the incumbent only
+    if strictly greater, with no tolerance.  Exact ties keep stopping, then
+    the smallest element, but rounding decides mathematical ties, so that
+    summation order is a contract.
     """
+    require_int(k=k)
     if k < 0:
         raise ValueError("budget must be non-negative")
     n = instance.num_elements
     k = min(k, n)
     rows = utility_rows(instance)
     _check_memo_keys(instance, k, enum_budget)
-    prior = instance.prior
     bits = state_bitsets(instance)
-    memo: dict[tuple[int, int], float] = {}
+    prior = instance.prior
+    positive = [i for i, p in enumerate(prior) if p > 0.0]
+    weights = [prior[i] for i in positive]
+    if len(positive) < len(prior):  # each row cut to the positive realizations
+        rows = [tuple(map(row.__getitem__, positive)) for row in rows]
+    # own[v][j]: the positive realizations that share the j-th one's state
+    # at v; the support of mask d is the AND of own[v][j] over the v in d.
+    columns = zip(*map(instance.realizations.__getitem__, positive))
+    own = [list(map(b.__getitem__, column)) for b, column in zip(bits, columns)]
+    root = sum([1 << i for i in positive])
+    tables: dict[int, dict[int, float]] = {}
+    # Depth first, so that only one chain of masks keeps its supports.
+    pending = [(0, [root] * len(positive))]
+    while pending:
+        d, supports = pending.pop()
+        supports = list(supports)
+        tables[d] = _stop_values(supports, map(mul, weights, rows[d]))
+        if d.bit_count() < k:
+            pending += [(d | 1 << top, map(and_, supports, own[top]))
+                        for top in range(d.bit_length(), n)]
     choice: dict[tuple[int, int], int] = {}
-
-    def solve(dom: int, support: int) -> float:
-        row = rows[dom]
-        best_value = sum([prior[i] * row[i] for i in members(support)])
-        if dom.bit_count() < k:
-            for v in range(n):
-                if dom >> v & 1:
-                    continue
-                observed = dom | 1 << v
+    for d in sorted(tables, reverse=True):  # every d | v is finished first
+        if d.bit_count() == k:
+            continue
+        table = tables[d]
+        options = [(v, tables[d | 1 << v], bits[v])
+                   for v in range(n) if not d >> v & 1]
+        for s, best in table.items():
+            for v, after, outcomes in options:
                 value = 0.0
-                for observed_bits in bits[v]:
-                    if child := support & observed_bits:
-                        found = memo.get((observed, child))
-                        value += solve(observed, child) if found is None else found
-                if value > best_value:
-                    best_value = value
-                    choice[dom, support] = v
-        memo[dom, support] = best_value
-        return best_value
+                for b in outcomes:
+                    if c := s & b:
+                        value += after[c]
+                if value > best:
+                    best = value
+                    choice[d, s] = v
+            table[s] = best
+    return _chosen_tree(choice, bits, 0, root, {}), tables[0][root]
 
-    support = sum(1 << i for i, p in enumerate(prior) if p > 0.0)
-    try:
-        value = solve(0, support)
-    finally:
-        del solve  # solve's cell holds solve: free the memo without the collector
-    return _chosen_tree(choice, bits, 0, support, {}), value
+
+def _stop_values(supports, terms) -> dict[int, float]:
+    """The stop value of each support: the sum of its realizations' ``terms``
+    (p_i x f(d, i), in index order), keyed by support in order of first
+    appearance."""
+    table: dict[int, float] = {}
+    get = table.get
+    for s, term in zip(supports, terms):
+        table[s] = get(s, 0.0) + term
+    return table
 
 
 # -- minimum cost coverage -------------------------------------------------
@@ -307,18 +335,17 @@ def _chosen_tree(
 ) -> Node:
     """The tree a DP chose from state (``dom``, ``support``): a state in
     ``choice`` selects its element and branches on its states' supports
-    (``bits``), any other state stops.  Each state's subtree is built once,
-    kept in ``built``, and shared by every path that reaches the state."""
+    (``bits``), any other state stops.  Each selecting state's subtree is
+    built once, kept in ``built``, and shared by every path that reaches
+    the state."""
+    v = choice.get((dom, support))
+    if v is None:
+        return TERMINAL
     node = built.get((dom, support))
     if node is None:
-        v = choice.get((dom, support))
-        if v is None:
-            node = TERMINAL
-        else:
-            observed = dom | 1 << v
-            node = Select(v, tuple([
-                _chosen_tree(choice, bits, observed, support & b, built)
-                for b in bits[v]
-            ]))
-        built[dom, support] = node
+        observed = dom | 1 << v
+        node = built[dom, support] = Select(v, tuple([
+            _chosen_tree(choice, bits, observed, support & b, built)
+            for b in bits[v]
+        ]))
     return node

@@ -1,9 +1,12 @@
 """The bitset budget DP against the reference DP over partial realizations:
-the same trees and bit-identical values at every budget; against the DP
-that conditioned each state, the same optimum up to rounding; its memo-key
-gate; and one solve per memo key."""
+the same trees and bit-identical values at every budget, on full products
+and on sparse hypothesis classes; against the DP that conditioned each
+state, the same optimum up to rounding; its memo-key gate; and one priced
+entry per memo key."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -45,7 +48,36 @@ def budget_cases():
     return cases
 
 
+def sparse_cases():
+    """(name, instance): hypothesis classes of a few distinct labelings of 4
+    or 5 examples over 2 or 3 labels, far fewer than every labeling, so
+    most domains' classes are sparse, under the plain and the modified
+    coverage utility."""
+    cases = []
+    for seed in range(6):
+        bare = a.instance_from_hypotheses(sparse_hypotheses(seed))
+        for modified in (False, True):
+            cases.append((f"hypotheses{seed}-{modified}",
+                          a.coverage_instance(bare, modified=modified)))
+    return cases
+
+
+def sparse_hypotheses(seed):
+    """A seeded class of 3, 5 or 7 distinct labelings with a random prior."""
+    rng = random.Random(seed)
+    examples, labels = 4 + seed % 2, 2 + seed % 3 // 2
+    count = rng.choice((3, 5, 7))
+    rows = rng.sample(list(itertools.product(range(labels), repeat=examples)),
+                      count)
+    raw = [0.05 + rng.random() for _ in rows]
+    return a.HypothesisClass(
+        examples=tuple(f"x{i + 1}" for i in range(examples)),
+        labels=tuple(tuple(str(y) for y in row) for row in rows),
+        prior=tuple(p / sum(raw) for p in raw))
+
+
 CASES = budget_cases()
+SPARSE = sparse_cases()
 
 
 def _budgets(instance):
@@ -55,6 +87,20 @@ def _budgets(instance):
 
 @pytest.mark.parametrize("name, instance", CASES, ids=[n for n, _ in CASES])
 def test_bitset_dp_is_bit_identical_to_the_reference(name, instance):
+    for k in _budgets(instance):
+        expected_tree, expected_value = reference_optimal_budget(instance, k)
+        tree, value = a.optimal_budget(instance, k)
+        assert tree == expected_tree, (name, k)
+        assert float.hex(value) == float.hex(expected_value), (name, k)
+
+
+@pytest.mark.parametrize("name, instance", SPARSE, ids=[n for n, _ in SPARSE])
+def test_sparse_classes_are_priced_as_the_reference_prices_them(name, instance):
+    """Where few realizations exist, most patterns of a domain have no
+    class; pricing every class of every domain still gives the reference's
+    tree and value bits at every budget.  Rounding decides ties here between
+    optimal trees of different c_avg, so these cases stay out of the
+    comparison with the chained DP below."""
     for k in _budgets(instance):
         expected_tree, expected_value = reference_optimal_budget(instance, k)
         tree, value = a.optimal_budget(instance, k)
@@ -116,25 +162,27 @@ def test_gate_admits_budgets_between_the_bound_and_the_path_count():
 
 
 def test_one_solve_per_memo_key(monkeypatch):
-    """The DP solves each state once, on a memo miss, reading its support's
-    members once, and its memo keys, the positive-mass partial realizations
-    of size <= k, stay within the gate's bound; the coverage DP's keys are
-    among those of size <= |V|."""
-    calls = []
-    original = core.members
+    """The DP prices each state once: the stop-value tables it builds, one
+    per observed-element mask of size <= k, hold one entry per memo key, the
+    positive-mass partial realizations of size <= k, and those stay within
+    the gate's bound; the coverage DP's keys are among those of size <= |V|."""
+    tables = []
+    original = oracle._stop_values
 
-    def counted(support):
-        calls.append(support)
-        return original(support)
+    def counted(*args):
+        tables.append(original(*args))
+        return tables[-1]
 
-    monkeypatch.setattr(oracle, "members", counted)
-    for name, instance in CASES:
+    monkeypatch.setattr(oracle, "_stop_values", counted)
+    for name, instance in CASES + SPARSE:
         n = instance.num_elements
         keys = len(list(core.positive_partial_realizations(instance, n)))
         assert keys <= memo_key_bound(instance, n), name
         for k in range(n + 1):
-            calls.clear()
+            tables.clear()
             a.optimal_budget(instance, k)
             states = list(core.positive_partial_realizations(instance, k))
-            assert len(calls) == len(states), (name, k)
+            assert len(tables) == sum(math.comb(n, j) for j in range(k + 1)), (
+                name, k)
+            assert sum(map(len, tables)) == len(states), (name, k)
             assert len(states) <= memo_key_bound(instance, k), (name, k)

@@ -126,6 +126,19 @@ def test_a_policy_that_reselects_an_element_is_refused_on_load(tmp_path, command
     assert isinstance(result.exception, SystemExit)
 
 
+def test_a_realization_row_naming_no_state_exits_1_without_a_traceback(tmp_path):
+    path = tmp_path / "r.json"
+    data = fileio.instance_to_dict(a.gen_random(2, 2, 0))
+    data["realizations"][1]["v1"] = ["0"]
+    path.write_text(json.dumps(data))
+    result = CliRunner().invoke(main, ["solve", "--instance", str(path),
+                                       "--objective", "budget", "--k", "1"])
+    assert result.exit_code == 1, result.output
+    assert "realization 1 maps 'v1' to ['0'], which is not a state" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_params_greedy_flag(tmp_path):
     out = _theorem5(tmp_path)
     result = invoke(
@@ -263,6 +276,9 @@ def test_verify_unknown_bound_rejected():
      "Invalid value for '--corpus-elements': 9 is not in the range 1<=x<=5"),
     (["--bounds", "thm1", "--instance", "{instance}", "--l", "0"],
      "Invalid value for '--l': 0 is not in the range x>=1"),
+    (["--bounds", "lemma2,thm2,eq4,thm6,lemma3", "--corpus", "0..3"],
+     "--bounds thm2,eq4,thm6,lemma3 needs every realization to reach one "
+     "maximal utility"),
 ])
 def test_verify_argument_errors_are_usage_errors_before_any_work(
         monkeypatch, tmp_path, args, message):

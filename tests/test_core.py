@@ -194,6 +194,22 @@ def test_instance_validation_rejects_bad_priors():
         )
 
 
+@pytest.mark.parametrize("bad, message", [
+    (((0.5,), (1,)), "state indices must be ints"),
+    (((0,), (1.0,)), "state indices must be ints"),
+    (((0,), (True,)), "state indices must be ints"),
+    (((0,), (2,)), "unknown state index"),
+    (((0,), (-1,)), "unknown state index"),
+    (((0,), (1, 0)), "arity does not match"),
+])
+def test_instance_validation_rejects_bad_state_indices(bad, message):
+    """A state index is an int below |Y|: a fractional one would pass the
+    range check and fail later in ``state_bitsets``."""
+    with pytest.raises(ValueError, match=message):
+        a.Instance(elements=("v1",), states=("0", "1"), realizations=bad,
+                   prior=(0.5, 0.5))
+
+
 def test_instance_validation_rejects_bad_utility():
     base = corpus_instance(0)
     incomplete = dict(base.utility)

@@ -140,6 +140,15 @@ def test_parse_errors_are_reported(tmp_path):
         fileio.load_instance(bad)
 
 
+@pytest.mark.parametrize("bad", [["0"], {"state": "0"}])
+def test_a_realization_row_naming_no_state_is_a_parse_error(bad):
+    data = fileio.instance_to_dict(corpus_instance(0))
+    data["realizations"][2]["v2"] = bad
+    with pytest.raises(a.ParseError, match=re.escape(
+            f"instance: realization 2 maps 'v2' to {bad!r}, which is not a state")):
+        fileio.instance_from_dict(data)
+
+
 def test_policy_parse_rejects_incomplete_children(thm5):
     instance, _ = thm5
     with pytest.raises(a.ParseError):

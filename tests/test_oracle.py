@@ -68,6 +68,13 @@ def test_enumeration_and_count_refuse_a_non_int_height(height):
         a.count_policies(3, height, 2)
 
 
+@pytest.mark.parametrize("k", [2.5, "2", None, True])
+def test_optimal_budget_refuses_a_non_int_k(k):
+    instance = corpus_instance(2, num_elements=3)
+    with pytest.raises(ValueError, match="k must be an int"):
+        a.optimal_budget(instance, k)
+
+
 def test_enumerate_policies_budget_refusal():
     instance = corpus_instance(0, num_elements=4)
     with pytest.raises(a.EnumerationBudgetExceeded):
