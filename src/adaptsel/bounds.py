@@ -395,7 +395,10 @@ def _verify_lemma3(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol
     """Pruned and unpruned coverage optima agree, and the pruned tree's
     height is at most the number of realizations.  Both are claims about
     identification, where every useful query eliminates a realization; on
-    other instances either can fail, and the report then reads false."""
+    other instances either can fail, and the report then reads false.  On a
+    coverage utility the unpruned side is the support-keyed exact pass,
+    which tries only splitting elements; a differential test ties it to the
+    reference that tries every unobserved element."""
     tree_pruned, cost_pruned = optimal_coverage(
         instance, pruned=True, tol=tol, enum_budget=enum_budget
     )

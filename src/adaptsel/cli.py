@@ -415,13 +415,12 @@ def active_learning(ctx, hypotheses_path, out):
     """Run the GBS pipeline on a hypothesis class and report its costs."""
     hc = fileio.load_hypotheses(hypotheses_path)
     instance = learn.instance_from_hypotheses(hc)
-    cov_plain = learn.coverage_instance(instance, modified=False)
     cov_mod = learn.coverage_instance(instance, modified=True)
     policy = learn.gbs_policy(cov_mod)
     rows = [
         ("hypotheses", instance.num_realizations),
         ("examples", instance.num_elements),
-        ("c_avg_p", c_avg(cov_plain, policy)),
+        ("c_avg_p", c_avg(instance, policy)),  # reads no utility
         ("c_avg_p_modified", c_avg(cov_mod, policy)),
         ("height", policy_height(cov_mod, policy)),
     ]

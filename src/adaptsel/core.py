@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
@@ -44,12 +44,33 @@ TOL = 1e-9
 UtilityTable = dict[tuple[int, ...], tuple[float, ...]]
 
 
+class CoverageTable(dict):
+    """The utility table :func:`~adaptsel.learn.coverage_utility` tabulates,
+    f(A, phi) = 1 - p(version space of phi under A) + p(phi), with the prior
+    p it was built under.  A plain dict of the same values is a plain table:
+    only this type tells the coverage DP that the utility is a function of
+    the version space (see :func:`~adaptsel.oracle.optimal_coverage`)."""
+
+    __slots__ = ("prior",)
+
+    def __init__(self, prior: tuple[float, ...]) -> None:
+        super().__init__()
+        self.prior = prior
+
+
 def require_int(**values: object) -> None:
     """Raise ValueError for the first of ``values`` that is not an int; a
     bool is not one."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def require_budget(enum_budget: object) -> None:
+    """Raise ValueError unless ``enum_budget`` is an int >= 0."""
+    require_int(enum_budget=enum_budget)
+    if enum_budget < 0:
+        raise ValueError(f"enum_budget must be >= 0, got {enum_budget}")
 
 
 def subset_key(indices: Iterable[int]) -> tuple[int, ...]:
@@ -150,16 +171,19 @@ class Instance:
             raise ValueError("realization uses an unknown state index")
         if len(set(self.realizations)) != len(self.realizations):
             raise ValueError("duplicate realization maps")
-        if len(self.prior) != len(self.realizations):
-            raise ValueError("prior length does not match realization list")
-        if not all(map(math.isfinite, self.prior)):
-            raise ValueError("non-finite prior probability")
-        if min(self.prior, default=0.0) < -TOL:
-            raise ValueError("negative prior probability")
-        if abs(sum(self.prior) - 1.0) > TOL:
-            raise ValueError(f"prior sums to {sum(self.prior)}, not 1")
+        self._check_prior(self.prior)
         if self.utility is not None:
             self._check_utility(self.utility)
+
+    def _check_prior(self, prior: tuple[float, ...]) -> None:
+        if len(prior) != len(self.realizations):
+            raise ValueError("prior length does not match realization list")
+        if not all(map(math.isfinite, prior)):
+            raise ValueError("non-finite prior probability")
+        if min(prior, default=0.0) < -TOL:
+            raise ValueError("negative prior probability")
+        if abs(sum(prior) - 1.0) > TOL:
+            raise ValueError(f"prior sums to {sum(prior)}, not 1")
 
     def _check_utility(self, table: UtilityTable) -> None:
         m = len(self.realizations)
@@ -202,11 +226,26 @@ class Instance:
         """Utility f(A, phi) for a subset of element indices."""
         return utility_rows(self)[_mask(subset)][phi_index]
 
-    def with_utility(self, table: UtilityTable) -> "Instance":
-        return replace(self, utility=table)
+    def with_utility(self, table: Optional[UtilityTable]) -> "Instance":
+        """This instance with ``table`` as its utility; only the table is
+        checked, the other fields were checked when this one was built."""
+        if table is not None:
+            self._check_utility(table)
+        return self._replaced(utility=table)
 
     def with_prior(self, prior: Iterable[float]) -> "Instance":
-        return replace(self, prior=tuple(prior))
+        """This instance under ``prior``; only the prior is checked."""
+        prior = tuple(prior)
+        self._check_prior(prior)
+        return self._replaced(prior=prior)
+
+    def _replaced(self, **changes) -> "Instance":
+        """A copy with checked ``changes`` to its fields and none of the
+        caches, built without running ``__post_init__`` again."""
+        out = object.__new__(type(self))
+        out.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)},
+                            **changes)
+        return out
 
     def describe_psi(self, psi: PartialRealization) -> dict[str, str]:
         """Human-readable form of a partial realization, for witnesses."""

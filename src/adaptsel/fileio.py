@@ -9,7 +9,9 @@ Formats:
   [{"set": ["v1"], "realization": 0, "value": 1.5}, ...]}`` or a builtin
   reference ``{"kind": "builtin", "name": "coverage" | "theorem4" |
   "theorem5", "params": {...}}`` expanded against the instance's own
-  elements and realizations.
+  elements and realizations.  A builtin coverage utility keeps the prior
+  it was built under, the file's own or its modified form, so that the
+  coverage DP can tell whether the table matches the instance's prior.
 * policy: a decision tree ``{"select": "v1", "children": {"0": ..., "1":
   ...}}`` with ``"terminal"`` leaves, or the threshold form ``{"base":
   <tree>, "tau": x, "rho": y}``.

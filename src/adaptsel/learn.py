@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
 
-from .core import Instance, TOL, UtilityTable, members
+from .core import CoverageTable, Instance, TOL, members
 from .errors import DuplicateHypothesis
 from .policy import Node, build_greedy
 
@@ -64,9 +64,10 @@ def instance_from_hypotheses(hc: HypothesisClass) -> Instance:
 
 def coverage_utility(
     instance: Instance, prior: Optional[Sequence[float]] = None
-) -> UtilityTable:
+) -> CoverageTable:
     """Tabulate f_p(A, phi) = 1 - p(version space of phi restricted to A)
-    + p(phi) for every subset and every realization.
+    + p(phi) for every subset and every realization, as a
+    :class:`~adaptsel.core.CoverageTable` that records p.
 
     The value is 1 exactly when observing A under phi identifies phi.
     Zero-probability realizations get rows too; their version-space mass
@@ -83,7 +84,8 @@ def coverage_utility(
     labels = [[sum(1 << i for i, phi in enumerate(instance.realizations) if phi[e] == y)
                for y in range(instance.num_states)] for e in range(n)]
     classes = {(): [(1 << m) - 1]}
-    table: UtilityTable = {}
+    known: dict[int, tuple[list[int], float]] = {}  # each part's members and rest
+    table = CoverageTable(p)
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
             if subset:
@@ -92,8 +94,11 @@ def coverage_utility(
                                    if (part := whole & label)]
             outside = [0.0] * m
             for part in classes[subset]:
-                inside = members(part)
-                rest = 1.0 - sum([p[i] for i in inside])
+                found = known.get(part)
+                if found is None:
+                    inside = members(part)
+                    found = known[part] = inside, 1.0 - sum([p[i] for i in inside])
+                inside, rest = found
                 for i in inside:
                     outside[i] = rest
             table[subset] = tuple(map(add, outside, p))

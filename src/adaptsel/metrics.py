@@ -26,6 +26,7 @@ from .core import (
     c_avg,
     conditioned_states,
     f_avg,
+    require_budget,
     require_int,
     utility_rows,
 )
@@ -278,7 +279,7 @@ def gamma(
     probability) to the policy's expected gain.  Terms whose denominator is
     within ``GAMMA_DENOMINATOR_FLOOR`` of 0 are skipped, and the result is
     clamped to [0, 1]; a raw minimum below -``TOL`` is reported as an
-    anomaly.  ``n`` and ``k`` must be ints >= 1.
+    anomaly.  ``n`` and ``k`` must be ints >= 1, ``enum_budget`` an int >= 0.
 
     The psi' come from :func:`~adaptsel.core.conditioned_states`, in its
     order.  Exact mode enumerates the trees of ``enumerate_policies`` once
@@ -295,6 +296,7 @@ def gamma(
     gate is checked on every call, cached or not.
     """
     require_int(n=n, k=k)
+    require_budget(enum_budget)
     if n < 1 or k < 1:
         raise ValueError("gamma requires n, k >= 1")
     if mode not in ("exact", "sampled"):

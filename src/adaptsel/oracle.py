@@ -6,9 +6,11 @@ that drives the utility to its maximum on every branch, and a generator for
 every deterministic tree of bounded height.  A budget check bounds the
 DP memo keys or counts the policies before running and refuses beyond the
 configured limit rather than hanging.  Each DP prices a state from the
-prior by its (observed elements, support) key alone, keeps state values
-only, records the element each selecting state picks, and builds the
-returned tree from those choices once the root is priced.
+prior by its key alone, keeps state values only, records the element each
+selecting state picks, and builds the returned tree from those choices once
+the root is priced.  The key is (observed elements, support), except in the
+exact coverage pass on a coverage utility, a function of the support alone,
+which keys by the support (see :func:`optimal_coverage`).
 
 Nothing here refers to itself: the enumerator recurses through a module-level
 generator, the budget DP is a loop over domains, and the coverage DP drops its
@@ -29,9 +31,11 @@ from typing import Iterator, Optional
 from .core import (
     TOL,
     EMPTY,
+    CoverageTable,
     Instance,
     PartialRealization,
     members,
+    require_budget,
     require_int,
     state_bitsets,
     utility_rows,
@@ -61,8 +65,9 @@ def enumerate_policies(
 ) -> Iterator[Node]:
     """Every deterministic tree of height <= ``height`` over the elements
     outside dom(psi), including all early-terminating shapes.  ``height``
-    must be an int."""
+    must be an int and ``enum_budget`` an int >= 0."""
     require_int(height=height)
+    require_budget(enum_budget)
     available = tuple(v for v in range(instance.num_elements) if v not in psi)
     total = count_policies(len(available), height, instance.num_states)
     if total > enum_budget:
@@ -109,7 +114,9 @@ def random_policy_over(
 def _check_memo_keys(instance: Instance, k: int, enum_budget: int) -> None:
     """Refuse a DP whose (observed elements, support) memo keys of at most k
     observations may exceed ``enum_budget``: there are at most sum over
-    j <= k of C(|V|, j) * min(|Y|^j, m+), m+ the positive-prior realizations."""
+    j <= k of C(|V|, j) * min(|Y|^j, m+), m+ the positive-prior realizations.
+    ``enum_budget`` must be an int >= 0."""
+    require_budget(enum_budget)
     positive = sum(1 for p in instance.prior if p > 0.0)
     n, num_states = instance.num_elements, instance.num_states
     bound = sum(math.comb(n, j) * min(num_states**j, positive) for j in range(k + 1))
@@ -215,11 +222,11 @@ def optimal_coverage(
     """The cheapest policy (by expected selections) that drives the utility
     to Q on every positive-mass branch.
 
-    The default pass tries every unobserved element and is exact.
-    ``pruned=True`` keeps only elements that shrink the version space or
-    strictly raise the minimal consistent utility: exact for identification,
-    where a query that splits nothing changes no coverage utility, but not in
-    general.  Only lemma 3 runs it, against the exact pass.
+    The default pass is exact.  ``pruned=True`` keeps only elements that
+    shrink the version space or strictly raise the minimal consistent
+    utility: exact for identification, where a query that splits nothing
+    changes no coverage utility, but not in general.  Only lemma 3 runs it,
+    against the exact pass.
 
     A DP state is (observed elements, support), both as bitsets; supports
     are conditioned with :func:`~adaptsel.core.state_bitsets`.  A state is
@@ -229,6 +236,25 @@ def optimal_coverage(
     ``version_space`` sums it; outcomes are added in order of first
     appearance in the support.  The first candidate whose cost is below the
     best so far by more than ``tol`` wins.
+
+    The exact pass tries every unobserved element and keys its memo and
+    choices by the state, except on a coverage utility: a
+    :class:`~adaptsel.core.CoverageTable` built under the instance's own
+    prior, none of it negative, with (|V| + 2) x ``tol`` < 1.  There it keys
+    them by the support alone and tries only the elements that split the
+    support, which is exact too.  For a positive i in support S after
+    observing A, f(A, phi_i) = 1 - p(S) + p_i: i's class under A is S plus
+    zero-prior realizations, which add exactly 0.0 to its mass.  So whether
+    S is covered, and by induction its cost to go c, depend on S alone.  An
+    element that splits nothing (every element of A, perhaps others) leads
+    back to S at cost 1 + c, more than c + ``tol``, so it never ends as the
+    best.  It can take the running best only at 1 + c; from there the
+    running best stays within ``tol`` per acceptance of where the splitting
+    candidates alone would hold it, less than 1 - ``tol`` in all, so the
+    candidate of cost c is still accepted and the pass ends with the same
+    choice and cost.  Two positive realizations differ at some element,
+    which splits their support, and a single one is covered, as Q is
+    reachable.
 
     Each instance solves each (Q, ``pruned``, ``tol``) once and returns the
     same ``(tree, cost)`` object on a repeated call; support masses are kept
@@ -261,6 +287,11 @@ def optimal_coverage(
     bits = state_bitsets(instance)
     uncovered = [sum([1 << i for i, value in enumerate(row) if abs(value - q) > tol])
                  for row in rows]
+    table = instance.utility
+    by_support = (not pruned and isinstance(table, CoverageTable)
+                  and table.prior == prior and min(prior) >= 0.0
+                  and (n + 2) * tol < 1.0)
+    dom_key = 0 if by_support else -1  # a key is (dom & dom_key, support)
     memo: dict[tuple[int, int], float] = {}
     choice: dict[tuple[int, int], int] = {}
 
@@ -279,6 +310,8 @@ def optimal_coverage(
                 outcomes = [(child & -child, y, child)
                             for y, observed in enumerate(bits[v])
                             if (child := support & observed)]
+                if by_support and len(outcomes) == 1:
+                    continue
                 outcomes.sort()
                 options.append((v, outcomes))
         if not pruned or all(len(outcomes) > 1 for _, outcomes in options):
@@ -309,12 +342,13 @@ def optimal_coverage(
             cost = 1.0
             for _, _, child in outcomes:
                 if child & unmet:
-                    found = memo.get((observed, child)) or solve(observed, child)
+                    found = (memo.get((observed & dom_key, child))
+                             or solve(observed, child))
                     cost += (masses.get(child) or mass(child)) / total * found
             if cost < best_cost - tol:
                 best_cost, best = cost, v
-        choice[dom, support] = best
-        memo[dom, support] = best_cost
+        choice[dom & dom_key, support] = best
+        memo[dom & dom_key, support] = best_cost
         return best_cost
 
     root = sum([1 << i for i in positive])
@@ -322,7 +356,8 @@ def optimal_coverage(
         cost = solve(0, root) if root & uncovered[0] else 0.0
     finally:
         del solve  # solve's cell holds solve: free the memo without the collector
-    solved[q, pruned, tol] = result = (_chosen_tree(choice, bits, 0, root, {}), cost)
+    tree = _chosen_tree(choice, bits, 0, root, {}, dom_key)
+    solved[q, pruned, tol] = result = (tree, cost)
     return result
 
 
@@ -332,20 +367,23 @@ def _chosen_tree(
     dom: int,
     support: int,
     built: dict[tuple[int, int], Node],
+    dom_key: int = -1,
 ) -> Node:
-    """The tree a DP chose from state (``dom``, ``support``): a state in
-    ``choice`` selects its element and branches on its states' supports
-    (``bits``), any other state stops.  Each selecting state's subtree is
-    built once, kept in ``built``, and shared by every path that reaches
-    the state."""
-    v = choice.get((dom, support))
+    """The tree a DP chose from state (``dom``, ``support``), whose key is
+    (``dom & dom_key``, ``support``): -1 keys by the state, 0 by the support
+    alone.  A state whose key is in ``choice`` selects its element and
+    branches on its states' supports (``bits``), any other state stops.
+    Each key's subtree is built once, kept in ``built``, and shared by every
+    path that reaches it."""
+    key = dom & dom_key, support
+    v = choice.get(key)
     if v is None:
         return TERMINAL
-    node = built.get((dom, support))
+    node = built.get(key)
     if node is None:
         observed = dom | 1 << v
-        node = built[dom, support] = Select(v, tuple([
-            _chosen_tree(choice, bits, observed, support & b, built)
+        node = built[key] = Select(v, tuple([
+            _chosen_tree(choice, bits, observed, support & b, built, dom_key)
             for b in bits[v]
         ]))
     return node

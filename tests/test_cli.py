@@ -528,6 +528,32 @@ def test_verify_builds_the_policy_and_each_baseline_once(monkeypatch, tmp_path):
     assert counts == {}
 
 
+def test_active_learning_tabulates_one_coverage_utility(monkeypatch, tmp_path):
+    """``c_avg_p`` descends the GBS tree on the bare instance, bit-equal to
+    ``c_avg`` on the plain coverage instance; only the modified prior's
+    table is built."""
+    from collections import Counter
+
+    from adaptsel import learn
+
+    hc = a.HypothesisClass(
+        examples=("x1", "x2", "x3"),
+        labels=(("0", "0", "1"), ("0", "1", "0"), ("1", "1", "0"), ("1", "0", "1")),
+        prior=(0.5, 0.3, 0.2, 0.0),
+    )
+    hpath = tmp_path / "h.json"
+    fileio.save(hpath, fileio.hypotheses_to_dict(hc))
+    counts = Counter()
+    _counting(monkeypatch, counts, learn, "coverage_utility")
+    result = invoke(["--json", "active-learning", "--hypotheses", str(hpath)])
+    assert counts == {"coverage_utility": 1}
+    doc = json.loads(result.output)
+    bare = a.instance_from_hypotheses(hc)
+    policy = fileio.policy_from_dict(bare, doc["policy"])
+    expected = a.c_avg(a.coverage_instance(bare), policy)
+    assert doc["c_avg_p"].hex() == expected.hex()
+
+
 def test_verify_decodes_the_policy_file_once(monkeypatch, tmp_path):
     """A corpus sweep reads --policy once and resolves it on every instance;
     a run that needs no policy never reads it."""

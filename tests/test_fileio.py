@@ -610,3 +610,59 @@ def test_instance_name_must_be_a_string(bad):
     data["name"] = bad
     with pytest.raises(a.ParseError, match="instance: field 'name' has the wrong type"):
         fileio.instance_from_dict(data)
+
+
+def _count_checks(monkeypatch):
+    """Count each run of ``Instance``'s three checks: the whole of
+    ``__post_init__``, and the prior and utility checks on their own."""
+    from collections import Counter
+
+    counts = Counter()
+    for name in ("__post_init__", "_check_prior", "_check_utility"):
+        original = getattr(a.Instance, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(a.Instance, name, counted)
+    return counts
+
+
+def test_each_instance_is_checked_once(monkeypatch, tmp_path, demo_hypotheses):
+    """A file, with a table or a builtin utility, is checked once: the
+    structure, the prior and the utility each once.  ``coverage_instance``
+    checks only what it attaches to an instance already checked."""
+    bare = a.instance_from_hypotheses(demo_hypotheses)
+    data = fileio.instance_to_dict(a.coverage_instance(bare))
+    builtin = dict(data, utility={"kind": "builtin", "name": "coverage",
+                                  "params": {"modified": True}})
+    counts = _count_checks(monkeypatch)
+    for spec in (data, builtin):
+        counts.clear()
+        fileio.instance_from_dict(spec)
+        assert counts == {"__post_init__": 1, "_check_prior": 1,
+                          "_check_utility": 1}
+    counts.clear()
+    a.coverage_instance(bare)
+    assert counts == {"_check_utility": 1}
+    counts.clear()
+    a.coverage_instance(bare, modified=True)
+    assert counts == {"_check_prior": 1, "_check_utility": 1}
+
+
+def test_with_prior_and_with_utility_check_what_they_change(demo_hypotheses):
+    """Each refuses a bad value with the message the full check gives, and
+    the copy it returns keeps none of the original's caches."""
+    cov = a.coverage_instance(a.instance_from_hypotheses(demo_hypotheses))
+    a.optimal_coverage(cov)
+    with pytest.raises(ValueError, match="prior sums to 0.5, not 1"):
+        cov.with_prior((0.25, 0.25, 0.0))
+    with pytest.raises(ValueError, match="prior length does not match"):
+        cov.with_prior((1.0,))
+    with pytest.raises(ValueError, match="utility table has 1 subsets"):
+        cov.with_utility({(): (1.0, 1.0, 1.0)})
+    for copy_ in (cov.with_prior(cov.prior), cov.with_utility(cov.utility)):
+        assert copy_ == cov and vars(copy_).keys() == {
+            f.name for f in dataclasses.fields(cov)}
+    assert cov.with_utility(None).utility is None

@@ -210,6 +210,17 @@ def test_gamma_refuses_non_int_arguments_and_no_samples(thm5, kwargs):
         a.gamma(thm5[0], **kwargs)
 
 
+@pytest.mark.parametrize("budget", [None, "9", True, 2.5, -1])
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_gamma_refuses_a_bad_enum_budget_cached_or_not(thm5, mode, budget):
+    instance, _chain = thm5
+    with pytest.raises(ValueError, match="enum_budget must be"):
+        a.gamma(instance, 1, 2, mode, enum_budget=budget)
+    a.gamma(instance, 1, 2, mode)
+    with pytest.raises(ValueError, match="enum_budget must be"):
+        a.gamma(instance, 1, 2, mode, enum_budget=budget)
+
+
 def test_covering_params_of_coverage_utility(demo_hypotheses):
     bare, cov_plain, cov_mod = coverage_demo(demo_hypotheses)
     q, eta = a.covering_params(cov_plain)

@@ -75,6 +75,36 @@ def test_optimal_budget_refuses_a_non_int_k(k):
         a.optimal_budget(instance, k)
 
 
+#: enum_budget values that are not ints >= 0: before the check, None and
+#: "9" raised an untyped TypeError, True ran as 1 and 2.5 and -1 ran.
+BAD_BUDGETS = [None, "9", True, 2.5, -1]
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS)
+def test_optimal_budget_refuses_a_bad_enum_budget(budget):
+    instance = corpus_instance(2, num_elements=3)
+    with pytest.raises(ValueError, match="enum_budget must be"):
+        a.optimal_budget(instance, 2, enum_budget=budget)
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS)
+def test_optimal_coverage_refuses_a_bad_enum_budget_cached_or_not(
+        two_feature_hypotheses, budget):
+    _, cov_plain, _ = coverage_demo(two_feature_hypotheses)
+    with pytest.raises(ValueError, match="enum_budget must be"):
+        a.optimal_coverage(cov_plain, enum_budget=budget)
+    a.optimal_coverage(cov_plain)
+    with pytest.raises(ValueError, match="enum_budget must be"):
+        a.optimal_coverage(cov_plain, enum_budget=budget)
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS)
+def test_enumerate_policies_refuses_a_bad_enum_budget(budget):
+    instance = corpus_instance(2, num_elements=3)
+    with pytest.raises(ValueError, match="enum_budget must be"):
+        a.enumerate_policies(instance, 2, enum_budget=budget)
+
+
 def test_enumerate_policies_budget_refusal():
     instance = corpus_instance(0, num_elements=4)
     with pytest.raises(a.EnumerationBudgetExceeded):

@@ -127,7 +127,7 @@ def test_verify_frees_the_instance_for_every_bound(bound_id):
 @pytest.fixture
 def cli_files(tmp_path):
     paths = {name: str(tmp_path / f"{name}.json")
-             for name in ("random", "t5", "t5p", "hypotheses", "out",
+             for name in ("random", "t5", "t5p", "hypotheses", "coverage", "out",
                           "policy-out", "truncated")}
     fileio.save_instance(paths["random"], a.gen_random(3, 2, 1))
     instance, chain = a.gen_theorem5(3, 0.5)
@@ -136,6 +136,12 @@ def cli_files(tmp_path):
     fileio.save(paths["hypotheses"], fileio.hypotheses_to_dict(a.HypothesisClass(
         examples=("x1", "x2"), labels=(("0", "0"), ("0", "1"), ("1", "1")),
         prior=(0.5, 0.3, 0.2))))
+    coverage = fileio.instance_to_dict(a.instance_from_hypotheses(a.HypothesisClass(
+        examples=("x1", "x2", "x3"),
+        labels=(("0", "0", "1"), ("0", "1", "0"), ("1", "1", "0"), ("1", "0", "1")),
+        prior=(0.4, 0.3, 0.2, 0.1))))
+    coverage["utility"] = {"kind": "builtin", "name": "coverage"}
+    fileio.save(paths["coverage"], coverage)
     with open(paths["truncated"], "w", encoding="utf-8") as handle:
         handle.write('{"kind": "instance"')
     return paths
@@ -165,6 +171,10 @@ REQUESTS = {
                        "--instance", "{t5}", "--out", "{out}"],
     "active-learning": ["active-learning", "--hypotheses", "{hypotheses}",
                         "--out", "{out}"],
+    "solve-coverage-builtin": ["solve", "--objective", "coverage",
+                               "--instance", "{coverage}", "--out", "{out}"],
+    "verify-lemma3-eq4-builtin": ["verify", "--instance", "{coverage}",
+                                  "--bounds", "lemma3,eq4", "--policy", "greedy"],
 }
 
 #: Requests that end in a typed error, with a piece of the message it gives.
