@@ -26,6 +26,7 @@ from .core import (
     check_adaptive_monotone,
     check_adaptive_submodular,
     f_avg,
+    require_tol,
 )
 from .errors import PreconditionFailed
 from .learn import coverage_instance, gbs_policy, modified_prior
@@ -137,6 +138,7 @@ def verify(
     ``tol`` sets the ``holds`` slack and the tolerance of the precondition
     checks; every threshold cut, and so alpha and beta, is taken at ``TOL``.
     """
+    require_tol(tol)
     bound_id = bound_id.lower()
     if bound_id not in _HANDLERS:
         raise ValueError(f"unknown bound id {bound_id!r}")
@@ -160,7 +162,7 @@ TRUNCATION_COST_TOL = 1e-6
 def _truncated(instance, policy, l):
     """pi_l, built at ``TOL``: the tolerance that f_avg and c_avg cut at."""
     _require(policy is not None, "a base policy is required")
-    _require(l is not None and l == int(l) and l >= 1,
+    _require(l is not None and not isinstance(l, bool) and l == int(l) and l >= 1,
              "an integer budget l >= 1 is required")
     tau, rho, sub = find_threshold_pair(instance, policy, int(l))
     # Round-trip check: the truncation really has average cost l.

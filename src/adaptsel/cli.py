@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import math
 import sys
 from typing import Optional
 
@@ -34,7 +33,7 @@ import click
 
 from . import bounds as bounds_mod
 from . import fileio, gen, learn, metrics, oracle
-from .core import TOL, Instance, c_avg, f_avg
+from .core import TOL, Instance, c_avg, f_avg, require_tol
 from .errors import AdaptselError, EnumerationBudgetExceeded, InvalidParams
 from .policy import Policy, build_greedy, policy_height
 
@@ -63,8 +62,10 @@ def _echo_json(data) -> None:
 
 
 def _tolerance(ctx, param, value: float) -> float:
-    if not 0.0 <= value < math.inf:
-        raise click.BadParameter(f"must be a finite number >= 0, got {value}")
+    try:
+        require_tol(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
     return value
 
 

@@ -66,11 +66,31 @@ def require_int(**values: object) -> None:
             raise ValueError(f"{name} must be an int, got {value!r}")
 
 
-def require_budget(enum_budget: object) -> None:
-    """Raise ValueError unless ``enum_budget`` is an int >= 0."""
-    require_int(enum_budget=enum_budget)
-    if enum_budget < 0:
-        raise ValueError(f"enum_budget must be >= 0, got {enum_budget}")
+def require_count(**values: object) -> None:
+    """Raise ValueError for the first of ``values`` that is not an int >= 0."""
+    require_int(**values)
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def require_tol(tol: object) -> None:
+    """Raise ValueError unless ``tol`` is a finite real >= 0, not a bool."""
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float))
+                                     and 0.0 <= tol < math.inf):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+def check_prior(prior: tuple[float, ...], count: int) -> None:
+    """Raise ValueError unless ``prior`` is ``count`` probabilities, to ``TOL``."""
+    if len(prior) != count:
+        raise ValueError("prior length does not match realization list")
+    if not all(map(math.isfinite, prior)):
+        raise ValueError("non-finite prior probability")
+    if min(prior, default=0.0) < -TOL:
+        raise ValueError("negative prior probability")
+    if abs(sum(prior) - 1.0) > TOL:
+        raise ValueError(f"prior sums to {sum(prior)}, not 1")
 
 
 def subset_key(indices: Iterable[int]) -> tuple[int, ...]:
@@ -176,14 +196,7 @@ class Instance:
             self._check_utility(self.utility)
 
     def _check_prior(self, prior: tuple[float, ...]) -> None:
-        if len(prior) != len(self.realizations):
-            raise ValueError("prior length does not match realization list")
-        if not all(map(math.isfinite, prior)):
-            raise ValueError("non-finite prior probability")
-        if min(prior, default=0.0) < -TOL:
-            raise ValueError("negative prior probability")
-        if abs(sum(prior) - 1.0) > TOL:
-            raise ValueError(f"prior sums to {sum(prior)}, not 1")
+        check_prior(prior, len(self.realizations))
 
     def _check_utility(self, table: UtilityTable) -> None:
         m = len(self.realizations)
@@ -235,8 +248,7 @@ class Instance:
 
     def with_prior(self, prior: Iterable[float]) -> "Instance":
         """This instance under ``prior``; only the prior is checked."""
-        prior = tuple(prior)
-        self._check_prior(prior)
+        self._check_prior(prior := tuple(prior))
         return self._replaced(prior=prior)
 
     def _replaced(self, **changes) -> "Instance":
@@ -437,6 +449,9 @@ def _key(instance: Instance, pairs: tuple[tuple[int, int], ...]) -> tuple[int, i
     bits = state_bitsets(instance)
     support = _positive(instance)
     for e, y in pairs:
+        if not (type(e) is type(y) is int and 0 <= e < len(bits)
+                and 0 <= y < len(bits[e])):
+            raise ValueError(f"psi observes an unknown element or state: {(e, y)}")
         support &= bits[e][y]
     return _mask(e for e, _ in pairs), support
 
@@ -524,10 +539,11 @@ def positive_partial_realizations(
 
     Enumerates, for every subset of elements up to ``max_size``, the
     observation patterns realized by at least one positive-probability
-    realization.  ``max_size`` is None or an int >= 0, checked by
-    :func:`_require_size` when iteration starts.
+    realization.  ``max_size`` is None or a count (:func:`require_count`),
+    checked when iteration starts.
     """
-    _require_size(max_size)
+    if max_size is not None:
+        require_count(max_size=max_size)
     n = instance.num_elements
     limit = n if max_size is None else min(max_size, n)
     positive = [
@@ -538,15 +554,6 @@ def positive_partial_realizations(
             patterns = {tuple(phi[e] for e in dom) for phi in positive}
             for pattern in sorted(patterns):
                 yield PartialRealization(tuple(zip(dom, pattern)))
-
-
-def _require_size(max_size: Optional[int]) -> None:
-    """Raise ValueError unless ``max_size`` is None or an int >= 0; a bool
-    is not an int."""
-    if max_size is not None:
-        require_int(max_size=max_size)
-        if max_size < 0:
-            raise ValueError(f"max_size must be non-negative, got {max_size}")
 
 
 def conditioned_states(
@@ -561,9 +568,10 @@ def conditioned_states(
     keeps every layer in that order.  Unlike :meth:`PathState.split`, parents
     share their domain's gain rows and keep no ``after`` (BENCH_12.json).
     The adaptive checks walk every layer; ``gamma`` roots its trees at the
-    states of at most n observations.  ``max_size`` is None or an int >= 0,
-    checked by :func:`_require_size` when iteration starts."""
-    _require_size(max_size)
+    states of at most n observations.  ``max_size`` is None or a count
+    (:func:`require_count`), checked when iteration starts."""
+    if max_size is not None:
+        require_count(max_size=max_size)
     bits = state_bitsets(instance)
     layer = [path_state(instance, EMPTY)]
     while layer:
@@ -604,6 +612,7 @@ def check_adaptive_monotone(instance: Instance, tol: float = TOL) -> CheckResult
     The witness is the first negative gain in
     :func:`positive_partial_realizations` order, then element order.
     """
+    require_tol(tol)
     for at in conditioned_states(instance):
         for v, gain in at.gains.items():
             if gain < -tol:
@@ -627,6 +636,7 @@ def check_adaptive_submodular(instance: Instance, tol: float = TOL) -> CheckResu
     subset psi and element in (size, ``itertools.combinations``, element)
     order.
     """
+    require_tol(tol)
     seen: dict = {}  # the sorted pairs of each psi so far -> (gains, M(psi, .))
     for at in conditioned_states(instance):
         pairs = at.pairs

@@ -13,12 +13,11 @@ the coverage utility built on the modified prior.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
 
-from .core import CoverageTable, Instance, TOL, members
+from .core import CoverageTable, Instance, check_prior, members
 from .errors import DuplicateHypothesis
 from .policy import Node, build_greedy
 
@@ -38,12 +37,7 @@ class HypothesisClass:
                 raise ValueError("label row length does not match examples")
         if len(set(self.labels)) != len(self.labels):
             raise DuplicateHypothesis("two hypotheses assign identical labels")
-        if len(self.prior) != len(self.labels):
-            raise ValueError("prior length does not match hypotheses")
-        if not all(math.isfinite(p) for p in self.prior):
-            raise ValueError("non-finite prior probability")
-        if abs(sum(self.prior) - 1.0) > TOL:
-            raise ValueError(f"prior sums to {sum(self.prior)}, not 1")
+        check_prior(self.prior, len(self.labels))
 
 
 def instance_from_hypotheses(hc: HypothesisClass) -> Instance:

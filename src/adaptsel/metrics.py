@@ -24,10 +24,12 @@ from .core import (
     Instance,
     PartialRealization,
     c_avg,
+    check_prior,
     conditioned_states,
     f_avg,
-    require_budget,
+    require_count,
     require_int,
+    require_tol,
     utility_rows,
 )
 from .errors import BudgetExceedsCost, EnumerationBudgetExceeded
@@ -125,9 +127,10 @@ def frontier_gains(instance: Instance, policy: Policy, i: int) -> FrontierGains:
     """delta_u / delta_l of pi_i over both coin outcomes and all
     positive-mass branches, with witnesses: :func:`budget_frontier` on the
     base tree's threshold ladder."""
+    require_count(i=i)
     if i < 1:
         raise BudgetExceedsCost(f"frontier gains need a budget >= 1, got {i}")
-    return budget_frontier(instance, budget_ladder(instance, policy, i), int(i))
+    return budget_frontier(instance, budget_ladder(instance, policy, i), i)
 
 
 @dataclass(frozen=True)
@@ -296,7 +299,7 @@ def gamma(
     gate is checked on every call, cached or not.
     """
     require_int(n=n, k=k)
-    require_budget(enum_budget)
+    require_count(enum_budget=enum_budget)
     if n < 1 or k < 1:
         raise ValueError("gamma requires n, k >= 1")
     if mode not in ("exact", "sampled"):
@@ -394,7 +397,10 @@ def covering_params(
     gap).  ``prior`` overrides the instance prior for deciding which
     realizations count.
     """
+    require_tol(tol)
     weights = instance.prior if prior is None else tuple(prior)
+    if prior is not None:
+        check_prior(weights, instance.num_realizations)
     values = sorted({row[i] for row in utility_rows(instance)
                      for i, p in enumerate(weights) if p > 0.0}, reverse=True)
     q = values[0]

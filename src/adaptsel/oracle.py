@@ -35,8 +35,9 @@ from .core import (
     Instance,
     PartialRealization,
     members,
-    require_budget,
+    require_count,
     require_int,
+    require_tol,
     state_bitsets,
     utility_rows,
 )
@@ -66,8 +67,7 @@ def enumerate_policies(
     """Every deterministic tree of height <= ``height`` over the elements
     outside dom(psi), including all early-terminating shapes.  ``height``
     must be an int and ``enum_budget`` an int >= 0."""
-    require_int(height=height)
-    require_budget(enum_budget)
+    require_count(enum_budget=enum_budget)
     available = tuple(v for v in range(instance.num_elements) if v not in psi)
     total = count_policies(len(available), height, instance.num_states)
     if total > enum_budget:
@@ -116,7 +116,7 @@ def _check_memo_keys(instance: Instance, k: int, enum_budget: int) -> None:
     observations may exceed ``enum_budget``: there are at most sum over
     j <= k of C(|V|, j) * min(|Y|^j, m+), m+ the positive-prior realizations.
     ``enum_budget`` must be an int >= 0."""
-    require_budget(enum_budget)
+    require_count(enum_budget=enum_budget)
     positive = sum(1 for p in instance.prior if p > 0.0)
     n, num_states = instance.num_elements, instance.num_states
     bound = sum(math.comb(n, j) * min(num_states**j, positive) for j in range(k + 1))
@@ -133,8 +133,8 @@ def optimal_budget(
 ) -> tuple[Node, float]:
     """The exact best expected utility over policies of height <= k, via a
     DP over (observed elements, support) bitsets; the remaining budget is k
-    minus the observed count.  ``k`` must be an int.  ``enum_budget`` bounds
-    the states, not the paths to them.
+    minus the observed count.  ``k`` must be an int >= 0.  ``enum_budget``
+    bounds the states, not the paths to them.
 
     The DP runs bottom-up over the observed-element masks d with |d| <= k.
     A depth-first pass finds each d's supports, one per positive
@@ -150,9 +150,7 @@ def optimal_budget(
     the smallest element, but rounding decides mathematical ties, so that
     summation order is a contract.
     """
-    require_int(k=k)
-    if k < 0:
-        raise ValueError("budget must be non-negative")
+    require_count(k=k)
     n = instance.num_elements
     k = min(k, n)
     rows = utility_rows(instance)
@@ -263,8 +261,7 @@ def optimal_coverage(
     """
     if q is not None and not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    require_tol(tol)
     rows = utility_rows(instance)
     prior = instance.prior
     positive = [i for i, p in enumerate(prior) if p > 0.0]

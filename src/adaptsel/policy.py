@@ -31,6 +31,7 @@ from .core import (
     PathState,
     c_avg,
     path_root,
+    require_count,
 )
 from .errors import BudgetExceedsCost, MalformedPolicy
 
@@ -438,10 +439,9 @@ def threshold_ladder(instance: Instance, base: Node) -> ThresholdLadder:
 
 def budget_ladder(instance: Instance, policy: Policy, i: int) -> ThresholdLadder:
     """The :func:`threshold_ladder` of ``policy``'s base tree, once budget
-    ``i`` is checked to be a non-negative integer within the policy's
-    average cost."""
-    if i != int(i) or i < 0:
-        raise ValueError(f"budget must be a non-negative integer, got {i!r}")
+    ``i`` is checked to be a count (:func:`~adaptsel.core.require_count`)
+    within the policy's average cost."""
+    require_count(i=i)
     base = base_tree(policy)
     validate_policy(instance, base)
     total_cost = c_avg(instance, policy)
@@ -461,5 +461,5 @@ def find_threshold_pair(
     :func:`threshold_ladder`.  Any other valid pair induces the same
     policy, which the test suite checks directly on run traces.
     """
-    tau, rho = budget_ladder(instance, policy, i).pair(int(i))
+    tau, rho = budget_ladder(instance, policy, i).pair(i)
     return tau, rho, ThresholdSubPolicy(base_tree(policy), tau, rho)

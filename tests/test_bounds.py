@@ -237,6 +237,25 @@ def test_unknown_bound_id_rejected(thm5):
         a.verify(instance, "thm3", policy=chain)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3, True],
+                         ids=["nan", "inf", "negative", "true"])
+@pytest.mark.parametrize("bound_id", ["thm1", "eq2", "lemma2"])
+def test_verify_refuses_a_bad_tolerance(thm5, bound_id, tol):
+    """A NaN tolerance once made ``holds`` false and every tolerance-gated
+    precondition pass or fail at random."""
+    instance, chain = thm5
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        a.verify(instance, bound_id, policy=chain, opt_policy=chain, l=2, tol=tol)
+
+
+@pytest.mark.parametrize("l", [True, 0, 1.5, None])
+def test_a_truncation_budget_l_must_be_an_int_of_at_least_1(thm5, l):
+    """``True`` once ran as budget 1."""
+    instance, chain = thm5
+    with pytest.raises(a.PreconditionFailed, match="an integer budget l >= 1"):
+        a.verify(instance, "thm1", policy=chain, opt_policy=chain, l=l)
+
+
 def test_slack_orientation_matches_direction(thm5, demo_hypotheses):
     instance, chain = thm5
     opt, _ = a.optimal_budget(instance, 2)

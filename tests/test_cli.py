@@ -126,6 +126,22 @@ def test_a_policy_that_reselects_an_element_is_refused_on_load(tmp_path, command
     assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("command", [["active-learning"],
+                                     ["verify", "--bounds", "eq5"]],
+                         ids=["active-learning", "verify-eq5"])
+def test_a_negative_hypotheses_prior_exits_1_without_a_traceback(tmp_path, command):
+    """Once an untyped ``ValueError`` from ``Instance``, past the file's
+    ``ParseError`` wrapping."""
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"examples": ["x1"], "labels": [["0"], ["1"]],
+                                "prior": [1.5, -0.5]}))
+    result = CliRunner().invoke(main, command + ["--hypotheses", str(path)])
+    assert result.exit_code == 1, result.output
+    assert "hypotheses: negative prior probability" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_a_realization_row_naming_no_state_exits_1_without_a_traceback(tmp_path):
     path = tmp_path / "r.json"
     data = fileio.instance_to_dict(a.gen_random(2, 2, 0))
@@ -379,7 +395,7 @@ def _usage_error(args, option):
 
 
 def test_tolerance_must_be_finite_and_non_negative():
-    for value in ("nan", "inf", "-1"):
+    for value in ("nan", "inf", "-1", "-1e-3"):
         _usage_error(["--tolerance", value, "verify", "--bounds", "lemma2",
                       "--corpus", "0..1"], "--tolerance")
     assert invoke(["--tolerance", "0", "verify", "--bounds", "lemma2",

@@ -67,6 +67,35 @@ def test_version_space_empty_raises():
         a.version_space(instance, a.PartialRealization(((0, 1),)))
 
 
+@pytest.mark.parametrize("pair", [(99, 0), (-1, 0), (3, 0), (0, 2), (0, -1),
+                                  (True, 0), (0, 1.0)],
+                         ids=["element-99", "element-negative", "element-3",
+                              "state-2", "state-negative", "element-bool",
+                              "state-float"])
+@pytest.mark.parametrize("condition", [a.version_space, a.core.path_state],
+                         ids=["version_space", "path_state"])
+def test_a_psi_naming_no_element_or_state_is_refused(condition, pair):
+    """Once an ``IndexError``, a "negative shift count", or a support read
+    off the wrong element or state by Python's negative indexing."""
+    instance = a.gen_random(3, 2, 1)
+    with pytest.raises(ValueError, match="psi observes an unknown element or state"):
+        condition(instance, a.PartialRealization(((2, 0), pair)))
+
+
+BAD_TOLS = [float("nan"), float("inf"), -1e-3, True]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS, ids=["nan", "inf", "negative", "true"])
+@pytest.mark.parametrize("check", [a.check_adaptive_monotone,
+                                   a.check_adaptive_submodular],
+                         ids=["monotone", "submodular"])
+def test_adaptive_checks_refuse_a_bad_tolerance(check, tol):
+    """A NaN tolerance once made every comparison false, so a non-monotone
+    instance passed."""
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        check(a.gen_random(3, 2, 0, monotone=False), tol=tol)
+
+
 def test_split_matches_conditioning_from_scratch(thm4, thm5):
     """Each part of core.split equals the version space of the extended
     observation, and each mass the outcome probability taken from the raw

@@ -214,6 +214,7 @@ def test_non_finite_numbers_rejected(tmp_path):
                   "prior": [0.5, 0.5]}
     for field, bad, message in (
         ("prior", [float("nan"), 1.0], "non-finite prior"),
+        ("prior", [1.5, -0.5], "hypotheses: negative prior"),
         ("prior", ["0.5", 0.5], "hypotheses: prior entry: '0.5'"),
         ("prior", [True, False], "hypotheses: prior entry: True"),
         ("labels", ["0", "1"], "hypotheses: label row '0'"),

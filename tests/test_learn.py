@@ -148,6 +148,19 @@ def test_duplicate_hypotheses_rejected():
         )
 
 
+@pytest.mark.parametrize("prior, message", [
+    ((1.5, -0.5), "negative prior probability"),
+    ((float("nan"), 1.0), "non-finite prior probability"),
+    ((1.0,), "prior length does not match"),
+    ((0.5, 0.25), "prior sums to 0.75, not 1"),
+], ids=["negative", "nan", "short", "sum"])
+def test_hypothesis_class_refuses_a_bad_prior(prior, message):
+    """The prior passes the rule an instance's prior passes; a negative
+    entry was once let through to fail inside ``Instance``."""
+    with pytest.raises(ValueError, match=message):
+        a.HypothesisClass(("x1",), (("0",), ("1",)), prior)
+
+
 def test_gbs_demo_root_and_cost(demo_hypotheses):
     _, cov_plain, cov_mod = coverage_demo(demo_hypotheses)
     gbs = a.gbs_policy(cov_mod)

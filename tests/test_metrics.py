@@ -183,11 +183,17 @@ def test_gamma_budget_refusal_and_sampled_upper_bound():
     (lambda inst, chain: a.gamma(inst, n=1, k=1, mode="bogus"), ValueError),
     (lambda inst, chain: a.frontier_gains(inst, chain, 0), a.BudgetExceedsCost),
     (lambda inst, chain: a.find_threshold_pair(inst, chain, 1.5), ValueError),
+    (lambda inst, chain: a.find_threshold_pair(inst, chain, True), ValueError),
+    (lambda inst, chain: a.find_threshold_pair(inst, chain, 2.0), ValueError),
+    (lambda inst, chain: a.frontier_gains(inst, chain, True), ValueError),
+    (lambda inst, chain: a.frontier_gains(inst, chain, 2.0), ValueError),
     (lambda inst, chain: a.policy.threshold_ladder(inst, chain).pair(4),
      a.BudgetExceedsCost),
     (lambda inst, chain: a.run(inst, chain, inst.num_realizations), ValueError),
 ], ids=["optimal_budget-k", "gamma-n", "gamma-mode", "frontier_gains-i",
-        "find_threshold_pair-i", "ladder-pair", "run-phi"])
+        "find_threshold_pair-i", "find_threshold_pair-bool",
+        "find_threshold_pair-float", "frontier_gains-bool", "frontier_gains-float",
+        "ladder-pair", "run-phi"])
 def test_arguments_outside_their_range_are_refused(thm5, call, error):
     """The theorem-5 chain on 3 elements costs 3 on every realization."""
     instance, chain = thm5
@@ -231,6 +237,26 @@ def test_covering_params_of_coverage_utility(demo_hypotheses):
     q2, eta2 = a.covering_params(cov_mod, prior=p_mod)
     assert abs(q2 - 1.0) <= TOL
     assert eta2 >= 1.0 / (2 * m * m) - TOL
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3, True],
+                         ids=["nan", "inf", "negative", "true"])
+def test_covering_params_refuses_a_bad_tolerance(tol):
+    """A NaN tolerance once read eta = Q."""
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        a.covering_params(a.gen_random(3, 2, 1), tol=tol)
+
+
+@pytest.mark.parametrize("prior, message", [
+    ([math.nan] * 8, "non-finite prior"),
+    ([0.25] * 4, "prior length does not match"),
+    ([0.5, -0.25] + [0.125] * 6, "negative prior"),
+    ([0.1] * 8, "prior sums to"),
+], ids=["nan", "short", "negative", "sum"])
+def test_covering_params_refuses_a_bad_prior_override(prior, message):
+    """A NaN prior once ended in an ``IndexError``: no realization counted."""
+    with pytest.raises(ValueError, match=message):
+        a.covering_params(a.gen_random(3, 2, 1), prior=prior)
 
 
 def test_covering_params_constant_utility():

@@ -128,7 +128,7 @@ def test_verify_frees_the_instance_for_every_bound(bound_id):
 def cli_files(tmp_path):
     paths = {name: str(tmp_path / f"{name}.json")
              for name in ("random", "t5", "t5p", "hypotheses", "coverage", "out",
-                          "policy-out", "truncated")}
+                          "policy-out", "truncated", "negative-prior")}
     fileio.save_instance(paths["random"], a.gen_random(3, 2, 1))
     instance, chain = a.gen_theorem5(3, 0.5)
     fileio.save_instance(paths["t5"], instance)
@@ -142,6 +142,8 @@ def cli_files(tmp_path):
         prior=(0.4, 0.3, 0.2, 0.1))))
     coverage["utility"] = {"kind": "builtin", "name": "coverage"}
     fileio.save(paths["coverage"], coverage)
+    fileio.save(paths["negative-prior"], {"examples": ["x1"], "labels": [["0"], ["1"]],
+                                          "prior": [1.5, -0.5]})
     with open(paths["truncated"], "w", encoding="utf-8") as handle:
         handle.write('{"kind": "instance"')
     return paths
@@ -188,6 +190,8 @@ ERRORS = {
     "coverage-unreachable": (["solve", "--objective", "coverage",
                               "--instance", "{random}"],
                              "with every element selected"),
+    "negative-prior": (["active-learning", "--hypotheses", "{negative-prior}"],
+                       "hypotheses: negative prior probability"),
 }
 
 
