@@ -20,20 +20,26 @@ oracles' DPs price each such support from prior masses alone.
 A :class:`PathState` (a psi, its conditional prior and gains) is keyed by
 (observed-element mask, support bitset); utilities are read through the
 per-instance rows of :func:`utility_rows`.  Tree walkers condition each ordered
-path once per instance (:func:`path_root`).  :func:`conditioned_states` builds
-each positive-mass psi once, layer by layer, up to a size: both adaptive checks
-walk every layer, and ``gamma`` roots its trees at the states of at most n
-observations, splitting each state below them once per call.  A split
-renormalizes only the parts its table does not already hold.  Caches hold only
-deterministic values, so concurrent use of an instance is safe.
+path once per instance (:func:`path_root`).  The conditioning pass
+(:func:`_domains`) conditions every positive-mass psi once, up to a size, one
+domain (set of observed elements) at a time: each domain's states are vectors
+over the positive realizations, and its gains one list per unobserved element,
+built with C-level ``map`` passes and equal bit for bit to :func:`split` and
+:func:`gains`.  Both adaptive checks read it; :func:`conditioned_states` yields
+its states as :class:`PathState` objects, from which ``gamma`` roots its trees,
+splitting each state below them once per call.  A split renormalizes only the
+parts its table does not already hold.  Caches hold only deterministic values,
+so concurrent use of an instance is safe.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from operator import add, itemgetter, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Optional
 
 from .errors import EmptyVersionSpace, MalformedPolicy
@@ -74,18 +80,41 @@ def require_count(**values: object) -> None:
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def _finite(value: object) -> bool:
+    """Whether ``value`` is an int or float within the float range; a bool
+    is not one, and NaN and the infinities are not within it."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max)
+
+
+def require_finite(**values: object) -> None:
+    """Raise ValueError for the first of ``values`` that is not a finite
+    real (:func:`_finite`)."""
+    for name, value in values.items():
+        if not _finite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def require_tol(tol: object) -> None:
     """Raise ValueError unless ``tol`` is a finite real >= 0, not a bool."""
-    if isinstance(tol, bool) or not (isinstance(tol, (int, float))
-                                     and 0.0 <= tol < math.inf):
+    if not (_finite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def check_prior(prior: tuple[float, ...], count: int) -> None:
-    """Raise ValueError unless ``prior`` is ``count`` probabilities, to ``TOL``."""
+    """Raise ValueError unless ``prior`` is ``count`` probabilities, to
+    ``TOL``: ints or floats, not bools."""
     if len(prior) != count:
         raise ValueError("prior length does not match realization list")
-    if not all(map(math.isfinite, prior)):
+    if not set(map(type, prior)) <= {float, int}:
+        for i, p in enumerate(prior):
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise ValueError(f"prior entry {i} is not a number: {p!r}")
+    try:
+        finite = all(map(math.isfinite, prior))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValueError("non-finite prior probability")
     if min(prior, default=0.0) < -TOL:
         raise ValueError("negative prior probability")
@@ -556,40 +585,172 @@ def positive_partial_realizations(
                 yield PartialRealization(tuple(zip(dom, pattern)))
 
 
+@dataclass(eq=False, slots=True)
+class _Domain:
+    """The states of one domain (a set of observed elements) as vectors over
+    the positive realizations, each indexed by its position p in
+    ``positive`` (ascending realization index).
+
+    States are numbered in pattern order.  ``where[p]`` is the state of
+    realization p, ``weights[p]`` its weight in that state's conditional
+    prior, ``order`` the positions grouped by state and ascending within
+    one, ``slices[s]`` state s's run of ``order``, and ``gains[u][s]`` is
+    Delta(u | state s) for every unobserved element u, in element order.
+    ``columns[e][p]`` is the state realization p has at element e."""
+
+    elements: tuple[int, ...]
+    mask: int
+    positive: tuple[int, ...]
+    columns: list[tuple[int, ...]]
+    where: list[int]
+    weights: list[float]
+    order: list[int]
+    slices: list[slice]
+    firsts: list[int]
+    gains: dict[int, list[float]]
+
+    def pairs(self, s: int) -> tuple[tuple[int, int], ...]:
+        """The observations of state s, in element order."""
+        p = self.firsts[s]
+        return tuple([(e, self.columns[e][p]) for e in self.elements])
+
+    def path_states(self) -> list[PathState]:
+        """Each state as a :class:`PathState`, in pattern order."""
+        runs, order, repeat = self.slices, self.order, itertools.repeat
+        support = list(map(self.positive.__getitem__, order))
+        weights = list(map(self.weights.__getitem__, order))
+        bits = list(map((1).__lshift__, support))
+        pairs = zip(*[zip(repeat(e), map(self.columns[e].__getitem__, self.firsts))
+                      for e in self.elements]) if self.elements else [()]
+        gains = map(dict, map(zip, repeat(tuple(self.gains)),
+                              zip(*self.gains.values()))
+                    if self.gains else repeat((), len(runs)))
+        priors = map(ConditionalPrior, map(tuple, map(support.__getitem__, runs)),
+                     map(tuple, map(weights.__getitem__, runs)))
+        return list(map(PathState, pairs, repeat(self.mask),
+                        map(sum, map(bits.__getitem__, runs)), priors, gains))
+
+
+def _domains(instance: Instance, max_size: Optional[int] = None
+             ) -> Iterator[_Domain]:
+    """The conditioning pass: every domain of at most ``max_size`` elements
+    (all if None) as a :class:`_Domain`, by size, then in
+    ``itertools.combinations`` order, each built from its parent, the
+    domain without its largest element, one whole domain at a time.
+
+    The empty domain is :func:`version_space` of the empty psi.  A child
+    D + {v} numbers its states by (parent state, state at v), which is
+    pattern order.  Each state's mass is its members' parent weights summed
+    in index order, and each weight is the parent weight over that mass, as
+    :func:`split` computes them.  Each gain is the sum, over the state's
+    members in index order, of weight x (f(D + u) - f(D)), as
+    :func:`_gains` sums it, so every float equals the row-at-a-time walk's
+    (``tests/reference_walks.py``) bit for bit."""
+    vs = version_space(instance, EMPTY)
+    positive = vs.support
+    m = len(positive)
+    columns = list(zip(*map(instance.realizations.__getitem__, positive)))
+    rows = utility_rows(instance)
+    if m < instance.num_realizations:  # each row by position, as the weights
+        rows = list(map(_reader(positive), rows))
+    n, base = instance.num_elements, instance.num_states
+    root = _Domain((), 0, positive, columns, [0] * m, list(vs.weights),
+                   list(range(m)), [slice(0, m)], [0], {})
+    layer = [_priced(root, rows, n)]
+    while layer:
+        yield from layer
+        if max_size is not None and len(layer[0].elements) >= max_size:
+            return
+        below = []
+        for parent in layer:
+            scaled = list(map(mul, parent.where, itertools.repeat(base)))
+            for v in range(parent.mask.bit_length(), n):
+                child = _child(parent, v, list(map(add, scaled, columns[v])))
+                below.append(_priced(child, rows, n))
+        layer = below
+
+
+def _child(parent: _Domain, v: int, keys: list[int]) -> _Domain:
+    """The domain of ``parent`` plus v, without its gains: ``keys[p]`` is
+    (parent state, state at v) of realization p as one int."""
+    patterns = sorted(set(keys))
+    where = list(map(dict(zip(patterns, itertools.count())).__getitem__, keys))
+    order = sorted(range(len(keys)), key=where.__getitem__)
+    ends = list(map(bisect_right, itertools.repeat(sorted(keys)), patterns))
+    starts = [0, *ends[:-1]]
+    slices = list(map(slice, starts, ends))
+    masses = _masses(parent.weights, order, slices)
+    return _Domain((*parent.elements, v), parent.mask | 1 << v, parent.positive,
+                   parent.columns, where,
+                   list(map(truediv, parent.weights, map(masses.__getitem__, where))),
+                   order, slices, list(map(order.__getitem__, starts)), {})
+
+
+def _masses(weights: list[float], order: list[int], slices: list[slice]
+            ) -> list[float]:
+    """Each state's mass under ``weights`` (by position): its members'
+    weights summed in index order, as :func:`split` sums a part."""
+    grouped = list(map(weights.__getitem__, order))
+    return list(map(sum, map(grouped.__getitem__, slices)))
+
+
+def _priced(domain: _Domain, rows, n: int) -> _Domain:
+    """``domain`` with the gains of its states filled in; ``rows[mask]`` is
+    the utility row of ``mask`` by position."""
+    mask, weights, slices = domain.mask, domain.weights, domain.slices
+    read, before = _reader(domain.order), rows[mask]
+    for u in range(n):
+        if not mask >> u & 1:
+            terms = read(list(map(mul, weights,
+                                  map(sub, rows[mask | 1 << u], before))))
+            domain.gains[u] = list(map(sum, map(terms.__getitem__, slices)))
+    return domain
+
+
+def _reader(indices: list[int]):
+    """A function that reads the entries ``indices`` of a row as a tuple."""
+    if len(indices) == 1:
+        return lambda row: (row[indices[0]],)
+    return itemgetter(*indices)
+
+
 def conditioned_states(
     instance: Instance, max_size: Optional[int] = None
 ) -> Iterator[PathState]:
     """The state of every positive-mass psi with at most ``max_size``
     observations (every psi if None), each built once, in
     :func:`positive_partial_realizations` order (by size, domain, pattern):
-    every psi but the empty one is a :func:`split` part of the state of psi
-    without its largest element.  Splitting each layer's parents domain by
-    domain, then element by element, parent by parent and state by state
-    keeps every layer in that order.  Unlike :meth:`PathState.split`, parents
-    share their domain's gain rows and keep no ``after`` (BENCH_12.json).
-    The adaptive checks walk every layer; ``gamma`` roots its trees at the
-    states of at most n observations.  ``max_size`` is None or a count
-    (:func:`require_count`), checked when iteration starts."""
+    the :class:`PathState` form of the conditioning pass's domains.  Every
+    psi but the empty one is a :func:`split` part of the state of psi
+    without its largest element, with the same floats.
+
+    Each state's ``after`` holds the split on every element e whose
+    extension the walk reaches (none in the layer of ``max_size``), as
+    :meth:`PathState.split` returns it with the walk's states as its table:
+    outcomes in order of first appearance, each mass the state's weights
+    summed over the part in index order, each part the walk's state of psi
+    plus (e, y).  ``gamma`` roots its trees at the states of at most n
+    observations, so it splits only those of n observations and the states
+    below them.  ``max_size`` is None or a count (:func:`require_count`),
+    checked when iteration starts."""
     if max_size is not None:
         require_count(max_size=max_size)
-    bits = state_bitsets(instance)
-    layer = [path_state(instance, EMPTY)]
-    while layer:
-        yield from layer
-        if max_size is not None and len(layer[0].pairs) >= max_size:
-            return
-        below = []
-        for dom, group in itertools.groupby(layer, key=attrgetter("dom")):
-            group = list(group)
-            for v in range(dom.bit_length(), instance.num_elements):
-                child = dom | 1 << v
-                rows = _gain_rows(instance, child)
-                for parent in group:
-                    for y, (_, part) in sorted(split(instance, parent.vs, v).items()):
-                        below.append(PathState(parent.pairs + ((v, y),), child,
-                                               parent.support & bits[v][y], part,
-                                               _gains(rows, part)))
-        layer = below
+    built: dict = {}  # domain mask -> (domain, its states)
+    for domain in _domains(instance, max_size):
+        states = domain.path_states()
+        firsts, order, slices = domain.firsts, domain.order, domain.slices
+        ranked = sorted(range(len(states)), key=firsts.__getitem__)
+        for e in domain.elements:
+            parent, above = built[domain.mask ^ 1 << e]
+            masses = _masses(parent.weights, order, slices)
+            column, parts = domain.columns[e], [{} for _ in above]
+            for s in ranked:
+                p = firsts[s]
+                parts[parent.where[p]][column[p]] = (masses[s], states[s])
+            for state, part in zip(above, parts):
+                state.after.setdefault(e, part)
+        built[domain.mask] = (domain, states)
+        yield from states
 
 
 # -- structural checks ----------------------------------------------------
@@ -609,17 +770,23 @@ class CheckResult:
 def check_adaptive_monotone(instance: Instance, tol: float = TOL) -> CheckResult:
     """True iff every expected marginal gain is non-negative (within tol).
 
-    The witness is the first negative gain in
-    :func:`positive_partial_realizations` order, then element order.
+    Reads the conditioning pass's gains one domain at a time, each as one
+    list per element, by state.  The witness is the first negative gain in
+    :func:`positive_partial_realizations` order, then element order, with
+    the same float as the walk of :class:`PathState` objects gives.
     """
     require_tol(tol)
-    for at in conditioned_states(instance):
-        for v, gain in at.gains.items():
-            if gain < -tol:
-                return CheckResult(False, {
-                    "psi": instance.describe_psi(PartialRealization(at.pairs)),
-                    "element": instance.elements[v], "gain": gain,
-                })
+    floor = -tol
+    for domain in _domains(instance):
+        failing = [next(s for s, gain in enumerate(g) if gain < floor)
+                   for g in domain.gains.values() if min(g) < floor]
+        if failing:
+            s = min(failing)
+            v = next(u for u, g in domain.gains.items() if g[s] < floor)
+            return CheckResult(False, {
+                "psi": instance.describe_psi(PartialRealization(domain.pairs(s))),
+                "element": instance.elements[v], "gain": domain.gains[v][s],
+            })
     return CheckResult(True)
 
 
@@ -629,44 +796,56 @@ def check_adaptive_submodular(instance: Instance, tol: float = TOL) -> CheckResu
     The full quantifier over pairs psi subseteq psi' is checked, not just
     single-step extensions, through the running minimum
     M(psi', v) = min(Delta(v | psi'), min over one-removed psi of M(psi, v)):
-    the least gain of v over every subset of psi'.  psi' fails when the
-    minimum over its proper subsets is below Delta(v | psi') - tol.  The
-    witness is the first failing psi' in
+    the least gain of v over every subset of psi'.  psi' fails when M is
+    below Delta(v | psi') - tol, which only the minimum over its proper
+    subsets can be.  The check reads the conditioning pass one domain at a
+    time and keeps M as one list per element, by state; the one-removed psi
+    of a state of D is the state of D - e that holds the state's first
+    realization.  The witness is the first failing psi' in
     :func:`positive_partial_realizations` order, with the first failing
     subset psi and element in (size, ``itertools.combinations``, element)
-    order.
+    order, its gains read from the pass's lists.
     """
     require_tol(tol)
-    seen: dict = {}  # the sorted pairs of each psi so far -> (gains, M(psi, .))
-    for at in conditioned_states(instance):
-        pairs = at.pairs
-        low = at.gains
-        if pairs:
-            earlier = [seen[pairs[:j] + pairs[j + 1:]][1] for j in range(len(pairs))]
-            low = {}
-            for v, late in at.gains.items():
-                early = min([m[v] for m in earlier])
-                if early < late - tol:
-                    return _submodularity_witness(instance, at, seen, tol)
-                low[v] = min(early, late)
-        seen[pairs] = (at.gains, low)
+    seen: dict = {}  # domain mask -> (domain, M(., v) per element v, by state)
+    for domain in _domains(instance):
+        low = domain.gains
+        if domain.elements:
+            # Per e in D: each state's one-removed state in D - e, and M there.
+            below = [(list(map(smaller.where.__getitem__, domain.firsts)), m)
+                     for smaller, m in (seen[domain.mask ^ 1 << e]
+                                        for e in domain.elements)]
+            low, failing = {}, []
+            for v, late in domain.gains.items():
+                low[v] = least = list(map(min, *[map(m[v].__getitem__, at)
+                                                 for at, m in below], late))
+                if any(map(lt, least, map(sub, late, itertools.repeat(tol)))):
+                    failing.append(next(s for s, (early, gain)
+                                        in enumerate(zip(least, late))
+                                        if early < gain - tol))
+            if failing:
+                return _submodularity_witness(instance, domain, min(failing),
+                                              seen, tol)
+        seen[domain.mask] = (domain, low)
     return CheckResult(True)
 
 
-def _submodularity_witness(instance: Instance, big: PathState, seen: dict,
+def _submodularity_witness(instance: Instance, big: _Domain, s: int, seen: dict,
                            tol: float) -> CheckResult:
-    """The first subset psi of a failing psi' and element whose gain rose
-    by more than tol, in (size, ``itertools.combinations``, element)
-    order."""
-    psi_prime = instance.describe_psi(PartialRealization(big.pairs))
-    for r in range(len(big.pairs)):
-        for sub in itertools.combinations(big.pairs, r):
-            small_gains = seen[sub][0]
+    """The first subset psi of the failing psi', state s of ``big``, and
+    element whose gain rose by more than tol, in (size,
+    ``itertools.combinations``, element) order."""
+    pairs, first = big.pairs(s), big.firsts[s]
+    psi_prime = instance.describe_psi(PartialRealization(pairs))
+    for r in range(len(pairs)):
+        for sub_pairs in itertools.combinations(pairs, r):
+            small = seen[_mask(e for e, _ in sub_pairs)][0]
+            at = small.where[first]
             for v, late in big.gains.items():
-                if small_gains[v] < late - tol:
+                if small.gains[v][at] < late[s] - tol:
                     return CheckResult(False, {
-                        "psi": instance.describe_psi(PartialRealization(sub)),
+                        "psi": instance.describe_psi(PartialRealization(sub_pairs)),
                         "psi_prime": psi_prime, "element": instance.elements[v],
-                        "gain_early": small_gains[v], "gain_late": late,
+                        "gain_early": small.gains[v][at], "gain_late": late[s],
                     })
     raise AssertionError("running minimum found a violation the rescan missed")

@@ -36,6 +36,7 @@ from .core import (
     PartialRealization,
     members,
     require_count,
+    require_finite,
     require_int,
     require_tol,
     state_bitsets,
@@ -259,8 +260,8 @@ def optimal_coverage(
     on the instance for every pass.  The reachability of Q and the
     ``enum_budget`` gate are checked on every call, cached or not.
     """
-    if q is not None and not math.isfinite(q):
-        raise ValueError(f"q must be finite, got {q}")
+    if q is not None:
+        require_finite(q=q)
     require_tol(tol)
     rows = utility_rows(instance)
     prior = instance.prior

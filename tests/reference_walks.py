@@ -25,6 +25,11 @@ running-minimum check must return the same trees and witnesses.
 were conditioned before the layer walk: per psi of
 ``positive_partial_realizations``, one ``core.split`` part of the prior of
 psi without its last pair, found in a table keyed by ``psi.key()``.
+``reference_layer_states`` is that layer walk, state by state, and
+``reference_layer_check_monotone`` and ``reference_layer_check_submodular``
+are the checks that read it one ``PathState`` at a time, the running minimum
+kept in a dict by pairs: the conditioning pass, which works a domain at a
+time, must give their verdicts, witnesses and states bit for bit.
 ``gamma_walk_state`` roots gamma's walk at any psi' conditioned from scratch,
 so a test can score one tree at one psi' without the layer walk.
 
@@ -52,16 +57,21 @@ their per-realization run traces, for the threshold-pair uniqueness tests.
 import dataclasses
 import itertools
 import math
+from operator import attrgetter
 
 import adaptsel as a
 from adaptsel.core import (
     EMPTY,
     CheckResult,
     PartialRealization,
+    PathState,
+    _gain_rows,
+    _gains,
     gains,
     path_state,
     positive_partial_realizations,
     split,
+    state_bitsets,
     subset_key,
     version_space,
 )
@@ -448,6 +458,77 @@ def reference_conditioned_states(instance):
             vs = version_space(instance, psi)
         priors[psi.key()] = vs
         yield psi, vs, gains(instance, psi, vs)
+
+
+def reference_layer_states(instance, max_size=None):
+    """The row-at-a-time layer walk that ``core.conditioned_states`` was
+    before the conditioning pass: each layer's parents split domain by
+    domain, then element by element, parent by parent and state by state,
+    each part a ``PathState`` priced on its domain's shared gain rows."""
+    bits = state_bitsets(instance)
+    layer = [path_state(instance, EMPTY)]
+    while layer:
+        yield from layer
+        if max_size is not None and len(layer[0].pairs) >= max_size:
+            return
+        below = []
+        for dom, group in itertools.groupby(layer, key=attrgetter("dom")):
+            group = list(group)
+            for v in range(dom.bit_length(), instance.num_elements):
+                child = dom | 1 << v
+                rows = _gain_rows(instance, child)
+                for parent in group:
+                    for y, (_, part) in sorted(split(instance, parent.vs, v).items()):
+                        below.append(PathState(parent.pairs + ((v, y),), child,
+                                               parent.support & bits[v][y], part,
+                                               _gains(rows, part)))
+        layer = below
+
+
+def reference_layer_check_monotone(instance, tol=a.TOL):
+    """The monotonicity check state by state over the row-at-a-time walk."""
+    for at in reference_layer_states(instance):
+        for v, gain in at.gains.items():
+            if gain < -tol:
+                return CheckResult(False, {
+                    "psi": instance.describe_psi(PartialRealization(at.pairs)),
+                    "element": instance.elements[v], "gain": gain,
+                })
+    return CheckResult(True)
+
+
+def reference_layer_check_submodular(instance, tol=a.TOL):
+    """The running-minimum submodularity check state by state over the
+    row-at-a-time walk, each state's minimum kept in a dict by its pairs."""
+    seen = {}  # the sorted pairs of each psi so far -> (gains, M(psi, .))
+    for at in reference_layer_states(instance):
+        pairs = at.pairs
+        low = at.gains
+        if pairs:
+            earlier = [seen[pairs[:j] + pairs[j + 1:]][1] for j in range(len(pairs))]
+            low = {}
+            for v, late in at.gains.items():
+                early = min([m[v] for m in earlier])
+                if early < late - tol:
+                    return _reference_submodularity_witness(instance, at, seen, tol)
+                low[v] = min(early, late)
+        seen[pairs] = (at.gains, low)
+    return CheckResult(True)
+
+
+def _reference_submodularity_witness(instance, big, seen, tol):
+    psi_prime = instance.describe_psi(PartialRealization(big.pairs))
+    for r in range(len(big.pairs)):
+        for sub in itertools.combinations(big.pairs, r):
+            small_gains = seen[sub][0]
+            for v, late in big.gains.items():
+                if small_gains[v] < late - tol:
+                    return CheckResult(False, {
+                        "psi": instance.describe_psi(PartialRealization(sub)),
+                        "psi_prime": psi_prime, "element": instance.elements[v],
+                        "gain_early": small_gains[v], "gain_late": late,
+                    })
+    raise AssertionError("running minimum found a violation the rescan missed")
 
 
 def reference_parse_utility(instance, spec):

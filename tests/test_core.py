@@ -239,6 +239,24 @@ def test_instance_validation_rejects_bad_state_indices(bad, message):
                    prior=(0.5, 0.5))
 
 
+@pytest.mark.parametrize("prior, message", [
+    ((None, 1.0), "prior entry 0 is not a number: None"),
+    (("0.5", 0.5), "prior entry 0 is not a number: '0.5'"),
+    ((0.0, True), "prior entry 1 is not a number: True"),
+    ((0.5, float("nan")), "non-finite prior probability"),
+    ((10**400, 1.0), "non-finite prior probability"),
+    ((1.5, -0.5), "negative prior probability"),
+], ids=["none", "str", "bool", "nan", "huge-int", "negative"])
+def test_instance_validation_rejects_a_bad_prior(prior, message):
+    """A prior entry that is not a number once raised an untyped
+    ``TypeError`` from ``math.isfinite``, an int beyond the float range an
+    ``OverflowError``, and a bool ran as 0 or 1."""
+    with pytest.raises(ValueError, match=message):
+        a.Instance(("v",), ("s", "t"), ((0,), (1,)), prior)
+    with pytest.raises(ValueError, match=message):
+        a.gen_random(1, 2, 0).with_prior(prior)
+
+
 def test_instance_validation_rejects_bad_utility():
     base = corpus_instance(0)
     incomplete = dict(base.utility)

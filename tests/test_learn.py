@@ -153,7 +153,9 @@ def test_duplicate_hypotheses_rejected():
     ((float("nan"), 1.0), "non-finite prior probability"),
     ((1.0,), "prior length does not match"),
     ((0.5, 0.25), "prior sums to 0.75, not 1"),
-], ids=["negative", "nan", "short", "sum"])
+    (("0.5", 0.5), "prior entry 0 is not a number: '0.5'"),
+    ((0.0, True), "prior entry 1 is not a number: True"),
+], ids=["negative", "nan", "short", "sum", "str", "bool"])
 def test_hypothesis_class_refuses_a_bad_prior(prior, message):
     """The prior passes the rule an instance's prior passes; a negative
     entry was once let through to fail inside ``Instance``."""

@@ -255,6 +255,7 @@ def test_optimal_coverage_is_exact_where_pruning_is_not():
     ({"q": math.nan}, "q"), ({"q": math.inf}, "q"), ({"q": -math.inf}, "q"),
     ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
     ({"tol": -1.0}, "tol"), ({"tol": -1e-3}, "tol"), ({"tol": True}, "tol"),
+    ({"q": True}, "q"), ({"q": "1.0"}, "q"), ({"q": 10**400}, "q"),
 ])
 def test_optimal_coverage_rejects_non_finite_q_and_bad_tol(
         two_feature_hypotheses, kwargs, name):
