@@ -398,9 +398,11 @@ def _verify_lemma3(instance, policy, opt_policy, l, gamma_mode, enum_budget, tol
     height is at most the number of realizations.  Both are claims about
     identification, where every useful query eliminates a realization; on
     other instances either can fail, and the report then reads false.  On a
-    coverage utility the unpruned side is the support-keyed exact pass,
-    which tries only splitting elements; a differential test ties it to the
-    reference that tries every unobserved element."""
+    coverage utility both sides are one solve, the support-keyed exact pass,
+    so the cost check compares that solve with itself.  What checks the
+    lemma there is the pass's proof (see ``optimal_coverage``) and the
+    differential tests that hold it to the reference passes, pruned and
+    over every unobserved element, and to the state-keyed pruned pass."""
     tree_pruned, cost_pruned = optimal_coverage(
         instance, pruned=True, tol=tol, enum_budget=enum_budget
     )

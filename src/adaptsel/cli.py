@@ -127,6 +127,15 @@ def _guarded(command):
     return guarded
 
 
+def _load_instance(path: str, needs: str = "") -> Instance:
+    """The instance in ``path``.  Given ``needs``, the options that read its
+    utility, a file without a ``"utility"`` is refused with a typed error."""
+    instance = fileio.load_instance(path)
+    if needs and instance.utility is None:
+        raise InvalidParams(f'{path} has no "utility", which {needs} needs')
+    return instance
+
+
 def demo_hypotheses() -> "learn.HypothesisClass":
     """The three-threshold-functions-on-two-points demo class."""
     return learn.HypothesisClass(
@@ -201,7 +210,7 @@ def params(ctx, instance_path, policy_path, greedy, n, k, gamma_mode):
     """Compute alpha, beta, gamma, Q, eta for an instance/policy pair."""
     if greedy and policy_path is not None:
         raise click.UsageError("give --policy or --greedy, not both")
-    instance = fileio.load_instance(instance_path)
+    instance = _load_instance(instance_path, "params")
     policy = (build_greedy(instance) if policy_path is None
               else fileio.load_policy(policy_path, instance))
     report = metrics.param_report(
@@ -263,7 +272,7 @@ def _emit_policy(ctx, instance: Instance, policy: Policy, rows, out) -> None:
 @_guarded
 def solve(ctx, instance_path, objective, k, out):
     """Compute a brute-force optimal policy and print its value or cost."""
-    instance = fileio.load_instance(instance_path)
+    instance = _load_instance(instance_path, f"--objective {objective}")
     if objective == "budget":
         if k is None:
             raise InvalidParams("--k is required for the budget objective")
@@ -368,13 +377,13 @@ def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
             f"--bounds {','.join(covering)} needs every realization to reach "
             f"one maximal utility, which no --corpus instance does: give "
             f"--instance")
+    tabled = ",".join(b for b in bound_ids if b != "eq5")
     if corpus is None and instance_path is None:
         if hypotheses_path is None:
             raise click.UsageError("provide --instance, --corpus, or --hypotheses")
-        tabled = [b for b in bound_ids if b != "eq5"]
         if tabled:
             raise click.UsageError(
-                f"--bounds {','.join(tabled)} needs a utility table: give "
+                f"--bounds {tabled} needs a utility table: give "
                 f"--instance or --corpus (--hypotheses alone serves eq5 only)")
     # Decoded at most once per command, when a bound first needs the policy.
     policy_file = (None if policy_path in (None, "greedy")
@@ -386,7 +395,8 @@ def verify(ctx, bound_spec, instance_path, policy_path, l, gamma_mode,
                 (f"seed={seed}", gen.gen_random(corpus_elements, 2, seed))
             )
     elif instance_path is not None:
-        targets.append((instance_path, fileio.load_instance(instance_path)))
+        targets.append((instance_path, _load_instance(
+            instance_path, tabled and f"--bounds {tabled}")))
     hypo_instance = None
     if hypotheses_path is not None:
         hc = fileio.load_hypotheses(hypotheses_path)

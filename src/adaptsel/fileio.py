@@ -297,9 +297,11 @@ def hypotheses_from_dict(data: dict):
     from .learn import HypothesisClass
 
     examples = _expect(data, "examples", list, "hypotheses")
-    for x in examples:
+    for index, x in enumerate(examples):
         if not isinstance(x, str):
             _fail(f"hypotheses: example {x!r} is not a string")
+        if x in examples[:index]:
+            _fail(f"hypotheses: duplicate example {x!r}")
     labels = _expect(data, "labels", list, "hypotheses")
     for row in labels:
         if not isinstance(row, list) or not all(isinstance(y, str) for y in row):

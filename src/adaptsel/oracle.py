@@ -9,8 +9,8 @@ configured limit rather than hanging.  Each DP prices a state from the
 prior by its key alone, keeps state values only, records the element each
 selecting state picks, and builds the returned tree from those choices once
 the root is priced.  The key is (observed elements, support), except in the
-exact coverage pass on a coverage utility, a function of the support alone,
-which keys by the support (see :func:`optimal_coverage`).
+coverage DP on a coverage utility, a function of the support alone, which
+keys by the support (see :func:`optimal_coverage`).
 
 Nothing here refers to itself: the enumerator recurses through a module-level
 generator, the budget DP is a loop over domains, and the coverage DP drops its
@@ -225,7 +225,8 @@ def optimal_coverage(
     shrink the version space or strictly raise the minimal consistent
     utility: exact for identification, where a query that splits nothing
     changes no coverage utility, but not in general.  Only lemma 3 runs it,
-    against the exact pass.
+    against the exact pass; on a coverage utility the two are one solve
+    (see below).
 
     A DP state is (observed elements, support), both as bitsets; supports
     are conditioned with :func:`~adaptsel.core.state_bitsets`.  A state is
@@ -255,10 +256,15 @@ def optimal_coverage(
     which splits their support, and a single one is covered, as Q is
     reachable.
 
-    Each instance solves each (Q, ``pruned``, ``tol``) once and returns the
-    same ``(tree, cost)`` object on a repeated call; support masses are kept
-    on the instance for every pass.  The reachability of Q and the
-    ``enum_budget`` gate are checked on every call, cached or not.
+    Where the exact pass keys by support, ``pruned=True`` returns its solve:
+    the pruned filter drops exactly the elements that split nothing, which
+    change no coverage utility, and its fallback never fires, as an
+    uncovered support holds two positive realizations.  Elsewhere the pruned
+    pass keys by the state.  Each instance solves each pass once per (Q,
+    ``tol``) and returns the same ``(tree, cost)`` object on a repeated call;
+    support masses are kept on the instance for every pass.  The
+    reachability of Q and the ``enum_budget`` gate are checked on every
+    call, cached or not.
     """
     if q is not None:
         require_finite(q=q)
@@ -277,6 +283,10 @@ def optimal_coverage(
                 f"with every element selected"
             )
     _check_memo_keys(instance, n, enum_budget)
+    table = instance.utility
+    by_support = (isinstance(table, CoverageTable) and table.prior == prior
+                  and min(prior) >= 0.0 and (n + 2) * tol < 1.0)
+    pruned = pruned and not by_support  # there the pruned pass is this one
     cache = instance.__dict__  # not fields: kept out of ==, repr and the JSON
     solved = cache.setdefault("_coverage", {})
     if (q, pruned, tol) in solved:
@@ -285,10 +295,6 @@ def optimal_coverage(
     bits = state_bitsets(instance)
     uncovered = [sum([1 << i for i, value in enumerate(row) if abs(value - q) > tol])
                  for row in rows]
-    table = instance.utility
-    by_support = (not pruned and isinstance(table, CoverageTable)
-                  and table.prior == prior and min(prior) >= 0.0
-                  and (n + 2) * tol < 1.0)
     dom_key = 0 if by_support else -1  # a key is (dom & dom_key, support)
     memo: dict[tuple[int, int], float] = {}
     choice: dict[tuple[int, int], int] = {}

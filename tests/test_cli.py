@@ -142,6 +142,59 @@ def test_a_negative_hypotheses_prior_exits_1_without_a_traceback(tmp_path, comma
     assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("command", [["active-learning"],
+                                     ["verify", "--bounds", "eq5"]],
+                         ids=["active-learning", "verify-eq5"])
+def test_a_duplicate_example_exits_1_without_a_traceback(tmp_path, command):
+    """Once an untyped ``ValueError`` from ``Instance`` ("duplicate element
+    identifiers")."""
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"examples": ["x1", "x1"],
+                                "labels": [["0", "1"], ["1", "0"]],
+                                "prior": [0.5, 0.5]}))
+    result = CliRunner().invoke(main, command + ["--hypotheses", str(path)])
+    assert result.exit_code == 1, result.output
+    assert "hypotheses: duplicate example 'x1'" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def _without_utility(tmp_path):
+    """An identification instance file with no "utility" field."""
+    path = tmp_path / "bare.json"
+    fileio.save_instance(str(path), a.instance_from_hypotheses(a.HypothesisClass(
+        examples=("x1", "x2"), labels=(("0", "0"), ("0", "1"), ("1", "1")),
+        prior=(0.5, 0.3, 0.2))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, needs", [
+    (["solve", "--objective", "budget", "--k", "1"], "--objective budget"),
+    (["solve", "--objective", "coverage"], "--objective coverage"),
+    (["params"], "params"),
+    (["verify", "--bounds", "lemma2", "--l", "1"], "--bounds lemma2"),
+    (["verify", "--bounds", "eq5,lemma3,eq4"], "--bounds lemma3,eq4"),
+], ids=["solve-budget", "solve-coverage", "params", "verify-lemma2",
+        "verify-lemma3-eq4"])
+def test_an_instance_without_a_utility_exits_1_without_a_traceback(
+        tmp_path, command, needs):
+    """Once an untyped ``ValueError`` ("instance has no utility table
+    attached") from the first utility read."""
+    path = _without_utility(tmp_path)
+    result = CliRunner().invoke(main, command + ["--instance", path])
+    assert result.exit_code == 1, result.output
+    assert f'Error: {path} has no "utility", which {needs} needs' in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_eq5_reads_no_utility_from_an_instance(tmp_path):
+    result = invoke(["verify", "--bounds", "eq5", "--instance",
+                     _without_utility(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert " eq5 " in result.output and "holds" in result.output
+
+
 def test_a_realization_row_naming_no_state_exits_1_without_a_traceback(tmp_path):
     path = tmp_path / "r.json"
     data = fileio.instance_to_dict(a.gen_random(2, 2, 0))

@@ -8,7 +8,10 @@ realization, and to the (observed elements, support) pass on a plain-dict
 copy of the same table; and they check which inputs take which keys.
 
 The corpus is fixed: zero-prior realizations, 3-label classes, priors on a
-grid of quarters (exact ties) and a prior below ``TOL``.
+grid of quarters (exact ties) and a prior below ``TOL``.  Where the exact
+pass keys by support, the pruned pass is that same solve; a second fixed
+corpus, the 60 classes of the ``identify`` benchmark pool, holds it to the
+state-keyed and the reference pruned passes.
 """
 
 import itertools
@@ -165,10 +168,67 @@ def test_only_a_coverage_table_under_the_instance_prior_is_keyed_by_support(
     assert {dom for dom, _support in keys} == {0}
 
 
-def test_the_pruned_pass_keeps_its_state_keys(monkeypatch):
-    plain = a.coverage_instance(a.instance_from_hypotheses(_hypotheses()))
-    _result, keys = solve_with_keys(monkeypatch, plain, pruned=True)
-    assert any(dom for dom, _support in keys)
+def test_the_pruned_pass_is_the_support_keyed_solve_on_a_coverage_utility(
+        monkeypatch):
+    """Where the exact pass keys by support, ``pruned=True`` returns that
+    very solve, whichever pass is asked for first; a plain-dict copy and a
+    builtin ``modified: true`` file read under the plain prior keep the
+    state-keyed pruned pass."""
+    bare = a.instance_from_hypotheses(_hypotheses())
+    plain = a.coverage_instance(bare)
+    result, keys = solve_with_keys(monkeypatch, plain, pruned=True)
+    assert {dom for dom, _support in keys} == {0}
+    assert a.optimal_coverage(plain) is result
+    assert len(plain.__dict__["_coverage"]) == 1
+    exact_first = a.coverage_instance(bare)
+    assert (a.optimal_coverage(exact_first)
+            is a.optimal_coverage(exact_first, pruned=True))
+    data = fileio.instance_to_dict(bare)
+    data["utility"] = {"kind": "builtin", "name": "coverage",
+                       "params": {"modified": True}}
+    for name, instance in {"plain-dict": plain_copy(plain),
+                           "builtin-modified": fileio.instance_from_dict(data)
+                           }.items():
+        pruned, keys = solve_with_keys(monkeypatch, instance, pruned=True)
+        assert any(dom for dom, _support in keys), name
+        assert a.optimal_coverage(instance) is not pruned, name
+
+
+def identify_class(r):
+    """Round ``r``'s hypothesis class of the ``identify`` benchmark pool at
+    seed 1, as ``benchmarks/workloads.py`` draws it: ``h`` distinct binary
+    labelings of ``n`` examples and a prior of 0.05 plus a uniform draw,
+    normalized."""
+    n, h = [(5, 12), (6, 16), (5, 20), (6, 24), (6, 28)][r % 5]
+    rng = random.Random(f"identify/1/h{r:03d}")
+    rows = rng.sample(range(2**n), h)
+    raw = [0.05 + rng.random() for _ in range(h)]
+    total = sum(raw)
+    return a.HypothesisClass(
+        tuple(f"x{i + 1}" for i in range(n)),
+        tuple(tuple(str(row >> i & 1) for i in range(n)) for row in rows),
+        tuple(p / total for p in raw))
+
+
+def test_the_identify_pool_pruned_pass_equals_the_state_keyed_and_reference_passes():
+    """All 60 ``identify`` classes of seed 1, each under the plain and the
+    modified prior: the pruned pass (the support-keyed solve) has the
+    state-keyed pruned pass's tree and ``float.hex``-equal cost on a
+    plain-dict copy, and the tree of the pruned reference, which
+    renormalizes its masses and so may differ in the last bit."""
+    for r in range(60):
+        bare = a.instance_from_hypotheses(identify_class(r))
+        for modified in (False, True):
+            name = f"h{r:03d}-{'modified' if modified else 'plain'}"
+            instance = a.coverage_instance(bare, modified=modified)
+            tree, cost = a.optimal_coverage(instance, pruned=True)
+            state_tree, state_cost = a.optimal_coverage(plain_copy(instance),
+                                                        pruned=True)
+            assert tree == state_tree, name
+            assert cost.hex() == state_cost.hex(), name
+            ref_tree, ref_cost = reference_optimal_coverage(instance, pruned=True)
+            assert tree == ref_tree, name
+            assert abs(cost - ref_cost) <= 1e-9, name
 
 
 @pytest.mark.parametrize("q, tol, by_support", [

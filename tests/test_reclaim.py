@@ -128,7 +128,8 @@ def test_verify_frees_the_instance_for_every_bound(bound_id):
 def cli_files(tmp_path):
     paths = {name: str(tmp_path / f"{name}.json")
              for name in ("random", "t5", "t5p", "hypotheses", "coverage", "out",
-                          "policy-out", "truncated", "negative-prior")}
+                          "policy-out", "truncated", "negative-prior",
+                          "duplicate-example", "no-utility")}
     fileio.save_instance(paths["random"], a.gen_random(3, 2, 1))
     instance, chain = a.gen_theorem5(3, 0.5)
     fileio.save_instance(paths["t5"], instance)
@@ -144,6 +145,11 @@ def cli_files(tmp_path):
     fileio.save(paths["coverage"], coverage)
     fileio.save(paths["negative-prior"], {"examples": ["x1"], "labels": [["0"], ["1"]],
                                           "prior": [1.5, -0.5]})
+    fileio.save(paths["duplicate-example"], {"examples": ["x1", "x1"],
+                                             "labels": [["0", "1"], ["1", "0"]],
+                                             "prior": [0.5, 0.5]})
+    coverage.pop("utility")
+    fileio.save(paths["no-utility"], coverage)
     with open(paths["truncated"], "w", encoding="utf-8") as handle:
         handle.write('{"kind": "instance"')
     return paths
@@ -192,6 +198,11 @@ ERRORS = {
                              "with every element selected"),
     "negative-prior": (["active-learning", "--hypotheses", "{negative-prior}"],
                        "hypotheses: negative prior probability"),
+    "duplicate-example": (["active-learning", "--hypotheses", "{duplicate-example}"],
+                          "hypotheses: duplicate example 'x1'"),
+    "no-utility": (["verify", "--instance", "{no-utility}",
+                    "--bounds", "lemma3,eq4"],
+                   'has no "utility", which --bounds lemma3,eq4 needs'),
 }
 
 
