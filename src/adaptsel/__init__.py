@@ -18,7 +18,6 @@ from .core import (
     f_avg,
     policy_gain,
     positive_partial_realizations,
-    subset_key,
     version_space,
 )
 from .errors import (

@@ -3,9 +3,9 @@
 An :class:`Instance` is a fully enumerated Bayesian selection problem: a
 ground set of elements, a finite state alphabet, an explicit list of
 realizations (full element-to-state maps) with prior probabilities, and a
-tabular utility defined for every (subset, realization) pair.  Everything
-downstream (policies, parameters, oracles, bound checks) is an exact
-computation over this table; no sampling is used anywhere.
+utility table, one row per subset by element mask (see :class:`Instance`).
+Everything downstream (policies, parameters, oracles, bound checks) is an
+exact computation over this table; no sampling is used anywhere.
 
 Conditioning lives here and nowhere else: :class:`ConditionalPrior` is the
 only form of p(phi | psi), built by :func:`version_space` or, one observation
@@ -18,8 +18,7 @@ at element v intersects it with ``state_bitsets(instance)[v][y]``; the
 oracles' DPs price each such support from prior masses alone.
 
 A :class:`PathState` (a psi, its conditional prior and gains) is keyed by
-(observed-element mask, support bitset); utilities are read through the
-per-instance rows of :func:`utility_rows`.  Tree walkers condition each ordered
+(observed-element mask, support bitset).  Tree walkers condition each ordered
 path once per instance (:func:`path_root`).  The conditioning pass
 (:func:`_domains`) conditions every positive-mass psi once, up to a size, one
 domain (set of observed elements) at a time: each domain's states are vectors
@@ -47,21 +46,24 @@ from .errors import EmptyVersionSpace, MalformedPolicy
 #: Absolute comparison tolerance used throughout the library.
 TOL = 1e-9
 
-UtilityTable = dict[tuple[int, ...], tuple[float, ...]]
+#: A utility table, rows by element mask (see :class:`Instance`).
+UtilityRows = tuple[tuple[float, ...], ...]
 
 
-class CoverageTable(dict):
-    """The utility table :func:`~adaptsel.learn.coverage_utility` tabulates,
+class CoverageTable(tuple):
+    """The utility rows :func:`~adaptsel.learn.coverage_utility` tabulates,
     f(A, phi) = 1 - p(version space of phi under A) + p(phi), with the prior
-    p it was built under.  A plain dict of the same values is a plain table:
+    p it was built under.  A plain tuple of the same rows is a plain table:
     only this type tells the coverage DP that the utility is a function of
     the version space (see :func:`~adaptsel.oracle.optimal_coverage`)."""
 
-    __slots__ = ("prior",)
+    def __new__(cls, rows: Iterable[tuple], prior: tuple[float, ...]):
+        table = super().__new__(cls, rows)
+        table.prior = prior
+        return table
 
-    def __init__(self, prior: tuple[float, ...]) -> None:
-        super().__init__()
-        self.prior = prior
+    def __getnewargs__(self):  # what copy and pickle pass to __new__
+        return tuple(self), self.prior
 
 
 def require_int(**values: object) -> None:
@@ -122,9 +124,12 @@ def check_prior(prior: tuple[float, ...], count: int) -> None:
         raise ValueError(f"prior sums to {sum(prior)}, not 1")
 
 
-def subset_key(indices: Iterable[int]) -> tuple[int, ...]:
-    """Canonical key for a subset of element indices (sorted, deduplicated)."""
-    return tuple(sorted(set(indices)))
+def subsets(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every subset of ``range(n)`` with its mask, by size, then in
+    ``itertools.combinations`` order: the order files list tables in."""
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            yield subset, _mask(subset, n)
 
 
 @dataclass(frozen=True)
@@ -188,8 +193,10 @@ class Instance:
     """A fully enumerated adaptive selection problem.
 
     ``realizations[i][e]`` is the state index of element ``e`` under the
-    i-th realization.  ``utility[subset_key][i]`` is the utility of selecting
-    that subset when realization ``i`` is the truth.  ``utility`` may be
+    i-th realization.  ``utility`` is a tuple of 2^|V| rows by element mask
+    (:data:`UtilityRows`): ``utility[mask][i]`` is the utility of selecting
+    the subset whose element bits ``mask`` sets when realization ``i`` is
+    the truth, and :meth:`value` reads it by subset.  ``utility`` may be
     ``None`` for bare hypothesis-class instances until a table is attached
     with :meth:`with_utility`.
 
@@ -202,7 +209,7 @@ class Instance:
     states: tuple[str, ...]
     realizations: tuple[tuple[int, ...], ...]
     prior: tuple[float, ...]
-    utility: Optional[UtilityTable] = None
+    utility: Optional[UtilityRows] = None
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -227,22 +234,27 @@ class Instance:
     def _check_prior(self, prior: tuple[float, ...]) -> None:
         check_prior(prior, len(self.realizations))
 
-    def _check_utility(self, table: UtilityTable) -> None:
-        m = len(self.realizations)
+    def _check_utility(self, rows: UtilityRows) -> None:
+        """ValueError unless ``rows`` is 2^|V| rows of |Phi| finite numbers >= -TOL."""
+        if not isinstance(rows, tuple):
+            raise ValueError("utility must be a tuple of rows by element mask, "
+                             f"not a {type(rows).__name__}")
         expected = 1 << len(self.elements)
-        if len(table) != expected:
-            raise ValueError(
-                f"utility table has {len(table)} subsets, expected {expected}"
-            )
-        for key, values in table.items():
-            if key != subset_key(key):
-                raise ValueError(f"non-canonical subset key {key!r}")
-            if len(values) != m:
-                raise ValueError("utility row length does not match realizations")
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"non-finite utility value at {key!r}")
-            if min(values, default=0.0) < -TOL:
-                raise ValueError(f"negative utility value at {key!r}")
+        if len(rows) != expected:
+            raise ValueError(f"utility has {len(rows)} rows, expected {expected}")
+        if not set(map(type, rows)) <= {tuple}:
+            raise ValueError("utility rows must be tuples")
+        if set(map(len, rows)) != {len(self.realizations)}:
+            raise ValueError("utility row length does not match realizations")
+        values = list(itertools.chain.from_iterable(rows))
+        try:
+            finite = all(map(math.isfinite, values))
+        except (TypeError, OverflowError):  # not a number, or an int too large
+            finite = False
+        if not finite:
+            raise ValueError("non-finite utility value")
+        if min(values) < -TOL:
+            raise ValueError("negative utility value")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -265,10 +277,15 @@ class Instance:
             raise KeyError(f"unknown element {name!r}") from None
 
     def value(self, subset: Iterable[int], phi_index: int) -> float:
-        """Utility f(A, phi) for a subset of element indices."""
-        return utility_rows(self)[_mask(subset)][phi_index]
+        """Utility f(A, phi) of the subset A of element indices ``subset``
+        under realization ``phi_index``: the subset-level reader of
+        :attr:`utility`.  An index outside the instance raises ValueError."""
+        row = utility_rows(self)[_mask(subset, len(self.elements))]
+        if not 0 <= phi_index < len(row):
+            raise ValueError(f"unknown realization index {phi_index!r}")
+        return row[phi_index]
 
-    def with_utility(self, table: Optional[UtilityTable]) -> "Instance":
+    def with_utility(self, table: Optional[UtilityRows]) -> "Instance":
         """This instance with ``table`` as its utility; only the table is
         checked, the other fields were checked when this one was built."""
         if table is not None:
@@ -416,18 +433,11 @@ def path_root(instance: Instance) -> PathState:
     return cache["_paths"]
 
 
-def utility_rows(instance: Instance) -> tuple[tuple[float, ...], ...]:
-    """``rows[mask]`` is ``instance.utility[subset_key(members of mask)]``, the
-    utility row of the subset whose element bits ``mask`` sets; built once."""
-    cache = instance.__dict__
-    if "_rows" not in cache:
-        if instance.utility is None:
-            raise ValueError("instance has no utility table attached")
-        keys = [()]
-        for v in range(instance.num_elements):
-            keys += [key + (v,) for key in keys]
-        cache["_rows"] = tuple(map(instance.utility.__getitem__, keys))
-    return cache["_rows"]
+def utility_rows(instance: Instance) -> UtilityRows:
+    """``instance.utility``, rows by element mask; ValueError if it has none."""
+    if instance.utility is None:
+        raise ValueError("instance has no utility table attached")
+    return instance.utility
 
 
 def state_bitsets(instance: Instance) -> tuple[tuple[int, ...], ...]:
@@ -464,10 +474,13 @@ def _positive(instance: Instance) -> int:
     return sum(1 << i for i, p in enumerate(instance.prior) if p > 0.0)
 
 
-def _mask(elements: Iterable[int]) -> int:
-    """The bitset of the element indices ``elements``."""
+def _mask(elements: Iterable[int], n: int) -> int:
+    """The bitset of the element indices ``elements``, each below ``n``; one
+    that is not raises ValueError."""
     mask = 0
     for v in elements:
+        if not 0 <= v < n:
+            raise ValueError(f"unknown element index {v!r}")
         mask |= 1 << v
     return mask
 
@@ -482,7 +495,7 @@ def _key(instance: Instance, pairs: tuple[tuple[int, int], ...]) -> tuple[int, i
                 and 0 <= y < len(bits[e])):
             raise ValueError(f"psi observes an unknown element or state: {(e, y)}")
         support &= bits[e][y]
-    return _mask(e for e, _ in pairs), support
+    return _mask((e for e, _ in pairs), len(bits)), support
 
 
 def gains(
@@ -490,7 +503,7 @@ def gains(
 ) -> dict[int, float]:
     """Expected marginal gain Delta(v | psi) of every unobserved element,
     under ``vs``, the conditional prior of psi."""
-    return _gains(_gain_rows(instance, _mask(e for e, _ in psi.pairs)), vs)
+    return _gains(_gain_rows(instance, _key(instance, psi.pairs)[0]), vs)
 
 
 def _gain_rows(instance: Instance, dom: int) -> tuple:
@@ -839,7 +852,7 @@ def _submodularity_witness(instance: Instance, big: _Domain, s: int, seen: dict,
     psi_prime = instance.describe_psi(PartialRealization(pairs))
     for r in range(len(pairs)):
         for sub_pairs in itertools.combinations(pairs, r):
-            small = seen[_mask(e for e, _ in sub_pairs)][0]
+            small = seen[_mask((e for e, _ in sub_pairs), instance.num_elements)][0]
             at = small.where[first]
             for v, late in big.gains.items():
                 if small.gains[v][at] < late[s] - tol:

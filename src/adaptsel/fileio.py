@@ -18,9 +18,10 @@ Formats:
 * hypotheses: ``{"examples": [...], "labels": [[...], ...], "prior":
   [...]}``.
 
-A table is read in one pass; each entry's set, realization, value and
-uniqueness are checked in that order, then missing subsets.  An entry whose
-set list equals an earlier entry's all-name list reuses its subset and row.
+A table is read in one pass into rows by element mask; each entry's set,
+realization, value and uniqueness are checked in that order, then missing
+subsets.  An entry whose set list equals an earlier entry's all-name list
+reuses its mask and row.  It is written in :func:`~adaptsel.core.subsets` order.
 
 Every file and ``--json`` answer is written by :func:`dumps` in one walk:
 dataclasses become objects of their fields, tuples lists, keys strings and
@@ -31,11 +32,10 @@ JSON, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 
-from .core import Instance, UtilityTable
+from .core import Instance, UtilityRows, subsets
 from .errors import ParseError
 from .policy import Node, Policy, Select, TERMINAL, Terminal, ThresholdSubPolicy
 
@@ -68,7 +68,7 @@ def _number(value, where) -> float:
 # -- instances -------------------------------------------------------------
 
 
-def _builtin_utility(instance: Instance, name: str, params: dict) -> UtilityTable:
+def _builtin_utility(instance: Instance, name: str, params: dict) -> UtilityRows:
     from . import gen, learn
 
     if name == "coverage":
@@ -91,7 +91,7 @@ def _builtin_utility(instance: Instance, name: str, params: dict) -> UtilityTabl
     _fail(f"unknown builtin utility {name!r}")
 
 
-def _parse_utility(instance: Instance, spec) -> UtilityTable:
+def _parse_utility(instance: Instance, spec) -> UtilityRows:
     kind = _expect(spec, "kind", str, "utility")
     if kind == "builtin":
         name = _expect(spec, "name", str, "utility")
@@ -103,8 +103,8 @@ def _parse_utility(instance: Instance, spec) -> UtilityTable:
         _fail(f"utility: unknown kind {kind!r}")
     entries = _expect(spec, "entries", list, "utility")
     m = instance.num_realizations
-    rows: dict[tuple[int, ...], list] = {}
-    # Key and row of each all-name member list checked so far: 1, True and
+    rows: dict[int, list] = {}  # by element mask, as large as the entries
+    # Mask and row of each all-name member list checked so far: 1, True and
     # 1.0 are equal, so a list with any other member is checked every time.
     named: dict[tuple, tuple] = {}
     unnamed = object()  # equals no entry's set
@@ -118,13 +118,13 @@ def _parse_utility(instance: Instance, spec) -> UtilityTable:
             members, phi_index, value = get("set"), get("realization"), get("value")
         if members != last:
             try:
-                key, row = named[tuple(members) if type(members) is list else None]
+                mask, row = named[tuple(members) if type(members) is list else None]
             except (KeyError, TypeError):  # a new, unhashable or malformed set
                 members = _expect(entry, "set", list, "utility entry")
-                key = _subset_key(instance, entry, members)
-                row = rows.get(key) or rows.setdefault(key, [None] * m)
+                mask = _subset_mask(instance, entry, members)
+                row = rows.get(mask) or rows.setdefault(mask, [None] * m)
                 if all(type(x) is str for x in members):
-                    named[tuple(members)] = key, row
+                    named[tuple(members)] = mask, row
             last = members if tuple(members) in named else unnamed
         if type(phi_index) is not int or not 0 <= phi_index < m:
             phi_index = _expect(entry, "realization", int, "utility entry")
@@ -133,23 +133,19 @@ def _parse_utility(instance: Instance, spec) -> UtilityTable:
         if type(value) is not float:
             value = _number(value, "utility entry value")
         if row[phi_index] is not None:
-            _fail(f"utility entry {entry!r}: duplicate entry for set "
-                  f"{[instance.elements[e] for e in key]!r} and realization "
-                  f"{phi_index!r}")
+            names = [x for e, x in enumerate(instance.elements) if mask >> e & 1]
+            _fail(f"utility entry {entry!r}: duplicate entry for set {names!r} "
+                  f"and realization {phi_index!r}")
         row[phi_index] = value
-    table: UtilityTable = {}
-    for size in range(instance.num_elements + 1):
-        for key in itertools.combinations(range(instance.num_elements), size):
-            row = rows.get(key)
-            if row is None or None in row:
-                _fail(f"utility table is missing entries for subset {key!r}")
-            table[key] = tuple(row)
-    return table
+    for subset, mask in subsets(instance.num_elements):
+        if mask not in rows or None in rows[mask]:
+            _fail(f"utility table is missing entries for subset {subset!r}")
+    return tuple(map(tuple, map(rows.__getitem__, range(len(rows)))))
 
 
-def _subset_key(instance: Instance, entry: dict, members: list) -> tuple[int, ...]:
-    """The sorted indices a utility entry's set names, each at most once."""
-    indices = set()
+def _subset_mask(instance: Instance, entry: dict, members: list) -> int:
+    """The element mask of a utility entry's set, each member named once."""
+    mask = 0
     for member in members:
         if isinstance(member, str):
             index = instance.element_index(member)
@@ -159,11 +155,11 @@ def _subset_key(instance: Instance, entry: dict, members: list) -> tuple[int, ..
         else:
             _fail(f"utility entry {entry!r}: set member {member!r} is not "
                   f"an element name or index")
-        if index in indices:
+        if mask >> index & 1:
             _fail(f"utility entry {entry!r}: set names element "
                   f"{instance.elements[index]!r} twice")
-        indices.add(index)
-    return tuple(sorted(indices))
+        mask |= 1 << index
+    return mask
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -223,15 +219,10 @@ def instance_to_dict(instance: Instance) -> dict:
         data["name"] = instance.name
     if instance.utility is not None:
         entries = []
-        for key in sorted(instance.utility, key=lambda k: (len(k), k)):
-            for i, value in enumerate(instance.utility[key]):
-                entries.append(
-                    {
-                        "set": [instance.elements[e] for e in key],
-                        "realization": i,
-                        "value": value,
-                    }
-                )
+        for subset, mask in subsets(instance.num_elements):
+            for i, value in enumerate(instance.utility[mask]):
+                entries.append({"set": [instance.elements[e] for e in subset],
+                                "realization": i, "value": value})
         data["utility"] = {"kind": "table", "entries": entries}
     return data
 
@@ -297,11 +288,9 @@ def hypotheses_from_dict(data: dict):
     from .learn import HypothesisClass
 
     examples = _expect(data, "examples", list, "hypotheses")
-    for index, x in enumerate(examples):
+    for x in examples:
         if not isinstance(x, str):
             _fail(f"hypotheses: example {x!r} is not a string")
-        if x in examples[:index]:
-            _fail(f"hypotheses: duplicate example {x!r}")
     labels = _expect(data, "labels", list, "hypotheses")
     for row in labels:
         if not isinstance(row, list) or not all(isinstance(y, str) for y in row):

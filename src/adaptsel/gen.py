@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .core import Instance, UtilityTable
+from .core import Instance, UtilityRows, subsets
 from .errors import InvalidParams
 from .oracle import random_policy_over
 from .policy import Node, chain_policy
@@ -23,14 +23,13 @@ def _all_realizations(num_elements: int, num_states: int):
     return tuple(itertools.product(range(num_states), repeat=num_elements))
 
 
-def _tabulate_set_function(num_elements: int, num_realizations: int, fn) -> UtilityTable:
+def _tabulate_set_function(num_elements: int, num_realizations: int, fn) -> UtilityRows:
     """Expand f(A) (a pure set function) into a full (subset, realization)
-    table."""
-    table: UtilityTable = {}
-    for size in range(num_elements + 1):
-        for subset in itertools.combinations(range(num_elements), size):
-            table[subset] = (fn(subset),) * num_realizations
-    return table
+    table, rows by element mask."""
+    rows: list = [None] * (1 << num_elements)
+    for subset, mask in subsets(num_elements):
+        rows[mask] = (fn(subset),) * num_realizations
+    return tuple(rows)
 
 
 def _chain_witness(k: int, utility, name: str) -> tuple[Instance, Node]:
@@ -49,7 +48,7 @@ def _chain_witness(k: int, utility, name: str) -> tuple[Instance, Node]:
     return instance, chain_policy(instance, list(range(k)))
 
 
-def theorem5_utility(k: int, num_realizations: int, epsilon: float) -> UtilityTable:
+def theorem5_utility(k: int, num_realizations: int, epsilon: float) -> UtilityRows:
     """The theorem-5 witness utility f(A) = sum_{i=0..|A|} epsilon^i over
     ``k`` elements, the same under every realization."""
     return _tabulate_set_function(
@@ -94,7 +93,7 @@ def _staircase_value(subset: tuple[int, ...], k: int) -> float:
     return total
 
 
-def theorem4_utility(k: int, num_realizations: int) -> UtilityTable:
+def theorem4_utility(k: int, num_realizations: int) -> UtilityRows:
     """The theorem-4 witness utility, :func:`_staircase_value` over ``k``
     elements, the same under every realization."""
     return _tabulate_set_function(
@@ -140,22 +139,21 @@ def gen_random(
     total = sum(raw)
     prior = tuple(p / total for p in raw)
 
-    table: UtilityTable = {}
-    for size in range(num_elements + 1):
-        for subset in itertools.combinations(range(num_elements), size):
-            if monotone:
-                below = [table[tuple(x for x in subset if x != v)] for v in subset]
-                row = [max((r[i] for r in below), default=0.0) + rng.random()
-                       for i in range(m)]
-            else:
-                row = [2.0 * rng.random() for _ in range(m)]
-            table[subset] = tuple(row)
+    rows: list = [None] * (1 << num_elements)
+    for subset, mask in subsets(num_elements):
+        if monotone:
+            below = [rows[mask ^ 1 << v] for v in subset]
+            row = [max((r[i] for r in below), default=0.0) + rng.random()
+                   for i in range(m)]
+        else:
+            row = [2.0 * rng.random() for _ in range(m)]
+        rows[mask] = tuple(row)
     return Instance(
         elements=tuple(f"v{i + 1}" for i in range(num_elements)),
         states=tuple(str(y) for y in range(num_states)),
         realizations=realizations,
         prior=prior,
-        utility=table,
+        utility=tuple(rows),
         name=f"random(seed={seed}, monotone={monotone})",
     )
 

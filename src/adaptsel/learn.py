@@ -12,7 +12,6 @@ the coverage utility built on the modified prior.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
@@ -32,6 +31,9 @@ class HypothesisClass:
     prior: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for index, x in enumerate(self.examples):
+            if x in self.examples[:index]:
+                raise ValueError(f"duplicate example {x!r}")
         for row in self.labels:
             if len(row) != len(self.examples):
                 raise ValueError("label row length does not match examples")
@@ -60,8 +62,8 @@ def coverage_utility(
     instance: Instance, prior: Optional[Sequence[float]] = None
 ) -> CoverageTable:
     """Tabulate f_p(A, phi) = 1 - p(version space of phi restricted to A)
-    + p(phi) for every subset and every realization, as a
-    :class:`~adaptsel.core.CoverageTable` that records p.
+    + p(phi) for every subset and every realization, as the rows by element
+    mask of a :class:`~adaptsel.core.CoverageTable` that records p.
 
     The value is 1 exactly when observing A under phi identifies phi.
     Zero-probability realizations get rows too; their version-space mass
@@ -70,33 +72,32 @@ def coverage_utility(
     The realizations that agree on A (its classes) share a version space.
     As bitsets, A's classes are those of A without its largest element split
     by that element's label bitsets, which cover every realization, zero-prior
-    ones included.  A class's mass sums p over its members in index order;
-    keys run by size, then in ``itertools.combinations`` order.
+    ones included: adding element v to each mask below 2^v in turn builds
+    them in ascending mask order.  A class's mass sums p over its members in
+    index order.
     """
     p = tuple(instance.prior if prior is None else prior)
     n, m = instance.num_elements, instance.num_realizations
     labels = [[sum(1 << i for i, phi in enumerate(instance.realizations) if phi[e] == y)
                for y in range(instance.num_states)] for e in range(n)]
-    classes = {(): [(1 << m) - 1]}
+    classes = [[(1 << m) - 1]]  # by element mask
+    for v in range(n):
+        classes += [[part for whole in below for label in labels[v]
+                     if (part := whole & label)] for below in classes]
     known: dict[int, tuple[list[int], float]] = {}  # each part's members and rest
-    table = CoverageTable(p)
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            if subset:
-                classes[subset] = [part for whole in classes[subset[:-1]]
-                                   for label in labels[subset[-1]]
-                                   if (part := whole & label)]
-            outside = [0.0] * m
-            for part in classes[subset]:
-                found = known.get(part)
-                if found is None:
-                    inside = members(part)
-                    found = known[part] = inside, 1.0 - sum([p[i] for i in inside])
-                inside, rest = found
-                for i in inside:
-                    outside[i] = rest
-            table[subset] = tuple(map(add, outside, p))
-    return table
+    rows = []
+    for parts in classes:
+        outside = [0.0] * m
+        for part in parts:
+            found = known.get(part)
+            if found is None:
+                inside = members(part)
+                found = known[part] = inside, 1.0 - sum([p[i] for i in inside])
+            inside, rest = found
+            for i in inside:
+                outside[i] = rest
+        rows.append(tuple(map(add, outside, p)))
+    return CoverageTable(rows, p)
 
 
 def modified_prior(prior: Sequence[float]) -> tuple[float, ...]:

@@ -283,8 +283,7 @@ def optimal_coverage(
                 f"with every element selected"
             )
     _check_memo_keys(instance, n, enum_budget)
-    table = instance.utility
-    by_support = (isinstance(table, CoverageTable) and table.prior == prior
+    by_support = (isinstance(rows, CoverageTable) and rows.prior == prior
                   and min(prior) >= 0.0 and (n + 2) * tol < 1.0)
     pruned = pruned and not by_support  # there the pruned pass is this one
     cache = instance.__dict__  # not fields: kept out of ==, repr and the JSON

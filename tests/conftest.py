@@ -50,6 +50,17 @@ def gain(instance, v, psi):
     return gains(instance, psi, a.version_space(instance, psi))[v]
 
 
+def rows_from_subsets(instance, table):
+    """``Instance.utility`` rows of ``table``, a dict from every subset of
+    ``instance``'s element indices (a tuple) to its row: ``rows[mask]`` is
+    the row of the subset whose element bits ``mask`` sets."""
+    rows = [None] * (1 << instance.num_elements)
+    for subset, row in table.items():
+        rows[sum(1 << v for v in subset)] = row
+    assert None not in rows, "the table misses a subset"
+    return tuple(rows)
+
+
 def corpus_instance(seed, num_elements=None, monotone=True):
     """One member of the seeded random corpus (|V| in 2..4, |Y| = 2)."""
     if num_elements is None:
@@ -72,12 +83,11 @@ def splitting_and_partial():
     the prior each change the cheapest cover."""
     instance = a.Instance(("a", "b", "c", "d"), ("0", "1"),
                           ((0, 0, 0, 0), (1, 0, 0, 0)), (0.5, 0.5))
-    table = {}
+    rows = []
     for mask in range(16):
-        subset = tuple(v for v in range(4) if mask >> v & 1)
-        d = 0.1 if 3 in subset else 0.0
-        table[subset] = (1.0 if 1 in subset else d, 1.0 if 2 in subset else d)
-    return instance.with_utility(table)
+        d = 0.1 if mask >> 3 & 1 else 0.0
+        rows.append((1.0 if mask >> 1 & 1 else d, 1.0 if mask >> 2 & 1 else d))
+    return instance.with_utility(tuple(rows))
 
 
 def complementary_pair():
@@ -87,15 +97,15 @@ def complementary_pair():
     instance = a.Instance(("u", "v", "w"), ("0",), ((0, 0, 0),), (1.0,))
     values = {(): 0.0, (0,): 0.5, (1,): 0.0, (2,): 0.0, (0, 1): 0.5,
               (0, 2): 0.5, (1, 2): 1.0, (0, 1, 2): 1.0}
-    return instance.with_utility({key: (value,) for key, value in values.items()})
+    return instance.with_utility(rows_from_subsets(
+        instance, {key: (value,) for key, value in values.items()}))
 
 
 def zero_gain_chain():
     """theorem5(2, 0.5) reshaped so v2 gains nothing anywhere while v1
     gains 1, and the chain that selects v2 alone."""
     instance, _ = a.gen_theorem5(2, 0.5)
-    shaped = instance.with_utility({(): (0.0,) * 4, (0,): (1.0,) * 4,
-                                    (1,): (0.0,) * 4, (0, 1): (1.0,) * 4})
+    shaped = instance.with_utility(((0.0,) * 4, (1.0,) * 4, (0.0,) * 4, (1.0,) * 4))
     return shaped, a.chain_policy(shaped, [1])
 
 

@@ -8,9 +8,9 @@ require the library's annotated-tree results to equal these exactly,
 witnesses included.
 
 ``reference_coverage_utility`` tabulates the coverage utility subset by
-subset, each version-space mass by a scan over every realization.  The
-library's bitset refinement must give the same keys in the same order and
-the same floats.
+subset, each version-space mass by a scan over every realization, as rows
+by element mask.  The library's bitset refinement must give the same rows
+and the same floats.
 
 ``reference_optimal_budget`` and ``reference_optimal_coverage`` are the
 budget and coverage DPs keyed by partial realizations: the budget DP prices
@@ -42,7 +42,8 @@ floats and raise the same errors.
 ``reference_parse_utility`` is the utility-table parse that looked every
 entry's member list up in a dict of all-string lists and checked realization
 and value through ``fileio``'s error helpers; ``fileio`` must return the
-same table, in key order and bit for bit, or raise the same ``ParseError``.
+same rows by element mask, bit for bit, or raise the same ``ParseError``.
+``subset_row`` reads the row of a subset of element indices from the rows.
 ``reference_jsonable`` is the report converter that asked
 ``dataclasses.is_dataclass`` of every value first; ``fileio.dumps`` must
 write the same bytes as it.
@@ -72,7 +73,6 @@ from adaptsel.core import (
     positive_partial_realizations,
     split,
     state_bitsets,
-    subset_key,
     version_space,
 )
 from adaptsel.fileio import (
@@ -80,8 +80,14 @@ from adaptsel.fileio import (
     _expect,
     _fail,
     _number,
-    _subset_key,
+    _subset_mask,
 )
+
+
+def subset_row(instance, subset):
+    """The utility row of the subset of element indices ``subset``, in any
+    order and with repeats."""
+    return instance.utility[sum(1 << v for v in set(subset))]
 
 
 def reachable_nodes(instance, tree):
@@ -220,7 +226,7 @@ def stops_exhausted(instance, tree, tol=a.TOL):
 
 def reference_optimal_budget(instance, k):
     """Best tree of height <= k by a DP over (partial realization, remaining
-    budget), reading the dict table (no enumeration-budget gate).  A state is
+    budget), reading the table by subset (no enumeration-budget gate).  A state is
     priced from the prior, not conditioned: stopping is worth the sum of
     prior x utility over its positive-prior consistent realizations in index
     order, and an element the sum of its outcomes' values in state order.
@@ -231,7 +237,6 @@ def reference_optimal_budget(instance, k):
     k = min(k, instance.num_elements)
     if instance.utility is None:
         raise ValueError("instance has no utility table attached")
-    table = instance.utility
     prior = instance.prior
     memo = {}
 
@@ -242,7 +247,7 @@ def reference_optimal_budget(instance, k):
         dom = psi.dom
         support = [i for i, phi in enumerate(instance.realizations)
                    if prior[i] > 0.0 and all(phi[e] == y for e, y in psi.pairs)]
-        row = table[subset_key(dom)]
+        row = subset_row(instance, dom)
         best_value = sum(prior[i] * row[i] for i in support)
         best_node = a.TERMINAL
         if budget > 0:
@@ -274,7 +279,6 @@ def reference_chained_optimal_budget(instance, k):
     if k < 0:
         raise ValueError("budget must be non-negative")
     k = min(k, instance.num_elements)
-    table = instance.utility
     memo = {}
 
     def solve(psi, vs, budget):
@@ -282,7 +286,7 @@ def reference_chained_optimal_budget(instance, k):
         if key in memo:
             return memo[key]
         dom = psi.dom
-        row = table[subset_key(dom)]
+        row = subset_row(instance, dom)
         best_value = sum(w * row[i] for i, w in vs.items())
         best_node = a.TERMINAL
         if budget > 0:
@@ -309,20 +313,19 @@ def reference_chained_optimal_budget(instance, k):
 
 def reference_coverage_utility(instance, prior=None):
     """f_p(A, phi) = 1 - p(version space of phi restricted to A) + p(phi) for
-    every subset A, by size then ``itertools.combinations`` order, and every
-    realization phi: each version-space mass by its own scan over all m
-    realizations in index order, m^2 scans per subset."""
+    every subset A, by element mask, and every realization phi: each
+    version-space mass by its own scan over all m realizations in index
+    order, m^2 scans per subset."""
     p = tuple(instance.prior if prior is None else prior)
     realizations = instance.realizations
-    table = {}
-    for size in range(instance.num_elements + 1):
-        for subset in itertools.combinations(range(instance.num_elements), size):
-            table[subset] = tuple(
-                1.0 - sum(p[j] for j, other in enumerate(realizations)
-                          if all(other[e] == phi[e] for e in subset)) + p[i]
-                for i, phi in enumerate(realizations)
-            )
-    return table
+    table = []
+    for mask in range(1 << instance.num_elements):
+        subset = [e for e in range(instance.num_elements) if mask >> e & 1]
+        table.append(tuple(
+            1.0 - sum(p[j] for j, other in enumerate(realizations)
+                      if all(other[e] == phi[e] for e in subset)) + p[i]
+            for i, phi in enumerate(realizations)))
+    return tuple(table)
 
 
 def reference_optimal_coverage(instance, q=None, pruned=True, tol=a.TOL):
@@ -330,32 +333,31 @@ def reference_optimal_coverage(instance, q=None, pruned=True, tol=a.TOL):
     conditioned with ``core.split`` (no enumeration-budget gate)."""
     if instance.utility is None:
         raise ValueError("instance has no utility table attached")
-    table = instance.utility
     if q is None:
         q = max(
             row[i]
-            for row in table.values()
+            for row in instance.utility
             for i, p in enumerate(instance.prior)
             if p > 0.0
         )
-    full = subset_key(range(instance.num_elements))
+    full = subset_row(instance, range(instance.num_elements))
     for i, p in enumerate(instance.prior):
-        if p > 0.0 and abs(table[full][i] - q) > tol:
+        if p > 0.0 and abs(full[i] - q) > tol:
             raise a.CoverageUnreachable(
-                f"realization {i} only reaches {table[full][i]} != {q} "
+                f"realization {i} only reaches {full[i]} != {q} "
                 f"with every element selected"
             )
     memo = {}
 
     def covered(psi, vs):
-        row = table[subset_key(psi.dom)]
+        row = subset_row(instance, psi.dom)
         return all(abs(row[i] - q) <= tol for i in vs.support)
 
     def candidates(psi, vs):
         unobserved = [v for v in range(instance.num_elements) if v not in psi]
         if not pruned:
             return unobserved
-        row = table[subset_key(psi.dom)]
+        row = subset_row(instance, psi.dom)
         current_min = min(row[i] for i in vs.support)
         keep = []
         for v in unobserved:
@@ -363,7 +365,7 @@ def reference_optimal_coverage(instance, q=None, pruned=True, tol=a.TOL):
             if len(states) > 1:
                 keep.append(v)
                 continue
-            after = table[subset_key(psi.dom + (v,))]
+            after = subset_row(instance, psi.dom + (v,))
             if min(after[i] for i in vs.support) > current_min + tol:
                 keep.append(v)
         return keep or unobserved
@@ -532,9 +534,9 @@ def _reference_submodularity_witness(instance, big, seen, tol):
 
 
 def reference_parse_utility(instance, spec):
-    """A utility spec's table: every entry's set resolved through a dict of
-    all-string member lists, its realization and value checked through
-    ``_expect`` and ``_number``."""
+    """A utility spec's rows by element mask: every entry's set resolved
+    through a dict of all-string member lists, its realization and value
+    checked through ``_expect`` and ``_number``."""
     kind = _expect(spec, "kind", str, "utility")
     if kind == "builtin":
         name = _expect(spec, "name", str, "utility")
@@ -554,7 +556,7 @@ def reference_parse_utility(instance, spec):
         try:
             key = keys[tuple(members)]
         except (KeyError, TypeError):  # a new or an unhashable member list
-            key = _subset_key(instance, entry, members)
+            key = _subset_mask(instance, entry, members)
             if all(type(member) is str for member in members):
                 keys[tuple(members)] = key
         phi_index = entry.get("realization")
@@ -567,18 +569,16 @@ def reference_parse_utility(instance, spec):
         if row is None:
             row = rows[key] = [None] * m
         if row[phi_index] is not None:
+            names = [x for e, x in enumerate(instance.elements) if key >> e & 1]
             _fail(f"utility entry {entry!r}: duplicate entry for set "
-                  f"{[instance.elements[e] for e in key]!r} and realization "
-                  f"{phi_index!r}")
+                  f"{names!r} and realization {phi_index!r}")
         row[phi_index] = value
-    table = {}
     for size in range(instance.num_elements + 1):
-        for key in itertools.combinations(range(instance.num_elements), size):
-            row = rows.get(key)
+        for subset in itertools.combinations(range(instance.num_elements), size):
+            row = rows.get(sum(1 << e for e in subset))
             if row is None or None in row:
-                _fail(f"utility table is missing entries for subset {key!r}")
-            table[key] = tuple(row)
-    return table
+                _fail(f"utility table is missing entries for subset {subset!r}")
+    return tuple(tuple(rows[mask]) for mask in range(1 << instance.num_elements))
 
 
 def reference_jsonable(value):

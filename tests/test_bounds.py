@@ -127,8 +127,9 @@ def test_thm6_refuses_a_negative_beta_on_the_modified_prior():
     instance = a.Instance(
         ("v1", "v2"), ("0", "1"), ((0, 0), (0, 1), (1, 0), (1, 1)),
         (0.0, 0.0, 0.0, 1.0),
-        {(): (1.5, 5.9, 9.7, 0.7), (0,): (3.2, 0.2, 4.9, 0.9),
-         (1,): (8.7, 9.1, 5.4, 0.8), (0, 1): (10.0,) * 4})
+        # rows of {}, {v1}, {v2}, {v1, v2}
+        ((1.5, 5.9, 9.7, 0.7), (3.2, 0.2, 4.9, 0.9),
+         (8.7, 9.1, 5.4, 0.8), (10.0,) * 4))
     with pytest.raises(a.PreconditionFailed, match="modified prior is negative"):
         a.verify(instance, "thm6", policy=a.build_greedy(instance),
                  opt_policy=a.chain_policy(instance, [0, 1]))

@@ -27,10 +27,28 @@ def brute_force_marginal_gain(instance, element, psi):
     return total / mass
 
 
-def test_subset_key_canonicalizes():
-    assert a.subset_key([2, 0, 1]) == (0, 1, 2)
-    assert a.subset_key([1, 1, 0]) == (0, 1)
-    assert a.subset_key([]) == ()
+def test_value_reads_a_subset_in_any_order_and_with_repeats():
+    instance = corpus_instance(0)
+    assert instance.num_elements == 2
+    for i in range(instance.num_realizations):
+        assert instance.value([], i) == instance.utility[0][i]
+        for subset in ([1, 0], (0, 1), (1, 1, 0)):
+            assert instance.value(subset, i) == instance.utility[0b11][i]
+
+
+@pytest.mark.parametrize("subset, phi_index, message", [
+    ((0,), -1, "unknown realization index -1"),
+    ((0,), 4, "unknown realization index 4"),
+    ((2,), 0, "unknown element index 2"),
+    ((0, -1), 0, "unknown element index -1"),
+], ids=["realization-minus-1", "realization-past-end", "element-past-end",
+        "element-minus-1"])
+def test_value_refuses_an_index_outside_the_instance(subset, phi_index, message):
+    """Realization -1 once read the last realization's value, element 2 of
+    two raised a bare ``IndexError`` and element -1 "negative shift
+    count"."""
+    with pytest.raises(ValueError, match=message):
+        a.gen_random(2, 2, 1).value(subset, phi_index)
 
 
 def test_extended_rejects_an_observed_element():
@@ -258,15 +276,25 @@ def test_instance_validation_rejects_a_bad_prior(prior, message):
 
 
 def test_instance_validation_rejects_bad_utility():
+    """Each bad table is refused by ``with_utility`` and by the full check,
+    with a message that names what is wrong.  A dict by subset is the file
+    form, not the table's."""
     base = corpus_instance(0)
-    incomplete = dict(base.utility)
-    incomplete.pop(())
-    with pytest.raises(ValueError):
-        base.with_utility(incomplete)
-    negative = dict(base.utility)
-    negative[()] = tuple(-1.0 for _ in range(base.num_realizations))
-    with pytest.raises(ValueError):
-        base.with_utility(negative)
+    rows, m = base.utility, base.num_realizations
+    bare = (base.elements, base.states, base.realizations, base.prior)
+    by_subset = {subset: rows[mask] for subset, mask in a.core.subsets(2)}
+    for table, message in [
+        (rows[1:], "utility has 3 rows, expected 4"),  # a subset missing
+        (rows + rows[:1], "utility has 5 rows, expected 4"),
+        ((rows[0][:-1],) + rows[1:], "row length does not match realizations"),
+        (tuple(row[0] for row in rows), "utility rows must be tuples"),  # flat
+        (((-1.0,) * m,) + rows[1:], "negative utility value"),
+        (by_subset, "utility must be a tuple of rows by element mask, not a dict"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            base.with_utility(table)
+        with pytest.raises(ValueError, match=message):
+            a.Instance(*bare, utility=table)
 
 
 def test_instance_validation_rejects_non_finite_numbers():
@@ -274,10 +302,10 @@ def test_instance_validation_rejects_non_finite_numbers():
     nan_prior = (float("nan"),) + base.prior[1:]
     with pytest.raises(ValueError):
         base.with_prior(nan_prior)
-    infinite = dict(base.utility)
-    infinite[()] = (float("inf"),) * base.num_realizations
-    with pytest.raises(ValueError):
-        base.with_utility(infinite)
+    for bad in (float("inf"), float("nan"), 10**400):
+        table = ((bad,) * base.num_realizations,) + base.utility[1:]
+        with pytest.raises(ValueError, match="non-finite utility value"):
+            base.with_utility(table)
     with pytest.raises(ValueError):
         a.HypothesisClass(
             examples=("x1",),

@@ -101,11 +101,9 @@ def test_bitset_coverage_dp_equals_reference_on_capped_utilities():
         with pytest.raises(a.CoverageUnreachable):
             a.optimal_coverage(instance)
         assert _same_coverage(instance) is None
-        q = min(instance.utility[a.subset_key(range(instance.num_elements))])
-        capped = instance.with_utility({
-            key: tuple(min(value, q) for value in row)
-            for key, row in instance.utility.items()
-        })
+        q = min(instance.utility[-1])
+        capped = instance.with_utility(tuple(
+            tuple(min(value, q) for value in row) for row in instance.utility))
         for pruned in (True, False):
             assert _same_coverage(capped, q=q, pruned=pruned) is not None
 
@@ -245,11 +243,9 @@ def test_check_witnesses_are_priced_on_split_priors():
 
 
 def _table(num_elements, values):
-    table = {}
-    for mask in range(1 << num_elements):
-        subset = tuple(v for v in range(num_elements) if mask >> v & 1)
-        table[subset] = (values.get(subset, 0.0),)
-    return table
+    """One-realization rows by element mask: ``values`` by subset, else 0."""
+    return tuple((values.get(tuple(v for v in range(num_elements) if mask >> v & 1),
+                             0.0),) for mask in range(1 << num_elements))
 
 
 def test_submodularity_check_compares_beyond_single_steps():

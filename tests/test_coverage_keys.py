@@ -4,7 +4,7 @@ On a table that ``learn.coverage_utility`` built under the instance's own
 prior, ``optimal_coverage``'s exact pass memoizes one state per support and
 tries only the elements that split it.  These tests hold that pass to the
 reference that tries every unobserved element from every partial
-realization, and to the (observed elements, support) pass on a plain-dict
+realization, and to the (observed elements, support) pass on a plain-tuple
 copy of the same table; and they check which inputs take which keys.
 
 The corpus is fixed: zero-prior realizations, 3-label classes, priors on a
@@ -86,7 +86,7 @@ def solve_with_keys(monkeypatch, instance, **kwargs):
 
 
 def plain_copy(instance):
-    return instance.with_utility(dict(instance.utility))
+    return instance.with_utility(tuple(instance.utility))
 
 
 def assert_as_reference(instance, result, **kwargs):
@@ -145,7 +145,7 @@ def _hypotheses():
 def test_only_a_coverage_table_under_the_instance_prior_is_keyed_by_support(
         monkeypatch):
     """The lifted instance of thm6, a builtin file with ``modified: true``
-    read under the plain prior, and a plain-dict copy of a coverage table
+    read under the plain prior, and a plain-tuple copy of a coverage table
     all keep (observed elements, support) keys, and solve as before."""
     bare = a.instance_from_hypotheses(_hypotheses())
     plain = a.coverage_instance(bare)
@@ -155,7 +155,7 @@ def test_only_a_coverage_table_under_the_instance_prior_is_keyed_by_support(
     fallbacks = {
         "with_prior": plain.with_prior(a.modified_prior(plain.prior)),
         "builtin-modified": fileio.instance_from_dict(data),
-        "plain-dict": plain_copy(plain),
+        "plain-tuple": plain_copy(plain),
     }
     _result, keys = solve_with_keys(monkeypatch, plain)
     assert {dom for dom, _support in keys} == {0}
@@ -171,7 +171,7 @@ def test_only_a_coverage_table_under_the_instance_prior_is_keyed_by_support(
 def test_the_pruned_pass_is_the_support_keyed_solve_on_a_coverage_utility(
         monkeypatch):
     """Where the exact pass keys by support, ``pruned=True`` returns that
-    very solve, whichever pass is asked for first; a plain-dict copy and a
+    very solve, whichever pass is asked for first; a plain-tuple copy and a
     builtin ``modified: true`` file read under the plain prior keep the
     state-keyed pruned pass."""
     bare = a.instance_from_hypotheses(_hypotheses())
@@ -186,7 +186,7 @@ def test_the_pruned_pass_is_the_support_keyed_solve_on_a_coverage_utility(
     data = fileio.instance_to_dict(bare)
     data["utility"] = {"kind": "builtin", "name": "coverage",
                        "params": {"modified": True}}
-    for name, instance in {"plain-dict": plain_copy(plain),
+    for name, instance in {"plain-tuple": plain_copy(plain),
                            "builtin-modified": fileio.instance_from_dict(data)
                            }.items():
         pruned, keys = solve_with_keys(monkeypatch, instance, pruned=True)
@@ -214,7 +214,7 @@ def test_the_identify_pool_pruned_pass_equals_the_state_keyed_and_reference_pass
     """All 60 ``identify`` classes of seed 1, each under the plain and the
     modified prior: the pruned pass (the support-keyed solve) has the
     state-keyed pruned pass's tree and ``float.hex``-equal cost on a
-    plain-dict copy, and the tree of the pruned reference, which
+    plain-tuple copy, and the tree of the pruned reference, which
     renormalizes its masses and so may differ in the last bit."""
     for r in range(60):
         bare = a.instance_from_hypotheses(identify_class(r))

@@ -290,19 +290,34 @@ def test_reordered_set_is_still_a_duplicate():
         fileio.instance_from_dict(data)
 
 
+def test_a_short_table_over_many_elements_fails_at_its_first_gap():
+    """The reader holds rows only for the subsets its entries name, so a
+    table over 40 elements that lists only the empty set fails at the first
+    missing subset instead of laying out 2^40 rows."""
+    names = [f"v{i}" for i in range(40)]
+    data = {"elements": names, "states": ["0", "1"],
+            "realizations": [dict.fromkeys(names, "0"), dict.fromkeys(names, "1")],
+            "prior": [0.5, 0.5],
+            "utility": {"kind": "table", "entries": [
+                {"set": [], "realization": i, "value": 0.0} for i in (0, 1)]}}
+    with pytest.raises(a.ParseError,
+                       match=re.escape("missing entries for subset (0,)")):
+        fileio.instance_from_dict(data)
+
+
 def test_jsonable_handles_non_finite_floats():
     out = json.loads(fileio.dumps({"x": float("inf"), "y": [float("nan")]}))
     assert out == {"x": "inf", "y": ["nan"]}
 
 
 def _parsed(parse, instance, spec):
-    """A parse's table as (keys in order, float.hex rows), or the type and
+    """A parse's rows by element mask as float.hex rows, or the type and
     text of the error it raised."""
     try:
         table = parse(instance, copy.deepcopy(spec))
     except (a.ParseError, KeyError) as exc:  # KeyError: an unknown name
         return type(exc).__name__, str(exc)
-    return list(table), [[v.hex() for v in row] for row in table.values()]
+    return [[v.hex() for v in row] for row in table]
 
 
 def _edit(**fields):
@@ -404,7 +419,7 @@ MUTATIONS = {
                          ids=["writer-order", "shuffled"])
 @pytest.mark.parametrize("mutation", list(MUTATIONS))
 def test_utility_parse_equals_reference(mutation, shuffled):
-    """The one-pass parse returns the reference's table, key order and bits
+    """The one-pass parse returns the reference's rows by element mask, bits
     included, or raises its error with the same text."""
     mutate, refused = MUTATIONS[mutation]
     for instance in (corpus_instance(0), a.gen_random(3, 3, 7)):
@@ -661,8 +676,8 @@ def test_with_prior_and_with_utility_check_what_they_change(demo_hypotheses):
         cov.with_prior((0.25, 0.25, 0.0))
     with pytest.raises(ValueError, match="prior length does not match"):
         cov.with_prior((1.0,))
-    with pytest.raises(ValueError, match="utility table has 1 subsets"):
-        cov.with_utility({(): (1.0, 1.0, 1.0)})
+    with pytest.raises(ValueError, match="utility has 1 rows, expected 4"):
+        cov.with_utility(((1.0, 1.0, 1.0),))
     for copy_ in (cov.with_prior(cov.prior), cov.with_utility(cov.utility)):
         assert copy_ == cov and vars(copy_).keys() == {
             f.name for f in dataclasses.fields(cov)}

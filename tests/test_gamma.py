@@ -114,8 +114,7 @@ def test_vacuous_gamma_keeps_the_mode_label(mode):
     """A constant utility gives every candidate zero gain; the vacuous
     result is still labelled as the mode's bound."""
     instance, _ = a.gen_theorem5(2, 0.5)
-    constant = {key: tuple(1.0 for _ in row)
-                for key, row in instance.utility.items()}
+    constant = tuple(tuple(1.0 for _ in row) for row in instance.utility)
     result = a.gamma(instance.with_utility(constant), 1, 1, mode=mode)
     assert (result.value, result.raw_min) == (1.0, 1.0)
     assert result.mode == ("exact" if mode == "exact"

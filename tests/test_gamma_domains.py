@@ -15,6 +15,7 @@ import pytest
 
 import adaptsel as a
 from adaptsel import metrics
+from conftest import rows_from_subsets
 from test_gamma import reference_gamma, reference_terms
 
 
@@ -79,7 +80,7 @@ def flip_symmetric(seed):
             table[subset] = tuple(row)
     instance = a.Instance(("v1", "v2", "v3"), ("0", "1"), tuple(realizations),
                           (0.125,) * 8)
-    return instance.with_utility(table)
+    return instance.with_utility(rows_from_subsets(instance, table))
 
 
 def test_witness_is_the_first_of_tied_psi_in_walk_order():

@@ -1,11 +1,14 @@
 """Active learning: coverage utility, modified prior, GBS."""
 
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import adaptsel as a
+from adaptsel.core import CoverageTable
 from conftest import coverage_demo
 from reference_walks import reference_coverage_utility
 from test_coverage_and_checks import random_hypotheses
@@ -66,38 +69,48 @@ def test_coverage_utility_equals_reference_bit_for_bit(demo_hypotheses,
         for prior in (bare.prior, a.modified_prior(bare.prior)):
             table = a.coverage_utility(bare, prior)
             expected = reference_coverage_utility(bare, prior)
-            assert list(table) == list(expected)
-            assert [[v.hex() for v in row] for row in table.values()] == [
-                [v.hex() for v in row] for row in expected.values()]
+            assert [[v.hex() for v in row] for row in table] == [
+                [v.hex() for v in row] for row in expected]
+
+
+def test_coverage_table_keeps_its_prior_through_copy_and_pickle(demo_hypotheses):
+    """A tuple subclass whose ``__new__`` takes the prior could not be
+    copied or pickled until it said what to pass back to ``__new__``."""
+    instance = a.coverage_instance(a.instance_from_hypotheses(demo_hypotheses),
+                                   modified=True)
+    for again in (copy.copy(instance), copy.deepcopy(instance),
+                  pickle.loads(pickle.dumps(instance))):
+        assert isinstance(again.utility, CoverageTable)
+        assert again.utility == instance.utility
+        assert again.utility.prior == instance.utility.prior
 
 
 def test_coverage_utility_empty_set_is_prior_mass(demo_hypotheses):
     bare = a.instance_from_hypotheses(demo_hypotheses)
     table = a.coverage_utility(bare)
     for i, p in enumerate(bare.prior):
-        assert abs(table[()][i] - p) <= TOL
+        assert abs(table[0][i] - p) <= TOL
 
 
 def test_coverage_utility_identification_reaches_one(demo_hypotheses):
     bare = a.instance_from_hypotheses(demo_hypotheses)
     table = a.coverage_utility(bare)
-    full = a.subset_key(range(bare.num_elements))
     for i in range(bare.num_realizations):
-        assert abs(table[full][i] - 1.0) <= TOL
+        assert abs(table[-1][i] - 1.0) <= TOL
 
 
 def test_coverage_utility_two_hypotheses_separated_by_one_example():
     hc = a.HypothesisClass(("x1",), (("0",), ("1",)), (0.5, 0.5))
     bare = a.instance_from_hypotheses(hc)
     table = a.coverage_utility(bare)
-    assert abs(table[(0,)][0] - 1.0) <= TOL
-    assert abs(table[(0,)][1] - 1.0) <= TOL
+    assert abs(table[0b1][0] - 1.0) <= TOL
+    assert abs(table[0b1][1] - 1.0) <= TOL
 
 
 def test_coverage_utility_values_in_unit_interval(two_feature_hypotheses):
     bare = a.instance_from_hypotheses(two_feature_hypotheses)
     table = a.coverage_utility(bare)
-    for row in table.values():
+    for row in table:
         for value in row:
             assert -TOL <= value <= 1.0 + TOL
 
@@ -146,6 +159,14 @@ def test_duplicate_hypotheses_rejected():
         a.HypothesisClass(
             ("x1",), (("0",), ("0",)), (0.5, 0.5)
         )
+
+
+def test_hypothesis_class_refuses_a_repeated_example():
+    """A class with two examples of one name once built, and failed later
+    as an instance with duplicate element identifiers."""
+    with pytest.raises(ValueError, match="duplicate example 'x1'"):
+        a.HypothesisClass(("x1", "x2", "x1"), (("0", "1", "0"), ("1", "0", "1")),
+                          (0.5, 0.5))
 
 
 @pytest.mark.parametrize("prior, message", [

@@ -261,7 +261,7 @@ def test_covering_params_refuses_a_bad_prior_override(prior, message):
 
 def test_covering_params_constant_utility():
     instance, _ = a.gen_theorem5(2, 0.5)
-    constant = {key: (2.5,) * 4 for key in instance.utility}
+    constant = ((2.5,) * 4,) * len(instance.utility)
     q, eta = a.covering_params(instance.with_utility(constant))
     assert q == 2.5
     assert eta == 2.5

@@ -13,6 +13,7 @@ from conftest import (
     complementary_pair,
     corpus_instance,
     coverage_demo,
+    rows_from_subsets,
     splitting_and_partial,
 )
 from reference_walks import reachable_nodes, reference_enumerate_policies
@@ -183,8 +184,8 @@ def test_optimal_budget_modular_utility_picks_top_elements():
     for size in range(4):
         for subset in itertools.combinations(range(3), size):
             value = sum(weights[v] for v in subset)
-            table[a.subset_key(subset)] = (value,) * instance.num_realizations
-    modular = instance.with_utility(table)
+            table[subset] = (value,) * instance.num_realizations
+    modular = instance.with_utility(rows_from_subsets(instance, table))
     _tree, value = a.optimal_budget(modular, 2)
     assert abs(value - 5.0) <= TOL
 
@@ -218,7 +219,7 @@ def test_optimal_coverage_unreachable_raises():
     # Cap the full-set value below an unachievable target.
     with pytest.raises(a.CoverageUnreachable):
         a.optimal_coverage(instance, q=max(
-            max(row) for row in instance.utility.values()
+            max(row) for row in instance.utility
         ) + 1.0)
 
 
@@ -284,5 +285,5 @@ def test_optimal_coverage_solves_once_per_instance_and_arguments():
     # A copy with another prior or utility solves afresh.
     skewed = instance.with_prior((1.0, 0.0))
     assert a.optimal_coverage(skewed) == (a.Select(1, (a.TERMINAL,) * 2), 1.0)
-    flat = instance.with_utility({key: (1.0, 1.0) for key in instance.utility})
+    flat = instance.with_utility(((1.0, 1.0),) * len(instance.utility))
     assert a.optimal_coverage(flat) == (a.TERMINAL, 0.0)

@@ -146,7 +146,7 @@ def test_malformed_trees_raise_the_reference_errors():
 def test_covering_check_reads_the_first_failure_by_descent():
     for seed in range(12):
         instance = corpus_instance(seed)
-        full = instance.utility[a.subset_key(range(instance.num_elements))]
+        full = instance.utility[-1]
         for tree in (a.random_policy(instance, seed, stop_probability=0.0),
                      a.random_policy(instance, seed, stop_probability=0.3)):
             for q in (max(full), min(full)):

@@ -3,13 +3,13 @@
 ``core.conditioned_states`` builds every positive-mass psi once, layer by
 layer, by splitting its parent's state; it must yield the psi, priors and
 gains of ``reference_conditioned_states`` in the same order, floats equal
-bit for bit, and stop after the layer of ``max_size`` observations.  ``core.utility_rows`` is the mask-indexed form of
-``Instance.utility``, built once per instance."""
+bit for bit, and stop after the layer of ``max_size`` observations.
+``core.utility_rows`` reads ``Instance.utility``, rows by element mask."""
 
 import pytest
 
 import adaptsel as a
-from adaptsel import core
+from adaptsel import core, fileio
 from conftest import coverage_demo, zero_prior_instance
 from reference_walks import reference_conditioned_states
 
@@ -78,47 +78,33 @@ def test_zero_prior_realizations_are_outside_every_support():
 
 
 def test_utility_rows_index_the_table_by_mask():
+    """``rows[mask]`` holds the values a file lists for the subset whose
+    element bits ``mask`` sets."""
     for instance in [a.gen_random(4, 3, 5), zero_prior_instance(1), a.gen_theorem5(3, 0.5)[0]]:
         rows = core.utility_rows(instance)
+        assert rows is instance.utility
         assert len(rows) == 1 << instance.num_elements
+        listed = {}
+        for entry in fileio.instance_to_dict(instance)["utility"]["entries"]:
+            listed.setdefault(tuple(entry["set"]), []).append(entry["value"])
         for mask, row in enumerate(rows):
-            members = [v for v in range(instance.num_elements) if mask >> v & 1]
-            assert row is instance.utility[a.subset_key(members)]
-        assert core.utility_rows(instance) is rows
-
-
-def test_utility_rows_are_built_once_per_instance(monkeypatch):
-    instance = a.gen_random(3, 2, 4)
-    calls = []
-    table = instance.utility
-
-    class Counting(dict):
-        def __getitem__(self, key):
-            calls.append(key)
-            return dict.__getitem__(self, key)
-
-    object.__setattr__(instance, "utility", Counting(table))
-    a.check_adaptive_submodular(instance)
-    a.optimal_budget(instance, 2)
-    a.f_avg(instance, a.build_greedy(instance))
-    assert sorted(calls) == sorted(table)
+            names = tuple(x for v, x in enumerate(instance.elements) if mask >> v & 1)
+            assert list(row) == listed[names]
 
 
 def test_with_utility_and_with_prior_get_fresh_caches():
     instance = a.gen_random(3, 2, 6)
     rows = core.utility_rows(instance)
     bits = core.state_bitsets(instance)
-    doubled = {key: tuple(2.0 * x for x in row) for key, row in instance.utility.items()}
+    doubled = tuple(tuple(2.0 * x for x in row) for row in instance.utility)
     scaled = instance.with_utility(doubled)
-    assert core.utility_rows(scaled) is not rows
-    assert core.utility_rows(scaled)[-1] == doubled[tuple(range(3))]
+    assert core.utility_rows(scaled) is doubled
     base_gains = core.path_root(instance).gains
     assert core.path_root(scaled).gains == {v: 2.0 * g for v, g in base_gains.items()}
     lifted = instance.with_prior([0.0] + [1.0 / 7] * 7)
     assert core.state_bitsets(lifted) is not bits
     assert all(not b & 1 for row in core.state_bitsets(lifted) for b in row)
-    assert core.utility_rows(lifted) is not rows
-    assert core.utility_rows(lifted) == rows
+    assert core.utility_rows(lifted) is rows
 
 
 def test_utility_rows_need_a_table():
