@@ -26,6 +26,7 @@ from .core import (
     check_adaptive_monotone,
     check_adaptive_submodular,
     f_avg,
+    require_count,
     require_tol,
 )
 from .errors import PreconditionFailed
@@ -36,6 +37,7 @@ from .metrics import (
     budget_frontier,
     covering_params,
     gamma,
+    require_gamma_mode,
 )
 from .oracle import DEFAULT_ENUM_BUDGET, optimal_coverage
 from .policy import (
@@ -137,12 +139,15 @@ def verify(
     GBS/optimal-coverage pipeline of the instance's realization list.
     ``tol`` sets the ``holds`` slack and the tolerance of the precondition
     checks; every threshold cut, and so alpha and beta, is taken at ``TOL``.
+    ``tol``, ``gamma_mode``, ``enum_budget`` and ``bound_id`` (a ``str``) are
+    checked before any bound is computed, whether or not it reads them.
     """
     require_tol(tol)
-    bound_id = bound_id.lower()
-    if bound_id not in _HANDLERS:
+    require_gamma_mode(gamma_mode)
+    require_count(enum_budget=enum_budget)
+    if not isinstance(bound_id, str) or bound_id.lower() not in _HANDLERS:
         raise ValueError(f"unknown bound id {bound_id!r}")
-    return _HANDLERS[bound_id](
+    return _HANDLERS[bound_id.lower()](
         instance, policy=policy, opt_policy=opt_policy, l=l,
         gamma_mode=gamma_mode, enum_budget=enum_budget, tol=tol,
     )
@@ -162,7 +167,8 @@ TRUNCATION_COST_TOL = 1e-6
 def _truncated(instance, policy, l):
     """pi_l, built at ``TOL``: the tolerance that f_avg and c_avg cut at."""
     _require(policy is not None, "a base policy is required")
-    _require(l is not None and not isinstance(l, bool) and l == int(l) and l >= 1,
+    whole = isinstance(l, int) or isinstance(l, float) and l.is_integer()
+    _require(whole and not isinstance(l, bool) and l >= 1,
              "an integer budget l >= 1 is required")
     tau, rho, sub = find_threshold_pair(instance, policy, int(l))
     # Round-trip check: the truncation really has average cost l.

@@ -10,25 +10,29 @@ exact computation over this table; no sampling is used anywhere.
 Conditioning lives here and nowhere else: :class:`ConditionalPrior` is the
 only form of p(phi | psi), built by :func:`version_space` or, one observation
 at a time, by :func:`split`, which divides each :func:`partition` part by
-its mass with :func:`renormalize`; :func:`gains` is the only computation of
-the expected marginal gains Delta(v | psi).  Where only the support of a
+its mass with :func:`renormalize`.  The expected marginal gains
+Delta(v | psi) have two implementations, equal bit for bit: :func:`_gains`,
+which :func:`gains` and every :class:`PathState` price with, and the
+conditioning pass's vectorized :func:`_priced`.  Where only the support of a
 conditional prior matters, :func:`state_bitsets` conditions supports without
 weights: a support is a bitset of realization indices, and observing state y
 at element v intersects it with ``state_bitsets(instance)[v][y]``; the
 oracles' DPs price each such support from prior masses alone.
 
 A :class:`PathState` (a psi, its conditional prior and gains) is keyed by
-(observed-element mask, support bitset).  Tree walkers condition each ordered
-path once per instance (:func:`path_root`).  The conditioning pass
-(:func:`_domains`) conditions every positive-mass psi once, up to a size, one
-domain (set of observed elements) at a time: each domain's states are vectors
-over the positive realizations, and its gains one list per unobserved element,
-built with C-level ``map`` passes and equal bit for bit to :func:`split` and
-:func:`gains`.  Both adaptive checks read it; :func:`conditioned_states` yields
-its states as :class:`PathState` objects, from which ``gamma`` roots its trees,
-splitting each state below them once per call.  A split renormalizes only the
-parts its table does not already hold.  Caches hold only deterministic values,
-so concurrent use of an instance is safe.
+(observed-element mask, support bitset), and :meth:`PathState.split` builds
+the states one observation below it.  Tree walkers condition each ordered
+path once per instance (:func:`path_root`); :func:`conditioned_states`
+builds every positive-mass psi up to a size by a layer walk of splits, and
+``gamma`` roots its trees at those states and splits each state below them
+once per call.  A split renormalizes only the parts its table does not
+already hold.  The conditioning pass (:func:`_domains`), which only the
+adaptive checks read, conditions the same psi one domain (set of observed
+elements) at a time: each domain's states are vectors over the positive
+realizations, and its gains one list per unobserved element, built with
+C-level ``map`` passes and equal bit for bit to :func:`split` and
+:func:`gains`.  Caches hold only deterministic values, so concurrent use of
+an instance is safe.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from operator import add, itemgetter, lt, mul, sub, truediv
+from operator import add, attrgetter, itemgetter, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Optional
 
 from .errors import EmptyVersionSpace, MalformedPolicy
@@ -601,8 +605,8 @@ def positive_partial_realizations(
 @dataclass(eq=False, slots=True)
 class _Domain:
     """The states of one domain (a set of observed elements) as vectors over
-    the positive realizations, each indexed by its position p in
-    ``positive`` (ascending realization index).
+    the positive realizations, each indexed by its position p among them
+    (ascending realization index).  Only the adaptive checks read it.
 
     States are numbered in pattern order.  ``where[p]`` is the state of
     realization p, ``weights[p]`` its weight in that state's conditional
@@ -613,7 +617,6 @@ class _Domain:
 
     elements: tuple[int, ...]
     mask: int
-    positive: tuple[int, ...]
     columns: list[tuple[int, ...]]
     where: list[int]
     weights: list[float]
@@ -626,22 +629,6 @@ class _Domain:
         """The observations of state s, in element order."""
         p = self.firsts[s]
         return tuple([(e, self.columns[e][p]) for e in self.elements])
-
-    def path_states(self) -> list[PathState]:
-        """Each state as a :class:`PathState`, in pattern order."""
-        runs, order, repeat = self.slices, self.order, itertools.repeat
-        support = list(map(self.positive.__getitem__, order))
-        weights = list(map(self.weights.__getitem__, order))
-        bits = list(map((1).__lshift__, support))
-        pairs = zip(*[zip(repeat(e), map(self.columns[e].__getitem__, self.firsts))
-                      for e in self.elements]) if self.elements else [()]
-        gains = map(dict, map(zip, repeat(tuple(self.gains)),
-                              zip(*self.gains.values()))
-                    if self.gains else repeat((), len(runs)))
-        priors = map(ConditionalPrior, map(tuple, map(support.__getitem__, runs)),
-                     map(tuple, map(weights.__getitem__, runs)))
-        return list(map(PathState, pairs, repeat(self.mask),
-                        map(sum, map(bits.__getitem__, runs)), priors, gains))
 
 
 def _domains(instance: Instance, max_size: Optional[int] = None
@@ -667,7 +654,7 @@ def _domains(instance: Instance, max_size: Optional[int] = None
     if m < instance.num_realizations:  # each row by position, as the weights
         rows = list(map(_reader(positive), rows))
     n, base = instance.num_elements, instance.num_states
-    root = _Domain((), 0, positive, columns, [0] * m, list(vs.weights),
+    root = _Domain((), 0, columns, [0] * m, list(vs.weights),
                    list(range(m)), [slice(0, m)], [0], {})
     layer = [_priced(root, rows, n)]
     while layer:
@@ -693,9 +680,9 @@ def _child(parent: _Domain, v: int, keys: list[int]) -> _Domain:
     starts = [0, *ends[:-1]]
     slices = list(map(slice, starts, ends))
     masses = _masses(parent.weights, order, slices)
-    return _Domain((*parent.elements, v), parent.mask | 1 << v, parent.positive,
-                   parent.columns, where,
-                   list(map(truediv, parent.weights, map(masses.__getitem__, where))),
+    return _Domain((*parent.elements, v), parent.mask | 1 << v, parent.columns,
+                   where, list(map(truediv, parent.weights,
+                                   map(masses.__getitem__, where))),
                    order, slices, list(map(order.__getitem__, starts)), {})
 
 
@@ -732,38 +719,33 @@ def conditioned_states(
 ) -> Iterator[PathState]:
     """The state of every positive-mass psi with at most ``max_size``
     observations (every psi if None), each built once, in
-    :func:`positive_partial_realizations` order (by size, domain, pattern):
-    the :class:`PathState` form of the conditioning pass's domains.  Every
-    psi but the empty one is a :func:`split` part of the state of psi
-    without its largest element, with the same floats.
+    :func:`positive_partial_realizations` order (by size, domain, pattern).
 
-    Each state's ``after`` holds the split on every element e whose
-    extension the walk reaches (none in the layer of ``max_size``), as
-    :meth:`PathState.split` returns it with the walk's states as its table:
-    outcomes in order of first appearance, each mass the state's weights
-    summed over the part in index order, each part the walk's state of psi
-    plus (e, y).  ``gamma`` roots its trees at the states of at most n
-    observations, so it splits only those of n observations and the states
-    below them.  ``max_size`` is None or a count (:func:`require_count`),
-    checked when iteration starts."""
+    A layer walk of :meth:`PathState.split` from :func:`path_state` of the
+    empty psi: within a layer, parents by domain, then each element v above
+    the domain's largest, parent by parent and outcome by sorted state.  So
+    every psi but the empty one is the :func:`split` part of the state of
+    psi without its largest element, with the same floats, and each state's
+    ``after`` holds the splits on the elements above its largest observed
+    one (none in the layer of ``max_size``).  No two psi share a key, so the
+    walk needs no split table; ``gamma`` registers its states in its own, so
+    that a split on a lower element finds them.  ``max_size`` is None or a
+    count (:func:`require_count`), checked when iteration starts."""
     if max_size is not None:
         require_count(max_size=max_size)
-    built: dict = {}  # domain mask -> (domain, its states)
-    for domain in _domains(instance, max_size):
-        states = domain.path_states()
-        firsts, order, slices = domain.firsts, domain.order, domain.slices
-        ranked = sorted(range(len(states)), key=firsts.__getitem__)
-        for e in domain.elements:
-            parent, above = built[domain.mask ^ 1 << e]
-            masses = _masses(parent.weights, order, slices)
-            column, parts = domain.columns[e], [{} for _ in above]
-            for s in ranked:
-                p = firsts[s]
-                parts[parent.where[p]][column[p]] = (masses[s], states[s])
-            for state, part in zip(above, parts):
-                state.after.setdefault(e, part)
-        built[domain.mask] = (domain, states)
-        yield from states
+    layer = [path_state(instance, EMPTY)]
+    while layer:
+        yield from layer
+        if max_size is not None and len(layer[0].pairs) >= max_size:
+            return
+        below = []
+        for dom, group in itertools.groupby(layer, key=attrgetter("dom")):
+            group = list(group)
+            for v in range(dom.bit_length(), instance.num_elements):
+                for parent in group:
+                    outcomes = parent.split(instance, v)
+                    below += [outcomes[y][1] for y in sorted(outcomes)]
+        layer = below
 
 
 # -- structural checks ----------------------------------------------------

@@ -302,8 +302,7 @@ def gamma(
     require_count(enum_budget=enum_budget)
     if n < 1 or k < 1:
         raise ValueError("gamma requires n, k >= 1")
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown gamma mode {mode!r}")
+    require_gamma_mode(mode)
     if mode == "sampled":
         require_int(samples=samples)
         if samples < 1:
@@ -370,6 +369,12 @@ def gamma(
         result = GammaResult(value, label, raw_min, n, k, witness, raw_min < -TOL)
     solved[key] = total, result
     return result
+
+
+def require_gamma_mode(mode: object) -> None:
+    """Raise ValueError unless ``mode`` is one of :func:`gamma`'s modes."""
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown gamma mode {mode!r}")
 
 
 def _check_gamma_budget(total: int, enum_budget: int) -> None:

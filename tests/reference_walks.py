@@ -463,10 +463,12 @@ def reference_conditioned_states(instance):
 
 
 def reference_layer_states(instance, max_size=None):
-    """The row-at-a-time layer walk that ``core.conditioned_states`` was
-    before the conditioning pass: each layer's parents split domain by
+    """The row-at-a-time layer walk that the conditioning pass
+    (``core._domains``) replaced: each layer's parents split domain by
     domain, then element by element, parent by parent and state by state,
-    each part a ``PathState`` priced on its domain's shared gain rows."""
+    each part a ``PathState`` priced on its domain's shared gain rows by
+    ``split`` and ``_gains``.  ``core.conditioned_states`` walks in the same
+    order, but each part comes from ``PathState.split``."""
     bits = state_bitsets(instance)
     layer = [path_state(instance, EMPTY)]
     while layer:

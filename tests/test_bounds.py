@@ -249,12 +249,62 @@ def test_verify_refuses_a_bad_tolerance(thm5, bound_id, tol):
         a.verify(instance, bound_id, policy=chain, opt_policy=chain, l=2, tol=tol)
 
 
-@pytest.mark.parametrize("l", [True, 0, 1.5, None])
+@pytest.mark.parametrize("l", [True, 0, 1.5, None, math.inf, math.nan, "x",
+                               [1], "2"],
+                         ids=["True", "0", "1.5", "None", "inf", "nan", "str-x",
+                              "list", "str-2"])
 def test_a_truncation_budget_l_must_be_an_int_of_at_least_1(thm5, l):
-    """``True`` once ran as budget 1."""
+    """``True`` once ran as budget 1; infinity, NaN, ``"x"`` and ``[1]`` once
+    escaped ``int(l)`` as OverflowError, ValueError and TypeError."""
     instance, chain = thm5
-    with pytest.raises(a.PreconditionFailed, match="an integer budget l >= 1"):
-        a.verify(instance, "thm1", policy=chain, opt_policy=chain, l=l)
+    for bound_id in ("thm1", "eq3"):
+        with pytest.raises(a.PreconditionFailed,
+                           match="an integer budget l >= 1"):
+            a.verify(instance, bound_id, policy=chain, opt_policy=chain, l=l)
+
+
+@pytest.mark.parametrize("bound_id", ["thm1", "eq3"])
+def test_a_whole_float_budget_reads_as_its_int(thm5, bound_id):
+    instance, chain = thm5
+    opt, _ = a.optimal_budget(instance, 2)
+    report = a.verify(instance, bound_id, policy=chain, opt_policy=opt, l=2.0)
+    assert report == a.verify(instance, bound_id, policy=chain, opt_policy=opt,
+                              l=2)
+    assert type(report.inputs["l"]) is int
+
+
+@pytest.mark.parametrize("bound_id", ["lemma2", "eq1", "thm1"])
+@pytest.mark.parametrize("changes, message", [
+    ({"gamma_mode": "bogus"}, "unknown gamma mode 'bogus'"),
+    ({"gamma_mode": None}, "unknown gamma mode None"),
+    ({"enum_budget": -1}, "enum_budget must be >= 0, got -1"),
+    ({"enum_budget": 1.5}, "enum_budget must be an int, got 1.5"),
+    ({"enum_budget": True}, "enum_budget must be an int, got True"),
+], ids=["mode-bogus", "mode-none", "budget-negative", "budget-float",
+        "budget-bool"])
+def test_verify_checks_every_argument_whichever_bound_reads_it(
+        thm5, bound_id, changes, message):
+    """lemma2 and eq1 read neither the gamma mode nor the enumeration
+    budget, and once returned a report on values thm1 refuses."""
+    instance, chain = thm5
+    with pytest.raises(ValueError, match=message):
+        a.verify(instance, bound_id, policy=chain, opt_policy=chain, l=2,
+                 **changes)
+
+
+@pytest.mark.parametrize("bound_id", [5, None, b"thm1", ["thm1"]],
+                         ids=["int", "none", "bytes", "list"])
+def test_verify_refuses_a_bound_id_that_is_not_a_string(thm5, bound_id):
+    """``verify(instance, 5)`` once raised AttributeError from ``.lower()``."""
+    instance, chain = thm5
+    with pytest.raises(ValueError, match="unknown bound id"):
+        a.verify(instance, bound_id, policy=chain)
+
+
+def test_bound_ids_are_case_blind(thm5):
+    instance, chain = thm5
+    assert a.verify(instance, "LEMMA2", policy=chain) == a.verify(
+        instance, "lemma2", policy=chain)
 
 
 def test_slack_orientation_matches_direction(thm5, demo_hypotheses):

@@ -1,15 +1,17 @@
 """The conditioning pass against the row-at-a-time walk it replaced.
 
 ``core._domains`` conditions one whole domain at a time on per-state
-vectors; both adaptive checks read it, and ``core.conditioned_states``
-yields its states.  Over a corpus fixed before the first run (identification
+vectors, and both adaptive checks read it; ``core.conditioned_states``
+builds the same states as ``PathState`` objects by a layer walk of
+``PathState.split``.  Over a corpus fixed before the first run (identification
 classes of the ``identify`` shapes under plain and modified coverage, a
 class with a zero-prior hypothesis, a 3-label class, and ``gen_random``
 draws, monotone and not), every verdict and witness must equal
 ``reference_walks``' row-at-a-time check at every tolerance, floats compared
-by ``float.hex``; every state must carry the reference's pairs, key, prior
-and gains; and every split a state carries from the walk must equal what
-``core.split`` computes for it."""
+by ``float.hex``; every state of the pass and of the layer walk must carry
+the reference's pairs, key, prior and gains; and every split a state
+carries from the walk, or takes from the walk's states for a lower element,
+must equal what ``core.split`` computes for it."""
 
 import random
 
@@ -88,29 +90,45 @@ def test_checks_equal_the_row_at_a_time_walk(check, reference):
     assert failed[a.TOL] >= 10 and failed[a.TOL] > failed[1.0]
 
 
+def _pass_states(instance):
+    """Each state of the conditioning pass, in the pass's order, as
+    (pairs, key, prior support, weight hexes, gain hexes)."""
+    positive = core.version_space(instance, core.EMPTY).support
+    for domain in core._domains(instance):
+        for s, run in enumerate(domain.slices):
+            members = [positive[p] for p in domain.order[run]]
+            yield (domain.pairs(s), (domain.mask, sum(1 << i for i in members)),
+                   tuple(members),
+                   [domain.weights[p].hex() for p in domain.order[run]],
+                   {u: gains[s].hex() for u, gains in domain.gains.items()})
+
+
+def _path_states(states):
+    """The same fields of each :class:`PathState`."""
+    for state in states:
+        yield (state.pairs, (state.dom, state.support), state.vs.support,
+               [w.hex() for w in state.vs.weights], _hexed(state.gains))
+
+
 def test_states_equal_the_row_at_a_time_walk():
+    """The conditioning pass and ``conditioned_states`` both yield the
+    reference walk's states in its order: pairs, key, prior and gains."""
     compared = 0
     for instance in CORPUS:
-        states = list(core.conditioned_states(instance))
-        reference = list(reference_layer_states(instance))
-        assert len(states) == len(reference)
-        for state, expected in zip(states, reference):
-            assert (state.pairs, state.dom, state.support) == (
-                expected.pairs, expected.dom, expected.support)
-            assert state.vs.support == expected.vs.support
-            assert ([w.hex() for w in state.vs.weights]
-                    == [w.hex() for w in expected.vs.weights])
-            assert _hexed(state.gains) == _hexed(expected.gains)
-            compared += 1
+        reference = list(_path_states(reference_layer_states(instance)))
+        assert list(_pass_states(instance)) == reference
+        assert list(_path_states(core.conditioned_states(instance))) == reference
+        compared += len(reference)
     assert compared > 6_000
 
 
 def test_the_walks_splits_equal_split():
-    """Each state carries the split on every element e whose extension the
-    walk reaches, as ``PathState.split`` returns it with the walk's states
-    as its table: ``core.split``'s outcome order and masses, each part the
-    walk's state of psi plus (e, y).  That state is ``core.split``'s part
-    itself where e is psi plus (e, y)'s largest element."""
+    """Each state carries exactly the splits on the elements above its
+    largest observed one (none in the layer of ``max_size``): ``core.split``'s
+    outcome order, masses and parts, each part the walk's own state of psi
+    plus (e, y).  Below the last layer, splitting a state on a lower
+    unobserved element with the walk's states as its table returns the
+    walk's states themselves, with ``core.split``'s masses."""
     carried = 0
     for instance in CORPUS:
         n, bits = instance.num_elements, core.state_bitsets(instance)
@@ -118,9 +136,14 @@ def test_the_walks_splits_equal_split():
             states = list(core.conditioned_states(instance, max_size))
             by_key = {(state.dom, state.support): state for state in states}
             for state in states:
+                top = state.dom.bit_length()
                 unobserved = {e for e in range(n) if not state.dom >> e & 1}
                 last = max_size is not None and len(state.pairs) == max_size
-                assert set(state.after) == (set() if last else unobserved)
+                assert set(state.after) == (set() if last else
+                                            set(range(top, n)))
+                lower = set() if last else unobserved - set(range(top, n))
+                for e in sorted(lower):
+                    state.split(instance, e, by_key)
                 for e, outcomes in state.after.items():
                     expected = core.split(instance, state.vs, e)
                     assert list(outcomes) == list(expected)
@@ -129,7 +152,8 @@ def test_the_walks_splits_equal_split():
                         key = (state.dom | 1 << e, state.support & bits[e][y])
                         assert by_key[key] is part
                         assert dict(part.pairs) == {**dict(state.pairs), e: y}
-                        if e >= state.dom.bit_length():
+                        if e >= top:
                             assert part.vs == expected[y][1]
                     carried += 1
+            assert len(by_key) == len(states)  # every lower split was a hit
     assert carried > 10_000
